@@ -31,6 +31,7 @@ from . import fields as fields_mod
 from . import measures, spde, transport, verify
 from .rng import map_units, stream
 from .spectral import eigenvalue
+from .verify import _jsonable
 
 KINDS = (
     "transport-solve",
@@ -59,18 +60,6 @@ def _validated(path, fn, *args, **kw):
 
 def _fmt(v):
     return f"{float(v):.17g}"
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def _write_csv(outdir, name, header, rows):

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rng import as_rng, map_units
-from .spectral import Grid, basis_matrix, eigenvalue
+from .spectral import Grid, basis_matrix, eigenvalue, simpson_weights
 
 
 class BlowUpError(FloatingPointError):
@@ -571,10 +571,7 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
 
     s_nodes = np.linspace(0.0, eps, n_simpson + 1)
     s_nodes = np.array([config.dt * config.n_steps(s) if s > 0 else 0.0 for s in s_nodes])
-    simpson_w = np.ones(n_simpson + 1)
-    simpson_w[1:-1:2] = 4.0
-    simpson_w[2:-1:2] = 2.0
-    simpson_w *= (eps / n_simpson) / 3.0
+    simpson_w = simpson_weights(n_simpson) * ((eps / n_simpson) / 3.0)
 
     a = config.rates
     E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None

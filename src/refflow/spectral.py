@@ -67,6 +67,17 @@ class Grid:
         return np.asarray(values) @ self.weights
 
 
+def simpson_weights(n):
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on n + 1 equispaced
+    nodes, n even, without the factor h/3."""
+    if n < 2 or n % 2:
+        raise ValueError(f"composite Simpson needs an even number of intervals, got {n}")
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def eigenvalue(j):
     """alpha_j = pi^2 j^2 of the Dirichlet Laplacian mode j >= 1."""
     if np.any(np.asarray(j) < 1):

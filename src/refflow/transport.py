@@ -9,6 +9,13 @@ of the time integral of D*F along the path:
 where c solves dc/du = F(u, c), c(t) = x. Fixed-step RK4 (or RK2) for the
 flow; the exponent uses the trapezoid rule on the same nodes so both
 discretizations refine together.
+
+For an autonomous field (time_dependent False) the backward path from x over
+time t is a prefix of the path from x over any later time, so one backward
+sweep of max(times) steps serves every time node on a point set:
+feynman_kac_many evaluates the times in increasing order and each continues
+the sweep of the one before. A time-dependent field has no prefix property
+and takes a fresh sweep, starting at that time, for every time.
 """
 
 import csv
@@ -184,6 +191,13 @@ class TransportSolution:
             if isinstance(self.reference, LadderDensity)
             else self.reference.beta
         )
+        # the last backward sweep feynman_kac ran, for a later time to continue:
+        # (X, k, Z, acc, R), the states Z after k steps from the rows of X inside
+        # the support ball, the trapezoid sum acc of D*F (step k weighted 1/2)
+        # and the running sum R that continues it (step k weighted 1). Replaced
+        # whole and never mutated, so threads sharing a solution can at worst
+        # repeat a sweep.
+        self._sweep = None
 
     def rho(self, t, x):
         return feynman_kac(self, t, x)
@@ -199,6 +213,14 @@ class TransportSolution:
 
 def feynman_kac(solution, t, x):
     """Density at time t and points x (rows); exactly 0 outside the support ball.
+
+    Integrates the characteristics of x backward n = t/dt_ode steps to time 0
+    and returns rho0 at their foot times exp(dt_ode * trapezoid sum of D*F).
+    For an autonomous field the path over t is a prefix of the path over any
+    later time, so when the solution's last sweep ran on the same points for
+    at most n steps this call continues it instead of restarting at x; the
+    sums keep the order of a fresh sweep, so the result is bit-identical. A
+    time-dependent field, an earlier time or other points start afresh at t.
 
     Exponent overflow beyond 700 raises RepresentationOverflowError naming the
     offending (t, x); points whose characteristic exits the initial support
@@ -216,15 +238,7 @@ def feynman_kac(solution, t, x):
         out[near] = np.clip(solution.rho0.value(X[near]), 0.0, None)
         return float(out[0]) if squeeze else out
     if near.any():
-        Z = X[near].copy()
-        fld, beta = solution.field, solution.beta_oracle
-        acc = 0.5 * fields_mod.dstar(fld, beta, t, Z)
-        u = t
-        for k in range(1, n + 1):
-            Z = _step(fld, u, Z, -cfg.dt_ode, cfg.integrator)
-            u = t - k * cfg.dt_ode
-            g = fields_mod.dstar(fld, beta, max(u, 0.0), Z)
-            acc = acc + (0.5 * g if k == n else g)
+        Z, acc = _sweep_to(solution, t, X, near, n)
         expnt = cfg.dt_ode * acc
         rho0v = np.clip(solution.rho0.value(Z), 0.0, None)
         alive = rho0v > 0
@@ -239,6 +253,49 @@ def feynman_kac(solution, t, x):
     return float(out[0]) if squeeze else out
 
 
+def _sweep_to(solution, t, X, near, n):
+    """States and trapezoid sum of D*F after n >= 1 backward steps from
+    (t, X[near]), continuing the solution's last sweep when that is valid;
+    the result becomes the last sweep."""
+    cfg, fld, beta = solution.config, solution.field, solution.beta_oracle
+    dt = cfg.dt_ode
+    last = solution._sweep
+    # t <= horizon: a fresh sweep evaluates the field at t and raises beyond it
+    if (
+        last is not None
+        and last[1] <= n
+        and not fld.time_dependent
+        and t <= fld.horizon
+        and np.array_equal(last[0], X)
+    ):
+        _, k, Z, acc, R = last
+    else:
+        k, Z, acc = 0, X[near], None
+        R = 0.5 * fields_mod.dstar(fld, beta, t, Z)
+    for j in range(k + 1, n + 1):
+        Z = _step(fld, t - (j - 1) * dt, Z, -dt, cfg.integrator)
+        g = fields_mod.dstar(fld, beta, max(t - j * dt, 0.0), Z)
+        acc, R = R + 0.5 * g, R + g
+    solution._sweep = (X.copy(), n, Z, acc, R)
+    return Z, acc
+
+
+def feynman_kac_many(solution, times, x):
+    """Densities at each time on one point set, shape (len(times), npts).
+
+    Times run in increasing order, so for an autonomous field each continues
+    the backward sweep of the one before and the whole set costs one sweep of
+    max(times) steps; a time-dependent field takes one fresh sweep per time.
+    Rows follow the order of `times`; each time is checked as in feynman_kac.
+    """
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    times = [float(t) for t in times]
+    out = np.empty((len(times), X.shape[0]))
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        out[i] = feynman_kac(solution, times[i], X)
+    return out
+
+
 def solve(rho0, field, reference, config, time_grid=(), eval_points=None, y=None, N=None):
     """Build a TransportSolution and cache density values on the given grid."""
     if N is None:
@@ -246,8 +303,8 @@ def solve(rho0, field, reference, config, time_grid=(), eval_points=None, y=None
     sol = TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=N, y=y)
     if eval_points is not None:
         pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        for t in time_grid:
-            sol.table.append((float(t), pts, feynman_kac(sol, float(t), pts)))
+        times = [float(t) for t in time_grid]
+        sol.table.extend((t, pts, vals) for t, vals in zip(times, feynman_kac_many(sol, times, pts)))
     return sol
 
 

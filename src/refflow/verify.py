@@ -16,6 +16,7 @@ import numpy as np
 
 from . import measures, transport
 from .rng import as_rng
+from .spectral import simpson_weights
 
 
 class TheoremViolationError(AssertionError):
@@ -129,18 +130,15 @@ def weak_residual(solution, u, n_time=20, n_per_axis=128, tolerance=1e-4):
     k = solution.field.n_components
     fgrad = u.f.grad(X)[:, :k]
 
-    def space_integral(t):
-        rho = transport.feynman_kac(solution, t, X)
+    def space_integral(t, rho):
         advect = (fgrad * solution.field.value(t, X)).sum(axis=1)
         integrand = (u.g_prime(t) * f_vals + u.g(t) * advect) * rho * psi
         return float(w @ integrand)
 
     t_nodes = np.linspace(0.0, cfg.T, n_time + 1)
-    vals = np.array([space_integral(t) for t in t_nodes])
-    simpson_w = np.ones(n_time + 1)
-    simpson_w[1:-1:2] = 4.0
-    simpson_w[2:-1:2] = 2.0
-    time_integral = (h_t / 3.0) * float(simpson_w @ vals)
+    rhos = transport.feynman_kac_many(solution, t_nodes, X)
+    vals = np.array([space_integral(t, rho) for t, rho in zip(t_nodes, rhos)])
+    time_integral = (h_t / 3.0) * float(simpson_weights(n_time) @ vals)
 
     rho0 = solution.rho0.value(X)
     initial = u.g(0.0) * float(w @ (f_vals * rho0 * psi))
@@ -344,14 +342,13 @@ def uniqueness_probe(rho0, field, references, config, t_eval, tol=1e-2, n_eval=2
     N = sols[0].N
     rng = as_rng(seed, "verify", "uniqueness")
     X = rng.uniform(-R, R, size=(n_eval, N))
+    rhos = [transport.feynman_kac_many(s, np.atleast_1d(t_eval), X) for s in sols]
     dists = {}
     worst = 0.0
     for a in range(len(sols)):
         for b in range(a + 1, len(sols)):
             d = 0.0
-            for t in np.atleast_1d(t_eval):
-                da = transport.feynman_kac(sols[a], float(t), X)
-                db = transport.feynman_kac(sols[b], float(t), X)
+            for da, db in zip(rhos[a], rhos[b]):
                 d = max(d, float(np.abs(da - db).mean()))
             dists[(a, b)] = d
             worst = max(worst, d)

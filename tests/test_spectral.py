@@ -14,6 +14,7 @@ from refflow.spectral import (
     eigenvalue,
     lp_norm,
     project,
+    simpson_weights,
     synthesize,
 )
 
@@ -131,3 +132,13 @@ def test_basis_matrix_batched_synthesis():
     assert vals.shape == (7, 128)
     one = synthesize(coeffs[4], g)
     assert np.allclose(vals[4], one, rtol=1e-13, atol=1e-15)
+
+
+def test_simpson_weights_integrate_cubics_exactly():
+    n = 6
+    x = np.linspace(0.0, 1.5, n + 1)
+    assert list(simpson_weights(n)) == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
+    assert (1.5 / n / 3.0) * (simpson_weights(n) @ (x ** 3 - x)) == pytest.approx(1.5 ** 4 / 4 - 1.5 ** 2 / 2, rel=1e-14)
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            simpson_weights(bad)

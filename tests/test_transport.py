@@ -10,6 +10,7 @@ from refflow.transport import (
     TransportSolution,
     bump_density,
     feynman_kac,
+    feynman_kac_many,
     flow,
     pde_residual,
     reversed_field,
@@ -249,3 +250,114 @@ def test_ladder_reference_uses_its_log_gradient():
     # clipped log-gradient agrees with the exact one deep inside the band
     assert np.max(np.abs(a - b)) < 1e-2
     assert np.any(a != b)
+
+
+def _feynman_kac_reference(solution, t, X):
+    """The per-time backward sweep as written before sweeps were shared: a
+    fresh integration from (t, X) on every call."""
+    cfg = solution.config
+    out = np.zeros(X.shape[0])
+    near = np.sqrt((X ** 2).sum(axis=1)) <= solution.support_radius + 1e-12
+    n = cfg.n_steps(t)
+    if n == 0:
+        out[near] = np.clip(solution.rho0.value(X[near]), 0.0, None)
+        return out
+    Z = X[near].copy()
+    fld, beta = solution.field, solution.beta_oracle
+    acc = 0.5 * fields.dstar(fld, beta, t, Z)
+    u = t
+    for k in range(1, n + 1):
+        Z = transport._step(fld, u, Z, -cfg.dt_ode, cfg.integrator)
+        u = t - k * cfg.dt_ode
+        g = fields.dstar(fld, beta, max(u, 0.0), Z)
+        acc = acc + (0.5 * g if k == n else g)
+    expnt = cfg.dt_ode * acc
+    rho0v = np.clip(solution.rho0.value(Z), 0.0, None)
+    alive = rho0v > 0
+    vals = np.zeros(Z.shape[0])
+    vals[alive] = rho0v[alive] * np.exp(expnt[alive])
+    out[near] = vals
+    return out
+
+
+def _catalog_solution(pid, integrator, ladder=False, field=None):
+    spec = {p["id"]: p for p in catalog.default_problems("all")}[pid]
+    m, reference, fld, rho0, config, _u = catalog.build_problem(spec)
+    if ladder:
+        reference = measures.ladder(reference, 8, 16)
+    # a short horizon keeps the reference sweeps cheap; dt stays the catalog's
+    config = FlowConfig(dt_ode=config.dt_ode, T=0.04, integrator=integrator)
+    return TransportSolution(rho0=rho0, field=field or fld, reference=reference, config=config, N=spec["N"])
+
+
+def _points(sol):
+    """A grid over and beyond the support ball, so some points lie outside it."""
+    R = 1.3 * sol.support_radius
+    axes = [np.linspace(-R, R, 9)] * sol.N
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+# unsorted, with 0 and a repeated time
+SWEEP_TIMES = [0.04, 0.0, 0.017, 0.003, 0.017, 0.001]
+
+
+@pytest.mark.parametrize("integrator", ["RK4", "RK2"])
+@pytest.mark.parametrize("pid,ladder", [("g1_const", False), ("gibbs1_arctan", True), ("g2_swirl", False)])
+def test_sweep_matches_per_time_integration(pid, ladder, integrator):
+    sol = _catalog_solution(pid, integrator, ladder=ladder)
+    X = _points(sol)
+    assert not np.all(np.sqrt((X ** 2).sum(axis=1)) <= sol.support_radius)
+    want = np.stack([_feynman_kac_reference(sol, t, X) for t in SWEEP_TIMES])
+    assert np.any(want[0] > 0)
+    assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
+    # single-time calls continue the last sweep or start afresh, going back in
+    # time or switching point sets; the values stay those of a fresh sweep
+    fresh = _catalog_solution(pid, integrator, ladder=ladder)
+    for t, row in zip(SWEEP_TIMES, want):
+        assert np.array_equal(feynman_kac(fresh, t, X), row)
+    for t, row in zip(SWEEP_TIMES, want):
+        assert np.array_equal(feynman_kac(fresh, t, X[::-1]), row[::-1])
+        assert np.array_equal(feynman_kac(fresh, t, X), row)
+
+
+def test_sweep_restarts_for_time_dependent_field():
+    growing = fields.CylindricalField(
+        components=(
+            fields.FieldComponent(
+                value_fn=lambda t, X: 0.1 * (1.0 + 5.0 * t) * np.ones(X.shape[0]),
+                grad_fn=lambda t, X: np.zeros((X.shape[0], 1)),
+                bound=0.2,
+            ),
+        ),
+        time_dependent=True,
+    )
+    sol = _catalog_solution("g1_const", "RK4", field=growing)
+    X = _points(sol)
+    want = np.stack([_feynman_kac_reference(sol, t, X) for t in SWEEP_TIMES])
+    assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
+
+
+def test_sweep_checks_every_time():
+    sol = _catalog_solution("g1_const", "RK4")
+    X = _points(sol)
+    with pytest.raises(ValueError, match="outside"):
+        feynman_kac_many(sol, [0.01, 0.05], X)
+    with pytest.raises(StepMismatchError):
+        feynman_kac_many(sol, [0.01, 0.0105], X)
+    m, slc = slice_for(1, lam=np.array([3000.0]))
+    hot = TransportSolution(
+        rho0=bump_density([0.0], [5.0]), field=fields.constant_field([1.0]),
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+    )
+    # exponent 3000 (t - t^2/2) at x = 1: 285 at t = 0.1, past 700 at t = 0.5
+    assert feynman_kac_many(hot, [0.1], np.array([[1.0]]))[0, 0] > 0
+    with pytest.raises(RepresentationOverflowError, match=r"t=0\.5, x=\[1\.\]"):
+        feynman_kac_many(hot, [0.5, 0.1], np.array([[1.0]]))
+
+
+def test_sweep_is_not_continued_on_points_changed_in_place():
+    sol = _catalog_solution("g2_swirl", "RK4")
+    X = _points(sol)
+    feynman_kac(sol, 0.01, X)
+    X += 0.05
+    assert np.array_equal(feynman_kac(sol, 0.02, X), _feynman_kac_reference(sol, 0.02, X))
