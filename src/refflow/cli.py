@@ -291,11 +291,11 @@ def run_spde_invariant(params, seed, workers, outdir):
     burn_in = _validated("params.burn_in", int, params.get("burn_in", burn_default))
     count = _validated("params.count", int, params.get("count", 2000))
     thinning = _validated("params.thinning", int, params.get("thinning", 5))
+    if thinning < 1:
+        raise ConfigError("params.thinning: must be at least 1")
     try:
         samples, rep = spde.sample_invariant(config, burn_in, count, thinning, stream(seed, "spde-invariant", "chain"))
-    except ValueError as exc:
-        raise ConfigError(f"params.burn_in: {exc}") from exc
-    except spde.NotConvergedError as exc:
+    except (spde.BurnInError, spde.NotConvergedError) as exc:
         raise ConfigError(f"params.burn_in: {exc}") from exc
     header = [f"mode_{j + 1}" for j in range(config.n_modes)]
     out = _write_csv(outdir, "samples.csv", header, [[_fmt(v) for v in row] for row in samples])
@@ -329,10 +329,11 @@ def run_commutator_curve(params, seed, workers, outdir):
     n_mc = _validated("params.n_mc", int, params.get("n_mc", 2000))
     n_x = _validated("params.n_x", int, params.get("n_x", 200))
     thinning = params.get("thinning")
-    rep = spde.commutator_decay_curve(
-        config, u, F, eps_grid, n_mc, n_x, seed,
-        thinning=None if thinning is None else int(thinning), workers=workers,
-    )
+    if thinning is not None:
+        thinning = _validated("params.thinning", int, thinning)
+        if thinning < 1:
+            raise ConfigError("params.thinning: must be at least 1")
+    rep = spde.commutator_decay_curve(config, u, F, eps_grid, n_mc, n_x, seed, thinning=thinning, workers=workers)
     rows = [[_fmt(c.eps), _fmt(c.value), _fmt(c.stderr), str(c.n_samples)] for c in rep.estimates]
     out = _write_csv(outdir, "commutator_curve.csv", ["eps", "value", "stderr", "n_samples"], rows)
     verdicts = {"decay": "pass" if rep.trend_established else "warn"}

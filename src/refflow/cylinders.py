@@ -42,23 +42,3 @@ class Cylinder:
         k = min(self.n_active, len(h))
         return g[:, :k] @ h[:k]
 
-
-def constant(c=1.0):
-    return Cylinder(
-        n_active=1,
-        value_fn=lambda X: np.full(X.shape[0], float(c)),
-        grad_fn=lambda X: np.zeros_like(X),
-        name=f"const({c})",
-        bound=abs(c),
-    )
-
-
-def smooth_window(x, radius):
-    """C^2 bump (1 - (x/radius)^2)^3 on |x| < radius, 0 outside."""
-    u = np.clip(1.0 - (x / radius) ** 2, 0.0, None)
-    return u ** 3
-
-
-def smooth_window_deriv(x, radius):
-    u = np.clip(1.0 - (x / radius) ** 2, 0.0, None)
-    return 3.0 * u ** 2 * (-2.0 * x / radius ** 2)

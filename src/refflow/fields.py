@@ -158,7 +158,7 @@ class NemytskiiField:
 
     @property
     def h_bound(self):
-        inv = 1.0 / np.array([eigenvalue(j) for j in range(1, self.n_modes + 1)])
+        inv = 1.0 / eigenvalue(np.arange(1, self.n_modes + 1))
         return float(self.reaction.bound * inv.sum())
 
     def value(self, t, X):
@@ -169,7 +169,7 @@ class NemytskiiField:
         E = basis_matrix(self.n_modes, self.grid)
         U = X @ E
         vals = self.reaction(t, U)
-        inv = 1.0 / np.array([eigenvalue(j) for j in range(1, self.n_modes + 1)])
+        inv = 1.0 / eigenvalue(np.arange(1, self.n_modes + 1))
         return ((vals * self.grid.weights) @ E.T) * inv
 
 
@@ -185,7 +185,7 @@ def galerkin(nem, level):
     E = basis_matrix(level, nem.grid)
     w = nem.grid.weights
     reaction = nem.reaction
-    inv_alpha = 1.0 / np.array([eigenvalue(j) for j in range(1, level + 1)])
+    inv_alpha = 1.0 / eigenvalue(np.arange(1, level + 1))
     # |f_i| <= bound * int |e_i| / alpha_i; int_0^1 |sqrt2 sin(i pi xi)| = 2 sqrt2 / pi
     comp_bounds = reaction.bound * (2.0 * math.sqrt(2.0) / math.pi) * inv_alpha
 
@@ -217,7 +217,7 @@ def divergence(field, t, X):
     if isinstance(field, NemytskiiField):
         # sum_i alpha_i^{-1} int e_i^2 f'(t, x(xi)) dxi
         E = basis_matrix(field.n_modes, field.grid)
-        inv = 1.0 / np.array([eigenvalue(j) for j in range(1, field.n_modes + 1)])
+        inv = 1.0 / eigenvalue(np.arange(1, field.n_modes + 1))
         kernel = (E * E * inv[:, None]).sum(axis=0)
         U = X @ E
         return (field.reaction.d(t, U) * kernel) @ field.grid.weights
@@ -320,14 +320,10 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     level = level or nem.n_modes
-    X = (
-        measures.sample_gibbs(measure, count, seed)
-        if isinstance(measure, measures.GibbsMeasure)
-        else measures.sample_gaussian(measure, count, seed)
-    )
+    X = measures.sample_gibbs(measure, count, seed)
     E = basis_matrix(level, nem.grid)
     w = nem.grid.weights
-    inv = 1.0 / np.array([eigenvalue(j) for j in range(1, level + 1)])
+    inv = 1.0 / eigenvalue(np.arange(1, level + 1))
 
     U = X[:, :level] @ E
     kernel = (E * E * inv[:, None]).sum(axis=0)
@@ -460,11 +456,7 @@ def cf_delta(
     m = disintegration.measure
     n_tail = m.n_modes - N
     if n_tail > 0 and tail_samples > 0:
-        full = (
-            measures.sample_gibbs(m, tail_samples, as_rng(seed, "fields", "cf-tails"))
-            if isinstance(m, measures.GibbsMeasure)
-            else measures.sample_gaussian(m, tail_samples, as_rng(seed, "fields", "cf-tails"))
-        )
+        full = measures.sample_gibbs(m, tail_samples, as_rng(seed, "fields", "cf-tails"))
         tails = full[:, N:]
     else:
         tails = np.zeros((1, max(n_tail, 0)))

@@ -255,7 +255,7 @@ class SliceDensity:
 
 @dataclass(frozen=True)
 class DisintegrationDensity:
-    """Psi^2_N(x, y): joint evaluator plus bind(y) for per-slice work."""
+    """Psi^2_N(x, y); bind(y) gives the slice density in x at tail y."""
 
     measure: object
     N: int
@@ -289,12 +289,6 @@ class DisintegrationDensity:
             z_stderr=self.z_stderr,
             name=f"psi2(N={self.N})",
         )
-
-    def value(self, x, y=None):
-        return self.bind(y).value(x)
-
-    def log_gradient(self, x, y=None):
-        return self.bind(y).beta(x)
 
 
 def psi_squared(measure, N, z_count=20000, z_seed=0):
@@ -440,7 +434,7 @@ def ibp_residual(measure, u, h, count, seed):
     Returns the estimate with a jackknife standard error; the contract is
     |residual| <= 4 stderr.
     """
-    X = sample_gibbs(measure, count, seed) if isinstance(measure, GibbsMeasure) else sample_gaussian(measure, count, seed)
+    X = sample_gibbs(measure, count, seed)
     comps = beta_components(measure, X)
     if np.isscalar(h) or isinstance(h, (int, np.integer)):
         d_u = u.partial(int(h), X)
@@ -466,7 +460,7 @@ def exp_integrability(measure, h, c, count, seed):
     """MC mean of exp(c |beta_h|) with a half-sample stability diagnostic."""
     if c <= 0:
         raise ValueError(f"exponential-integrability constant must be positive, got {c}")
-    X = sample_gibbs(measure, count, seed) if isinstance(measure, GibbsMeasure) else sample_gaussian(measure, count, seed)
+    X = sample_gibbs(measure, count, seed)
     comps = beta_components(measure, X)
     if np.isscalar(h) or isinstance(h, (int, np.integer)):
         b_h = comps[:, int(h)]
@@ -493,7 +487,7 @@ def integrability_constants(measure, count=2000, seed=0):
     the artifact convention pins c_i = 1/(2 sd(beta_{e_i})) from a seeded
     pilot sample so downstream recipes are deterministic.
     """
-    X = sample_gibbs(measure, count, seed) if isinstance(measure, GibbsMeasure) else sample_gaussian(measure, count, seed)
+    X = sample_gibbs(measure, count, seed)
     sd = beta_components(measure, X).std(axis=0, ddof=1)
     return 1.0 / (2.0 * np.maximum(sd, 1e-12))
 

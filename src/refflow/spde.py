@@ -8,6 +8,13 @@ exactly per mode (exponential integrator) and the reaction and noise
 explicitly; the Ornstein-Uhlenbeck reduction p = 0 is therefore sampled from
 its exact transition kernel.
 
+One stepper, `_steps`, applies the scheme X <- ema X + phi p_alpha(X) + sig xi
+for every caller. It can carry the derivative flow eta and the
+Bismut-Elworthy-Li gradient weight int <B^{-1} eta, dW> along the same path,
+and it runs the blow-up check. `simulate`, `sample_invariant`,
+`bel_gradient`, the commutator estimators and `v_norm` differ only in which
+steps they keep.
+
 Also here: derivative flows along frozen paths, semigroup and gradient
 estimators (the probabilistic integration-by-parts weight), the smoothing
 commutator and its decay curve, the V-norm quadratic form, and the
@@ -38,6 +45,10 @@ class SolverError(RuntimeError):
 
 class NotConvergedError(RuntimeError):
     pass
+
+
+class BurnInError(ValueError):
+    """The burn-in is too short for the slowest mode to relax."""
 
 
 @lru_cache(maxsize=64)
@@ -88,7 +99,7 @@ class SpdeConfig:
 
     @property
     def rates(self):
-        return np.array([eigenvalue(j) for j in range(1, self.n_modes + 1)])
+        return eigenvalue(np.arange(1, self.n_modes + 1))
 
     @property
     def b_array(self):
@@ -175,19 +186,42 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
-def _reaction_modes(config, X, E):
-    """project(p_alpha(synthesize(X))): reaction drift in mode coordinates."""
-    U = X @ E
-    V = yosida_drift(config.p_coeffs, config.yosida_alpha, U)
-    return (V * config.grid.weights) @ E.T
+def _steps(config, X, n, rng, eta=None, noise=True):
+    """Step the scheme n times from X; yields (k, X, eta, w) after step k.
 
-
-def _scheme_factors(config):
+    Each step draws xi with the shape of X (noise=False zeroes it after the
+    draw) and synthesizes U = X E once, for the reaction drift and for the
+    derivative flow. Given a direction eta (one row per path), the flow and
+    the gradient weight w = int_0^t <B^{-1} eta, dW>, taken left-point with
+    the path's own increments, are carried along; otherwise both are None.
+    w is updated in place. Raises BlowUpError when a coefficient of X
+    exceeds 1e6 in magnitude.
+    """
     a = config.rates
     ema = np.exp(-a * config.dt)
     phi = (1.0 - ema) / a
     sig = config.b_array * np.sqrt((1.0 - ema ** 2) / (2.0 * a))
-    return ema, phi, sig
+    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
+    weights = config.grid.weights
+    Binv = 1.0 / config.b_array
+    sqdt = math.sqrt(config.dt)
+    w = None if eta is None else np.zeros(X.shape[0])
+    U, drift = None, 0.0
+    for k in range(1, n + 1):
+        xi = rng.standard_normal(X.shape)
+        if not noise:
+            xi = np.zeros_like(xi)
+        if eta is not None:
+            w += ((eta * Binv) * xi).sum(axis=1) * sqdt
+        if E is not None:
+            U = X @ E
+            drift = (yosida_drift(config.p_coeffs, config.yosida_alpha, U) * weights) @ E.T
+        X = ema * X + phi * drift + sig * xi
+        if eta is not None:
+            eta = _eta_step(config, eta, U, ema, E)
+        if np.max(np.abs(X)) > 1e6:
+            raise BlowUpError(f"state norm exceeded 1e6 at step {k} (invalid reaction?)")
+        yield k, X, eta, w
 
 
 def simulate(config, x0, seed, n_paths=1, record_every=1, disable_noise=False):
@@ -201,32 +235,17 @@ def simulate(config, x0, seed, n_paths=1, record_every=1, disable_noise=False):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[0] == 1 and n_paths > 1:
         x0 = np.repeat(x0, n_paths, axis=0)
-    n_paths = x0.shape[0]
     n = config.n_steps(config.T)
-    ema, phi, sig = _scheme_factors(config)
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
-
     rec_idx = list(range(0, n + 1, record_every))
     if rec_idx[-1] != n:
         rec_idx.append(n)
-    states = np.empty((n_paths, len(rec_idx), config.n_modes))
+    pos = {k: i for i, k in enumerate(rec_idx)}
+    states = np.empty((x0.shape[0], len(rec_idx), config.n_modes))
+    states[:, 0] = x0
+    for k, X, _, _ in _steps(config, x0, n, rng, noise=not disable_noise):
+        if k in pos:
+            states[:, pos[k]] = X
     times = np.array([config.dt * k for k in rec_idx])
-    X = x0.copy()
-    pos = 0
-    if rec_idx[0] == 0:
-        states[:, 0] = X
-        pos = 1
-    for k in range(1, n + 1):
-        xi = rng.standard_normal((n_paths, config.n_modes))
-        if disable_noise:
-            xi = np.zeros_like(xi)
-        drift = _reaction_modes(config, X, E) if config.has_reaction else 0.0
-        X = ema * X + phi * drift + sig * xi
-        if np.max(np.abs(X)) > 1e6:
-            raise BlowUpError(f"state norm exceeded 1e6 at step {k} (invalid reaction?)")
-        if pos < len(rec_idx) and rec_idx[pos] == k:
-            states[:, pos] = X
-            pos += 1
     return PathEnsemble(times=times, states=states, dt=config.dt, T=config.T, seed_labels=("spde", "simulate", str(seed)))
 
 
@@ -254,32 +273,23 @@ class MomentReport:
 def sample_invariant(config, burn_in, count, thinning, seed):
     """Thinned post-burn-in states of one long path, with moment report.
 
-    burn_in is in steps and must cover several relaxation times of the slow
-    mode; the stationarity diagnostic compares first and second half means of
-    |x|_H^2 at 3 batch-means stderr and raises NotConvergedError on failure.
+    burn_in is in steps and must cover five relaxation times 1/alpha_1 of the
+    slow mode (BurnInError otherwise); thinning is at least 1. The
+    stationarity diagnostic compares first and second half means of |x|_H^2
+    at 3 batch-means stderr and raises NotConvergedError on failure.
     """
-    if burn_in * config.dt < 5.0 / eigenvalue(1):
-        raise ValueError(f"burn_in covers {burn_in * config.dt:.3g} time units; need >= {5.0 / eigenvalue(1):.3g}")
+    need = 5.0 / eigenvalue(1)
+    if burn_in * config.dt < need:
+        raise BurnInError(f"burn_in covers {burn_in * config.dt:.3g} time units; need >= {need:.3g}")
+    if thinning < 1:
+        raise ValueError(f"thinning must be at least 1, got {thinning}")
     rng = as_rng(seed, "spde", "invariant")
-    ema, phi, sig = _scheme_factors(config)
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
-    X = np.zeros((1, config.n_modes))
-
-    def step(X):
-        xi = rng.standard_normal((1, config.n_modes))
-        drift = _reaction_modes(config, X, E) if config.has_reaction else 0.0
-        Xn = ema * X + phi * drift + sig * xi
-        if np.max(np.abs(Xn)) > 1e6:
-            raise BlowUpError("state norm exceeded 1e6 during invariant sampling")
-        return Xn
-
-    for _ in range(burn_in):
-        X = step(X)
     samples = np.empty((count, config.n_modes))
-    for i in range(count):
-        for _ in range(thinning):
-            X = step(X)
-        samples[i] = X[0]
+    X0 = np.zeros((1, config.n_modes))
+    for k, X, _, _ in _steps(config, X0, burn_in + count * thinning, rng):
+        i, r = divmod(k - burn_in, thinning)
+        if i > 0 and r == 0:
+            samples[i - 1] = X[0]
 
     l2 = (samples ** 2).sum(axis=1)
     U = samples @ basis_matrix(config.n_modes, config.grid)
@@ -309,11 +319,11 @@ def sample_invariant(config, burn_in, count, thinning, seed):
 # derivative flow and gradient estimators
 
 
-def _eta_step(config, eta, X_before, ema, E):
-    """One splitting step of the linearized flow along the frozen path."""
+def _eta_step(config, eta, U, ema, E):
+    """One splitting step of the linearized flow along the frozen path, whose
+    state before the step synthesizes to U = X E."""
     eta = ema * eta
     if config.has_reaction:
-        U = X_before @ E
         mult = np.exp(config.dt * yosida_drift_prime(config.p_coeffs, config.yosida_alpha, U))
         eta = ((eta @ E) * mult * config.grid.weights) @ E.T
     return eta
@@ -339,7 +349,8 @@ def derivative_flow(config, path_states, h, check_contraction=True):
     E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
     h_norm = math.sqrt(float((h ** 2).sum()))
     for k in range(1, n_times):
-        eta = _eta_step(config, eta, states[:, k - 1], ema, E)
+        U = states[:, k - 1] @ E if config.has_reaction else None
+        eta = _eta_step(config, eta, U, ema, E)
         if check_contraction:
             worst = math.sqrt(float((eta ** 2).sum(axis=1).max()))
             if worst > h_norm * (1.0 + 1e-8) + 1e-300:
@@ -385,7 +396,7 @@ def _with_horizon(config, t):
     )
 
 
-def bel_gradient(config, phi, x, h, t, n_mc, seed, return_weights=False):
+def bel_gradient(config, phi, x, h, t, n_mc, seed):
     """Directional derivative of P_t phi at x via the probabilistic weight.
 
     (1/t) E[ phi(X_t) int_0^t <B^{-1} eta(s), dW(s)> ] with the stochastic
@@ -397,25 +408,15 @@ def bel_gradient(config, phi, x, h, t, n_mc, seed, return_weights=False):
         raise ValueError("bel_gradient needs t > 0")
     n = config.n_steps(t)
     rng = as_rng(seed, "spde", "bel")
-    ema, phi_fac, sig = _scheme_factors(config)
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
     X = np.repeat(np.atleast_2d(np.asarray(x, dtype=float)), n_mc, axis=0)
     eta = np.broadcast_to(np.asarray(h, dtype=float), X.shape).copy()
-    Binv = 1.0 / config.b_array
     w = np.zeros(n_mc)
-    sqdt = math.sqrt(config.dt)
-    for _ in range(n):
-        xi = rng.standard_normal((n_mc, config.n_modes))
-        w += ((eta * Binv) * xi).sum(axis=1) * sqdt
-        X_prev = X
-        drift = _reaction_modes(config, X_prev, E) if config.has_reaction else 0.0
-        X = ema * X_prev + phi_fac * drift + sig * xi
-        eta = _eta_step(config, eta, X_prev, ema, E)
+    for _, X, _, w in _steps(config, X, n, rng, eta=eta):
+        pass
     vals = np.asarray(phi(X), dtype=float) * w / t
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
-    rep = EstimateReport(estimate=est, stderr=se, n_mc=n_mc, inconclusive=bool(se > 0.5 * abs(est)))
-    return (rep, vals) if return_weights else rep
+    return EstimateReport(estimate=est, stderr=se, n_mc=n_mc, inconclusive=bool(se > 0.5 * abs(est)))
 
 
 def fd_gradient(config, phi, x, h, t, n_mc, seed, step=1e-3):
@@ -453,34 +454,20 @@ def _commutator_samples(config, u, F, eps_sorted, x, n_mc, rng):
     """
     n_total = config.n_steps(eps_sorted[-1])
     marks = {config.n_steps(e): i for i, e in enumerate(eps_sorted)}
-    ema, phi_fac, sig = _scheme_factors(config)
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
     X = np.repeat(np.atleast_2d(np.asarray(x, dtype=float)), n_mc, axis=0)
     k_field = F.n_components
     h = np.zeros(config.n_modes)
     h[:k_field] = F.value(0.0, X[:1, :k_field])[0]
     eta = np.broadcast_to(h, X.shape).copy()
-    Binv = 1.0 / config.b_array
-    w = np.zeros(n_mc)
-    sqdt = math.sqrt(config.dt)
     out = np.empty((len(eps_sorted), n_mc))
-
-    def snapshot(i, eps):
-        uval = np.asarray(u.value(X), dtype=float)
-        gu = u.grad(X)
-        k = min(gu.shape[1], k_field)
-        g = (gu[:, :k] * F.value(0.0, X)[:, :k]).sum(axis=1)
-        out[i] = uval * w / eps - g
-
-    for k in range(1, n_total + 1):
-        xi = rng.standard_normal((n_mc, config.n_modes))
-        w += ((eta * Binv) * xi).sum(axis=1) * sqdt
-        X_prev = X
-        drift = _reaction_modes(config, X_prev, E) if config.has_reaction else 0.0
-        X = ema * X_prev + phi_fac * drift + sig * xi
-        eta = _eta_step(config, eta, X_prev, ema, E)
-        if k in marks:
-            snapshot(marks[k], eps_sorted[marks[k]])
+    for k, X, _, w in _steps(config, X, n_total, rng, eta=eta):
+        i = marks.get(k)
+        if i is not None:
+            uval = np.asarray(u.value(X), dtype=float)
+            gu = u.grad(X)
+            m = min(gu.shape[1], k_field)
+            g = (gu[:, :m] * F.value(0.0, X)[:, :m]).sum(axis=1)
+            out[i] = uval * w / eps_sorted[i] - g
     return out
 
 
@@ -630,17 +617,11 @@ def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
     rng = as_rng(seed, "spde", "vnorm-inner")
     n_total = config.n_steps(eps_grid[-1])
     marks = {config.n_steps(e): i for i, e in enumerate(eps_grid)}
-    ema, phi_fac, sig = _scheme_factors(config)
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
-    X = xs.copy()
     phi0 = np.asarray(phi(xs), dtype=float)
     vals = np.empty((len(eps_grid), n_mc))
-    for k in range(1, n_total + 1):
-        xi = rng.standard_normal((n_mc, config.n_modes))
-        drift = _reaction_modes(config, X, E) if config.has_reaction else 0.0
-        X = ema * X + phi_fac * drift + sig * xi
-        if k in marks:
-            i = marks[k]
+    for k, X, _, _ in _steps(config, xs, n_total, rng):
+        i = marks.get(k)
+        if i is not None:
             vals[i] = phi0 * (phi0 - np.asarray(phi(X), dtype=float)) / eps_grid[i]
     per_eps = [
         EstimateReport(

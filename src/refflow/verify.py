@@ -266,11 +266,7 @@ def approximate_initial_density(
     over offsets of scale 1/l_smooth. Returns (approximant, report); the
     entropy estimate of the input diverging raises InfeasibleInputError.
     """
-    draws = (
-        measures.sample_gibbs(measure, count, as_rng(seed, "verify", "approx-main"))
-        if isinstance(measure, measures.GibbsMeasure)
-        else measures.sample_gaussian(measure, count, as_rng(seed, "verify", "approx-main"))
-    )
+    draws = measures.sample_gibbs(measure, count, as_rng(seed, "verify", "approx-main"))
     vals = np.asarray(rho(draws), dtype=float)
     if np.any(vals < 0):
         raise InfeasibleInputError("density must be nonnegative")
@@ -281,11 +277,7 @@ def approximate_initial_density(
     if not math.isfinite(ent_full) or abs(ent_full) > 2.0 * abs(ent_half) + 1.0:
         raise InfeasibleInputError("entropy estimate unstable: input not in the L log L class")
 
-    tail_sample = (
-        measures.sample_gibbs(measure, tail_draws, as_rng(seed, "verify", "approx-tail"))
-        if isinstance(measure, measures.GibbsMeasure)
-        else measures.sample_gaussian(measure, tail_draws, as_rng(seed, "verify", "approx-tail"))
-    )[:, N:]
+    tail_sample = measures.sample_gibbs(measure, tail_draws, as_rng(seed, "verify", "approx-tail"))[:, N:]
     offsets, conv_w = measures._mollifier_offsets(N, l_smooth, n_quad, 4096, seed)
 
     n_modes = measure.n_modes

@@ -4,7 +4,7 @@ import re
 import pytest
 
 import refflow
-from refflow import cli, verify
+from refflow import cli, spde, verify
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -218,3 +218,32 @@ def test_inconclusive_statistics_warn_but_exit_zero(tmp_path, monkeypatch, capsy
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["has_warnings"]
     assert manifest["exit_code"] == 0
+
+
+def spde_invariant_config(tmp_path, **params):
+    base = {"n_modes": 2, "dt": 0.01, "count": 64, "thinning": 2, "burn_in": 60}
+    base.update(params)
+    return write_config(tmp_path, {"kind": "spde-invariant", "seed": 1, "params": base})
+
+
+def test_spde_config_errors_name_their_field(tmp_path, capsys):
+    cfg = spde_invariant_config(tmp_path, burn_in=10)
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "params.burn_in" in capsys.readouterr().err
+    cfg = spde_invariant_config(tmp_path, thinning=0)
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "params.thinning" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"kind": "commutator-curve", "params": {"thinning": 0}}, name="curve.json")
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "params.thinning" in capsys.readouterr().err
+
+
+def test_fault_inside_the_stepper_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside the stepper")
+        yield
+
+    monkeypatch.setattr(spde, "_steps", broken)
+    cfg = spde_invariant_config(tmp_path)
+    with pytest.raises(ValueError, match="fault inside the stepper"):
+        cli.main(["run", cfg, "--output", str(tmp_path / "out")])

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from refflow import catalog, spde
 from refflow.cylinders import Cylinder
 from refflow.fields import constant_field
+from refflow.rng import as_rng
+from refflow.spectral import basis_matrix
 from refflow.spde import (
     BlowUpError,
     SchemeError,
@@ -270,3 +272,143 @@ def test_bdg_degenerate_and_validation():
     assert rep.ratio == 0.0
     with pytest.raises(ValueError):
         bdg_check(2.0, 1.0, 1.0, 100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-step loop that every entry point once wrote out for
+# itself. The shared stepper must reproduce it bit for bit.
+
+STEP_CONFIGS = {
+    "ou": SpdeConfig(n_modes=3, dt=1e-2, T=0.2),
+    "cubic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, quad_nodes=17),
+    "cubic-yosida": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3, quad_nodes=17),
+}
+
+
+def ref_eta_step(cfg, eta, X_before, ema, E):
+    eta = ema * eta
+    if cfg.has_reaction:
+        mult = np.exp(cfg.dt * yosida_drift_prime(cfg.p_coeffs, cfg.yosida_alpha, X_before @ E))
+        eta = ((eta @ E) * mult * cfg.grid.weights) @ E.T
+    return eta
+
+
+def ref_path(cfg, X, n, rng, h=None, noise=True):
+    """States after steps 1..n and, given a direction h, the weight after each."""
+    a = cfg.rates
+    ema = np.exp(-a * cfg.dt)
+    phi = (1.0 - ema) / a
+    sig = cfg.b_array * np.sqrt((1.0 - ema ** 2) / (2.0 * a))
+    E = basis_matrix(cfg.n_modes, cfg.grid) if cfg.has_reaction else None
+    eta = None if h is None else np.broadcast_to(h, X.shape).copy()
+    w = np.zeros(X.shape[0])
+    states, weights = [], []
+    for _ in range(n):
+        xi = rng.standard_normal(X.shape)
+        if not noise:
+            xi = np.zeros_like(xi)
+        if eta is not None:
+            w = w + ((eta * (1.0 / cfg.b_array)) * xi).sum(axis=1) * math.sqrt(cfg.dt)
+        drift = 0.0
+        if cfg.has_reaction:
+            drift = (yosida_drift(cfg.p_coeffs, cfg.yosida_alpha, X @ E) * cfg.grid.weights) @ E.T
+        X_prev, X = X, ema * X + phi * drift + sig * xi
+        if eta is not None:
+            eta = ref_eta_step(cfg, eta, X_prev, ema, E)
+        states.append(X)
+        weights.append(w)
+    return states, weights
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+@pytest.mark.parametrize("noise", [True, False])
+def test_simulate_matches_reference_loop(name, noise):
+    cfg = STEP_CONFIGS[name]
+    x0 = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, -0.4]])
+    ens = simulate(cfg, x0, seed=11, record_every=3, disable_noise=not noise)
+    states, _ = ref_path(cfg, x0, 20, as_rng(11, "spde", "simulate"), noise=noise)
+    want = np.stack([x0] + [states[k - 1] for k in (3, 6, 9, 12, 15, 18, 20)], axis=1)
+    assert np.array_equal(ens.states, want)
+    assert np.array_equal(ens.times, [0.0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.2])
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_sample_invariant_matches_reference_loop(name):
+    cfg = STEP_CONFIGS[name]
+    burn, count, thin = 60, 64, 3
+    samples, rep = sample_invariant(cfg, burn, count, thin, seed=5)
+    states, _ = ref_path(cfg, np.zeros((1, 3)), burn + count * thin, as_rng(5, "spde", "invariant"))
+    want = np.array([states[burn + (i + 1) * thin - 1][0] for i in range(count)])
+    assert np.array_equal(samples, want)
+    assert rep.l2_moment == float((want ** 2).sum(axis=1).mean())
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_derivative_flow_matches_reference_loop(name):
+    cfg = STEP_CONFIGS[name]
+    ens = simulate(cfg, np.full(3, 0.4), seed=2, n_paths=3)
+    h = np.array([1.0, -0.5, 0.25])
+    etas = derivative_flow(cfg, ens.states, h)
+    ema = np.exp(-cfg.rates * cfg.dt)
+    E = basis_matrix(cfg.n_modes, cfg.grid) if cfg.has_reaction else None
+    eta = np.broadcast_to(h, (3, 3)).copy()
+    for k in range(1, ens.states.shape[1]):
+        eta = ref_eta_step(cfg, eta, ens.states[:, k - 1], ema, E)
+        assert np.array_equal(etas[:, k], eta)
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_bel_gradient_matches_reference_loop(name):
+    cfg = STEP_CONFIGS[name]
+    u = x1_observable()
+    x, h = np.array([0.2, 0.1, -0.1]), np.array([1.0, 0.5, 0.0])
+    rep = bel_gradient(cfg, u.value, x, h, 0.1, 300, seed=9)
+    states, weights = ref_path(cfg, np.repeat(x[None], 300, axis=0), 10, as_rng(9, "spde", "bel"), h=h)
+    vals = u.value(states[-1]) * weights[-1] / 0.1
+    assert rep.estimate == float(vals.mean())
+    assert rep.stderr == float(vals.std(ddof=1) / math.sqrt(300))
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_commutator_matches_reference_loop(name):
+    cfg = STEP_CONFIGS[name]
+    u = catalog.build_cylinder("mode1_soft")
+    F = constant_field([0.1, -0.05])
+    x = np.array([0.2, 0.1, -0.1])
+    rep = commutator(cfg, u, F, 0.08, x, 300, seed=4)
+    h = np.array([0.1, -0.05, 0.0])
+    states, weights = ref_path(cfg, np.repeat(x[None], 300, axis=0), 8, as_rng(4, "spde", "commutator"), h=h)
+    X, gu = states[-1], u.grad(states[-1])
+    m = min(gu.shape[1], 2)
+    d = u.value(X) * weights[-1] / 0.08 - (gu[:, :m] * F.value(0.0, X)[:, :m]).sum(axis=1)
+    assert rep.estimate == float(d.mean())
+    assert rep.stderr == float(d.std(ddof=1) / math.sqrt(300))
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_v_norm_matches_reference_loop(name):
+    cfg = STEP_CONFIGS[name]
+    phi = x1_observable().value
+    eps_grid = [0.05, 0.02, 0.1]
+    best, table = v_norm(cfg, phi, eps_grid, 200, seed=6, burn_in=60, thinning=2)
+    xs, _ = sample_invariant(cfg, 60, 200, 2, as_rng(6, "spde", "vnorm-outer"))
+    states, _ = ref_path(cfg, xs, 10, as_rng(6, "spde", "vnorm-inner"))
+    phi0 = phi(xs)
+    for eps in eps_grid:
+        vals = phi0 * (phi0 - phi(states[round(eps / cfg.dt) - 1])) / eps
+        assert table[eps].estimate == float(vals.mean())
+        assert table[eps].stderr == float(vals.std(ddof=1) / math.sqrt(200))
+    assert best.estimate == max(r.estimate for r in table.values())
+
+
+def test_bel_gradient_flags_blowup_with_its_step():
+    cfg = ou_config(n_modes=1, T=0.1)
+    u = x1_observable()
+    with pytest.raises(BlowUpError, match="at step 1 "):
+        bel_gradient(cfg, u.value, np.array([2e6]), np.array([1.0]), 0.1, 4, seed=0)
+
+
+def test_invariant_sampler_rejects_zero_thinning():
+    cfg = ou_config(n_modes=1)
+    with pytest.raises(ValueError, match="thinning"):
+        sample_invariant(cfg, 600, 10, 0, seed=0)
