@@ -332,11 +332,10 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
     b = measures.beta_components(measure, X)[:, :level]
     beta_part = (f_comps * b).sum(axis=1)
 
-    alpha = getattr(measure, "alpha", 0.0)
     penalty = (X ** 2).sum(axis=1)
-    if alpha > 0:
-        Ufull = X @ basis_matrix(measure.n_modes, measure.grid)
-        penalty = penalty + alpha * (np.abs(Ufull) ** measure.p @ measure.grid.weights)
+    if getattr(measure, "alpha", 0.0) > 0:
+        U = X @ basis_matrix(measure.n_modes, measure.grid)
+        penalty = penalty + measure.p * measures._coupling(measure, U)[0]
 
     def smallest_c(vals, pen):
         return float(max(0.0, np.max(-vals - eps * pen)))

@@ -11,11 +11,11 @@ by exp(-(alpha/p) int_0^1 |x(xi)|^p dxi) / Z with p > 2, alpha >= 0.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import spectral
 from .rng import as_rng
 from .spectral import Grid, basis_matrix, synthesize
 
@@ -57,12 +57,39 @@ class GaussianMeasure:
         return 1.0 / np.sqrt(self.lam)
 
 
+@lru_cache(maxsize=None)
+def coupling_grid(p, n_modes):
+    """Quadrature on (0,1) for the Gibbs coupling of n_modes-mode points.
+
+    For even integer p, |x|^p and e_i |x|^{p-2} x are cosine polynomials of
+    degree <= p * n_modes in pi xi, which p * n_modes / 2 + 1 midpoint nodes
+    integrate exactly; any other p gets SLICE_GRID_NODES Gauss-Legendre nodes.
+    """
+    if p == int(p) and int(p) % 2 == 0:
+        grid = Grid.midpoint(int(p) * n_modes // 2 + 1)
+    else:
+        grid = Grid.gauss_legendre(SLICE_GRID_NODES)
+    # shared by every measure and slice with this (p, n_modes)
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
+
+
+def _coupling(m, U, E=None):
+    """(alpha/p) int |U|^p dxi per row of grid values U on m.grid, for m with
+    alpha, p and grid; given E (rows e_i on the grid), also the gradient
+    alpha int e_i |U|^{p-2} U dxi per row, else None."""
+    w = m.grid.weights
+    pot = (m.alpha / m.p) * (np.abs(U) ** m.p @ w)
+    grad = None if E is None else m.alpha * ((np.abs(U) ** (m.p - 2.0) * U * w) @ E.T)
+    return pot, grad
+
+
 @dataclass(frozen=True)
 class GibbsMeasure:
     base: GaussianMeasure
     alpha: float
     p: float
-    grid: Grid = field(default_factory=lambda: Grid.gauss_legendre(SLICE_GRID_NODES))
 
     def __post_init__(self):
         if self.p <= 2:
@@ -78,11 +105,9 @@ class GibbsMeasure:
     def lam(self):
         return self.base.lam
 
-
-def _coupling_potential(measure, X):
-    """(alpha/p) * int |x(xi)|^p dxi for each row of X."""
-    U = synthesize(X, measure.grid)
-    return (measure.alpha / measure.p) * (np.abs(U) ** measure.p @ measure.grid.weights)
+    @property
+    def grid(self):
+        return coupling_grid(self.p, self.n_modes)
 
 
 def beta_components(measure, X):
@@ -94,21 +119,18 @@ def beta_components(measure, X):
     out = -measure.lam * X
     if isinstance(measure, GibbsMeasure) and measure.alpha > 0:
         E = basis_matrix(measure.n_modes, measure.grid)
-        U = X @ E
-        W = np.abs(U) ** (measure.p - 2.0) * U
-        out = out - measure.alpha * ((W * measure.grid.weights) @ E.T)
+        out = out - _coupling(measure, X @ E, E)[1]
     return out
 
 
 def beta(measure, h, x):
-    """beta_h(x) for h a basis index (0-based) or a coefficient vector."""
+    """beta_h(x) for h a basis index (0-based) or a coefficient vector: an
+    array with one entry per row of x, also for a single point."""
     comps = beta_components(measure, x)
     if np.isscalar(h) or isinstance(h, (int, np.integer)):
-        vals = comps[:, int(h)]
-    else:
-        h = np.asarray(h, dtype=float)
-        vals = comps[:, : len(h)] @ h
-    return vals if vals.size > 1 else float(vals[0])
+        return comps[:, int(h)]
+    h = np.asarray(h, dtype=float)
+    return comps[:, : len(h)] @ h
 
 
 def sample_gaussian(measure, count, seed):
@@ -144,7 +166,7 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
 
     base_std = measure.base.mode_std
     state = rng.standard_normal(measure.n_modes) * base_std
-    state_pot = float(_coupling_potential(measure, state[None])[0])
+    state_pot = float(_coupling(measure, synthesize(state[None], measure.grid))[0][0])
     accepted = 0
     proposed = 0
 
@@ -153,7 +175,7 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
         out = np.empty((n_steps, measure.n_modes))
         # draw proposals and uniforms in bulk, then walk the chain
         props = rng.standard_normal((n_steps, measure.n_modes)) * base_std
-        pots = _coupling_potential(measure, props)
+        pots = _coupling(measure, synthesize(props, measure.grid))[0]
         logu = np.log(rng.random(n_steps))
         for k in range(n_steps):
             if logu[k] <= state_pot - pots[k]:
@@ -186,7 +208,7 @@ def normalizing_constant(measure, count=20000, seed=0):
     if isinstance(measure, GaussianMeasure) or measure.alpha == 0:
         return 1.0, 0.0
     draws = sample_gaussian(measure.base, count, as_rng(seed, "measures", "zconst"))
-    w = np.exp(-_coupling_potential(measure, draws))
+    w = np.exp(-_coupling(measure, synthesize(draws, measure.grid))[0])
     return float(w.mean()), float(w.std(ddof=1) / math.sqrt(count))
 
 
@@ -214,42 +236,26 @@ class SliceDensity:
     name: str = ""
     smooth_positive_bounded: bool = True
 
-    def _z_grid(self, X):
-        E = basis_matrix(self.N, self.grid)
-        return X @ E + self.y_values
-
-    def log_value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = self.log_pref - 0.5 * (X ** 2 @ self.lam)
-        if self.alpha > 0:
-            U = self._z_grid(X)
-            out = out - (self.alpha / self.p) * (np.abs(U) ** self.p @ self.grid.weights)
-        return out
-
-    def value(self, X):
-        return np.exp(self.log_value(X))
-
-    def beta(self, X):
-        """Log-gradient rows (d/dx_i log Psi^2)(x) = beta_{e_i}(x, y)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = -self.lam * X
-        if self.alpha > 0:
-            E = basis_matrix(self.N, self.grid)
-            U = self._z_grid(X)
-            W = np.abs(U) ** (self.p - 2.0) * U
-            out = out - self.alpha * ((W * self.grid.weights) @ E.T)
-        return out
-
-    def value_and_beta(self, X):
+    def _log_value_and_beta(self, X, gradient=True):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         logv = self.log_pref - 0.5 * (X ** 2 @ self.lam)
         b = -self.lam * X
         if self.alpha > 0:
             E = basis_matrix(self.N, self.grid)
-            U = self._z_grid(X)
-            logv = logv - (self.alpha / self.p) * (np.abs(U) ** self.p @ self.grid.weights)
-            W = np.abs(U) ** (self.p - 2.0) * U
-            b = b - self.alpha * ((W * self.grid.weights) @ E.T)
+            pot, grad = _coupling(self, X @ E + self.y_values, E if gradient else None)
+            logv = logv - pot
+            b = b - grad if gradient else b
+        return logv, b
+
+    def value(self, X):
+        return np.exp(self._log_value_and_beta(X, False)[0])
+
+    def beta(self, X):
+        """Log-gradient rows (d/dx_i log Psi^2)(x) = beta_{e_i}(x, y)."""
+        return self._log_value_and_beta(X)[1]
+
+    def value_and_beta(self, X):
+        logv, b = self._log_value_and_beta(X)
         return np.exp(logv), b
 
 
@@ -271,18 +277,14 @@ class DisintegrationDensity:
         y = np.asarray(y, dtype=float)
         if y.shape != (n_tail,):
             raise ValueError(f"tail must have length {n_tail}, got {y.shape}")
-        grid = m.grid if isinstance(m, GibbsMeasure) else Grid.gauss_legendre(SLICE_GRID_NODES)
-        if n_tail > 0 and np.any(y != 0):
-            full = np.zeros(m.n_modes)
-            full[self.N :] = y
-            y_values = synthesize(full, grid)
-        else:
-            y_values = np.zeros(grid.n_nodes)
+        p = getattr(m, "p", 4.0)
+        grid = coupling_grid(p, m.n_modes)
+        y_values = synthesize(np.concatenate([np.zeros(self.N), y]), grid)
         return SliceDensity(
             N=self.N,
             lam=m.lam[: self.N],
             alpha=getattr(m, "alpha", 0.0),
-            p=getattr(m, "p", 4.0),
+            p=p,
             grid=grid,
             y_values=y_values,
             log_pref=self.log_pref,
@@ -435,15 +437,11 @@ def ibp_residual(measure, u, h, count, seed):
     |residual| <= 4 stderr.
     """
     X = sample_gibbs(measure, count, seed)
-    comps = beta_components(measure, X)
     if np.isscalar(h) or isinstance(h, (int, np.integer)):
         d_u = u.partial(int(h), X)
-        b_h = comps[:, int(h)]
     else:
-        h = np.asarray(h, dtype=float)
-        d_u = u.directional(h, X)
-        b_h = comps[:, : len(h)] @ h
-    w = d_u + u.value(X) * b_h
+        d_u = u.directional(np.asarray(h, dtype=float), X)
+    w = d_u + u.value(X) * beta(measure, h, X)
     return IbpReport(residual=float(w.mean()), stderr=jackknife_stderr(w), count=count)
 
 
@@ -461,13 +459,7 @@ def exp_integrability(measure, h, c, count, seed):
     if c <= 0:
         raise ValueError(f"exponential-integrability constant must be positive, got {c}")
     X = sample_gibbs(measure, count, seed)
-    comps = beta_components(measure, X)
-    if np.isscalar(h) or isinstance(h, (int, np.integer)):
-        b_h = comps[:, int(h)]
-    else:
-        h = np.asarray(h, dtype=float)
-        b_h = comps[:, : len(h)] @ h
-    v = np.exp(c * np.abs(b_h))
+    v = np.exp(c * np.abs(beta(measure, h, X)))
     est = float(v.mean())
     half = float(v[: count // 2].mean())
     ratio = est / half if half > 0 else np.inf

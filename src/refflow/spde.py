@@ -453,7 +453,7 @@ def _commutator_samples(config, u, F, eps_sorted, x, n_mc, rng):
     every requested eps (all multiples of dt). Returns (n_eps, n_mc).
     """
     n_total = config.n_steps(eps_sorted[-1])
-    marks = {config.n_steps(e): i for i, e in enumerate(eps_sorted)}
+    marks = [config.n_steps(e) for e in eps_sorted]
     X = np.repeat(np.atleast_2d(np.asarray(x, dtype=float)), n_mc, axis=0)
     k_field = F.n_components
     h = np.zeros(config.n_modes)
@@ -461,13 +461,14 @@ def _commutator_samples(config, u, F, eps_sorted, x, n_mc, rng):
     eta = np.broadcast_to(h, X.shape).copy()
     out = np.empty((len(eps_sorted), n_mc))
     for k, X, _, w in _steps(config, X, n_total, rng, eta=eta):
-        i = marks.get(k)
-        if i is not None:
+        rows = [i for i, s in enumerate(marks) if s == k]
+        if rows:
             uval = np.asarray(u.value(X), dtype=float)
             gu = u.grad(X)
             m = min(gu.shape[1], k_field)
             g = (gu[:, :m] * F.value(0.0, X)[:, :m]).sum(axis=1)
-            out[i] = uval * w / eps_sorted[i] - g
+            for i in rows:
+                out[i] = uval * w / eps_sorted[i] - g
     return out
 
 
@@ -616,13 +617,15 @@ def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
     xs, _ = sample_invariant(config, burn_in, n_mc, thinning, as_rng(seed, "spde", "vnorm-outer"))
     rng = as_rng(seed, "spde", "vnorm-inner")
     n_total = config.n_steps(eps_grid[-1])
-    marks = {config.n_steps(e): i for i, e in enumerate(eps_grid)}
+    marks = [config.n_steps(e) for e in eps_grid]
     phi0 = np.asarray(phi(xs), dtype=float)
     vals = np.empty((len(eps_grid), n_mc))
     for k, X, _, _ in _steps(config, xs, n_total, rng):
-        i = marks.get(k)
-        if i is not None:
-            vals[i] = phi0 * (phi0 - np.asarray(phi(X), dtype=float)) / eps_grid[i]
+        rows = [i for i, s in enumerate(marks) if s == k]
+        if rows:
+            phix = np.asarray(phi(X), dtype=float)
+            for i in rows:
+                vals[i] = phi0 * (phi0 - phix) / eps_grid[i]
     per_eps = [
         EstimateReport(
             estimate=float(vals[i].mean()),

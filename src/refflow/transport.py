@@ -312,7 +312,8 @@ def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
     """Central-difference residual of the pointwise equation at (t, x).
 
     D_t rho + <F, D_x rho> - (D*F) rho; h_t defaults to one ODE step and must
-    be a multiple of it so shifted times stay on the flow grid.
+    be a multiple of it so shifted times stay on the flow grid. Times run
+    t - h_t, t, t + h_t at x, so an autonomous field sweeps back once.
     """
     cfg = solution.config
     h_t = cfg.dt_ode if h_t is None else h_t
@@ -320,7 +321,9 @@ def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
     if t - h_t < 0 or t + h_t > cfg.T:
         raise ValueError(f"need [t-h_t, t+h_t] inside [0,T], got t={t}, h_t={h_t}")
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    dt_rho = (feynman_kac(solution, t + h_t, X) - feynman_kac(solution, t - h_t, X)) / (2.0 * h_t)
+    rho_minus = feynman_kac(solution, t - h_t, X)
+    rho = feynman_kac(solution, t, X)
+    dt_rho = (feynman_kac(solution, t + h_t, X) - rho_minus) / (2.0 * h_t)
     grad = np.zeros_like(X)
     for i in range(X.shape[1]):
         Xp = X.copy()
@@ -332,5 +335,5 @@ def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
     k = f_vals.shape[1]
     advect = (f_vals * grad[:, :k]).sum(axis=1)
     ds = fields_mod.dstar(solution.field, solution.beta_oracle, t, X)
-    res = dt_rho + advect - ds * feynman_kac(solution, t, X)
+    res = dt_rho + advect - ds * rho
     return res if res.size > 1 else float(res[0])

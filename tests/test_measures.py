@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from refflow.measures import (
     tensor_grid,
 )
 from refflow.rng import stream
+from refflow.spectral import Grid, basis_matrix, synthesize
 
 
 def gibbs4():
@@ -64,7 +66,8 @@ def test_gibbs_beta_oracle():
     # (tests/oracles/compute_oracles.py)
     m = gibbs4()
     val = beta(m, 0, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert val == pytest.approx(-21.239208802178717, abs=1e-10)
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(-21.239208802178717, abs=1e-10)
 
 
 def test_beta_direction_linearity():
@@ -73,8 +76,9 @@ def test_beta_direction_linearity():
     h1 = np.array([1.0, 0.0, 0.0, 0.0])
     h2 = np.array([0.0, 2.0, -1.0, 0.0])
     lhs = beta(m, h1 + h2, x)
-    assert lhs == pytest.approx(beta(m, h1, x) + beta(m, h2, x), rel=1e-12)
-    assert beta(m, 1, x) == pytest.approx(beta(m, np.array([0.0, 1.0]), x), rel=1e-12)
+    assert lhs.shape == (1,)
+    np.testing.assert_allclose(lhs, beta(m, h1, x) + beta(m, h2, x), rtol=1e-12)
+    np.testing.assert_allclose(beta(m, 1, x), beta(m, np.array([0.0, 1.0]), x), rtol=1e-12)
 
 
 def test_sample_gaussian_distribution():
@@ -196,6 +200,61 @@ def test_slice_beta_equals_stacked_measure_beta():
     X = np.array([[0.25, -0.3]])
     stacked = np.concatenate([X, np.repeat(y[None], 1, axis=0)], axis=1)
     assert np.allclose(slc.beta(X), beta_components(m, stacked)[:, :2], rtol=1e-12)
+
+
+def _coupling_reference(alpha, p, X, n_out):
+    """(alpha/p) int |x|^p and alpha int e_i |x|^{p-2} x, i < n_out, on 128
+    Gauss-Legendre nodes, written out independently of the kernel."""
+    g = Grid.gauss_legendre(128)
+    E = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, X.shape[1] + 1), np.pi * g.nodes))
+    U = X @ E
+    pot = (alpha / p) * (np.abs(U) ** p @ g.weights)
+    grad = alpha * ((np.abs(U) ** (p - 2.0) * U * g.weights) @ E[:n_out].T)
+    return pot, grad
+
+
+def _close(new, ref, rtol=1e-12):
+    return np.max(np.abs(new - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_coupling_on_exact_grid_matches_gauss_legendre(N):
+    m = GibbsMeasure(base=GaussianMeasure(n_modes=N + 2), alpha=1.3, p=4.0)
+    assert m.grid.rule == "uniform-midpoint" and m.grid.n_nodes == 2 * (N + 2) + 1
+    rng = np.random.default_rng(N)
+    X = rng.standard_normal((25, N))
+    y = np.array([0.4, -0.7])
+    full = np.concatenate([X, np.broadcast_to(y, (25, 2))], axis=1)
+    pot_ref, grad_ref = _coupling_reference(m.alpha, m.p, full, N + 2)
+
+    pot, grad = measures._coupling(m, synthesize(full, m.grid), basis_matrix(N + 2, m.grid))
+    assert _close(pot, pot_ref) and _close(grad, grad_ref)
+    assert _close(beta_components(m, full), -m.lam * full - grad_ref)
+
+    slc = psi_squared(m, N).bind(y)
+    assert _close(slc.beta(X), -m.lam[:N] * X - grad_ref[:, :N])
+    logv = slc._log_value_and_beta(X)[0]
+    assert _close(slc.log_pref - 0.5 * (X ** 2 @ m.lam[:N]) - logv, pot_ref)
+    vals, b = slc.value_and_beta(X)
+    assert np.array_equal(vals, np.exp(logv)) and np.array_equal(vals, slc.value(X))
+    assert np.array_equal(b, slc.beta(X))
+
+
+def test_coupling_grid_one_node_short_is_not_exact():
+    m = GibbsMeasure(base=GaussianMeasure(n_modes=1), alpha=1.0, p=4.0)
+    X = np.array([[0.9], [-1.4]])
+    pot_ref, grad_ref = _coupling_reference(1.0, 4.0, X, 1)
+    short = SimpleNamespace(alpha=1.0, p=4.0, grid=Grid.midpoint(m.grid.n_nodes - 1))
+    pot, grad = measures._coupling(short, synthesize(X, short.grid), basis_matrix(1, short.grid))
+    assert np.min(np.abs(pot - pot_ref) / np.abs(pot_ref)) > 1e-3
+    assert np.min(np.abs(grad - grad_ref) / np.abs(grad_ref)) > 1e-3
+
+
+@pytest.mark.parametrize("p", [3.0, 3.5])
+def test_coupling_grid_keeps_gauss_legendre_for_other_p(p):
+    m = GibbsMeasure(base=GaussianMeasure(n_modes=2), alpha=1.0, p=p)
+    assert m.grid.rule == "gauss-legendre" and m.grid.n_nodes == measures.SLICE_GRID_NODES
+    assert measures.coupling_grid(6.0, 3).n_nodes == 10
 
 
 def test_ladder_validation_and_first_branch():

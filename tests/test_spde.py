@@ -412,3 +412,20 @@ def test_invariant_sampler_rejects_zero_thinning():
     cfg = ou_config(n_modes=1)
     with pytest.raises(ValueError, match="thinning"):
         sample_invariant(cfg, 600, 10, 0, seed=0)
+
+
+def test_repeated_eps_fills_every_row():
+    cfg = STEP_CONFIGS["cubic"]
+    u = catalog.build_cylinder("mode1_soft")
+    F = constant_field([0.1, -0.05])
+    x = np.array([0.2, 0.1, -0.1])
+    d = spde._commutator_samples(cfg, u, F, [0.02, 0.02, 0.04], x, 50, as_rng(3, "t"))
+    assert np.all(np.isfinite(d))
+    assert np.array_equal(d[0], d[1])
+    once = spde._commutator_samples(cfg, u, F, [0.02, 0.04], x, 50, as_rng(3, "t"))
+    assert np.array_equal(d[1:], once)
+
+    phi = x1_observable().value
+    _, twice = v_norm(cfg, phi, [0.02, 0.02, 0.04], 100, seed=6, burn_in=60, thinning=2)
+    _, single = v_norm(cfg, phi, [0.02, 0.04], 100, seed=6, burn_in=60, thinning=2)
+    assert twice == single

@@ -361,3 +361,36 @@ def test_sweep_is_not_continued_on_points_changed_in_place():
     feynman_kac(sol, 0.01, X)
     X += 0.05
     assert np.array_equal(feynman_kac(sol, 0.02, X), _feynman_kac_reference(sol, 0.02, X))
+
+
+def _pde_residual_old_order(solution, t, X, h_t, h_x):
+    """pde_residual as written before its times were ordered: t + h_t, then
+    t - h_t, the spatial differences, and t last."""
+    dt_rho = (feynman_kac(solution, t + h_t, X) - feynman_kac(solution, t - h_t, X)) / (2.0 * h_t)
+    grad = np.zeros_like(X)
+    for i in range(X.shape[1]):
+        Xp = X.copy()
+        Xp[:, i] += h_x
+        Xm = X.copy()
+        Xm[:, i] -= h_x
+        grad[:, i] = (feynman_kac(solution, t, Xp) - feynman_kac(solution, t, Xm)) / (2.0 * h_x)
+    f_vals = solution.field.value(t, X)
+    advect = (f_vals * grad[:, : f_vals.shape[1]]).sum(axis=1)
+    ds = fields.dstar(solution.field, solution.beta_oracle, t, X)
+    return dt_rho + advect - ds * feynman_kac(solution, t, X)
+
+
+@pytest.mark.parametrize("pid,ladder", [("gibbs1_arctan", True), ("g2_swirl", False)])
+def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
+    sol = _catalog_solution(pid, "RK4", ladder=ladder)
+    X = _points(sol)[::7]
+    h = 2 * sol.config.dt_ode
+    dstar = fields.dstar
+    calls = []
+    monkeypatch.setattr(transport.fields_mod, "dstar", lambda *a: calls.append(1) or dstar(*a))
+    want = _pde_residual_old_order(sol, 0.02, X, h, 1e-4)
+    old_calls = len(calls)
+    calls.clear()
+    assert np.array_equal(pde_residual(sol, 0.02, X, h_t=h, h_x=1e-4), want)
+    # t - h_t, t and t + h_t share one sweep instead of taking three
+    assert len(calls) < old_calls - sol.config.n_steps(0.02)
