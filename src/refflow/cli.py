@@ -290,6 +290,8 @@ def run_spde_invariant(params, seed, workers, outdir):
     burn_default = int(math.ceil(6.0 / (eigenvalue(1) * config.dt)))
     burn_in = _validated("params.burn_in", int, params.get("burn_in", burn_default))
     count = _validated("params.count", int, params.get("count", 2000))
+    if count < 4:
+        raise ConfigError("params.count: must be at least 4 (two draws per half of the chain)")
     thinning = _validated("params.thinning", int, params.get("thinning", 5))
     if thinning < 1:
         raise ConfigError("params.thinning: must be at least 1")
@@ -328,6 +330,8 @@ def run_commutator_curve(params, seed, workers, outdir):
     F = _validated("params.field", catalog.build_field, params.get("field", {"name": "constant", "coeffs": [0.1]}))
     n_mc = _validated("params.n_mc", int, params.get("n_mc", 2000))
     n_x = _validated("params.n_x", int, params.get("n_x", 200))
+    if n_x < 4:
+        raise ConfigError("params.n_x: must be at least 4 (two base points per half of the chain)")
     thinning = params.get("thinning")
     if thinning is not None:
         thinning = _validated("params.thinning", int, thinning)

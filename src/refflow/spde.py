@@ -23,7 +23,7 @@ martingale-moment ratio check.
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,8 +53,23 @@ class BurnInError(ValueError):
 
 @lru_cache(maxsize=64)
 def _poly_pair(coeffs):
-    p = np.polynomial.Polynomial(coeffs)
-    return p, p.deriv()
+    """Read-only ascending coefficients of p and of p'."""
+    c = np.array(coeffs, dtype=float)
+    dc = c[1:] * np.arange(1, len(c))
+    c.setflags(write=False)
+    dc.setflags(write=False)
+    return c, dc
+
+
+def _horner(c, x, out):
+    """sum_i c[i] x^i into out, with the operations of
+    np.polynomial.polynomial.polyval in its order, so the bits match."""
+    np.multiply(x, 0, out=out)
+    out += c[-1]
+    for ci in c[-2::-1]:
+        out *= x
+        out += ci
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,27 +102,36 @@ class SpdeConfig:
                 raise ValueError("leading reaction coefficient must be negative")
             _, dp = _poly_pair(coeffs)
             probe = np.linspace(-20.0, 20.0, 4001)
-            if np.any(dp(probe) > 0):
+            if np.any(_horner(dp, probe, np.empty_like(probe)) > 0):
                 raise ValueError("reaction must be nonincreasing (derivative positive on probe grid)")
         object.__setattr__(self, "p_coeffs", coeffs)
         if self.yosida_alpha < 0:
             raise ValueError("yosida_alpha must be nonnegative")
 
-    @property
+    # computed once per config; the arrays are read-only
+
+    @cached_property
     def has_reaction(self):
         return any(c != 0 for c in self.p_coeffs)
 
-    @property
+    @cached_property
     def rates(self):
-        return eigenvalue(np.arange(1, self.n_modes + 1))
+        a = eigenvalue(np.arange(1, self.n_modes + 1))
+        a.setflags(write=False)
+        return a
 
-    @property
+    @cached_property
     def b_array(self):
-        return np.asarray(self.B_diag, dtype=float)
+        b = np.array(self.B_diag, dtype=float)
+        b.setflags(write=False)
+        return b
 
-    @property
+    @cached_property
     def grid(self):
-        return Grid.gauss_legendre(self.quad_nodes)
+        g = Grid.gauss_legendre(self.quad_nodes)
+        g.nodes.setflags(write=False)
+        g.weights.setflags(write=False)
+        return g
 
     def n_steps(self, interval):
         n = int(round(interval / self.dt))
@@ -124,48 +148,58 @@ def yosida_resolvent(p_coeffs, alpha, r):
     """J_alpha(r): the unique y with y - alpha p(y) = r, bracketed Newton."""
     if alpha <= 0:
         raise ValueError("resolvent needs alpha > 0")
-    p, dp = _poly_pair(tuple(p_coeffs))
+    c, dc = _poly_pair(tuple(p_coeffs))
     r = np.asarray(r, dtype=float)
-    pr = p(r)
+    pr = _horner(c, r, np.empty(r.shape))
     lo = np.minimum(r, r + alpha * pr)
     hi = np.maximum(r, r + alpha * pr)
     y = r + 0.5 * alpha * pr
     for _ in range(100):
-        g = y - alpha * p(y) - r
+        g = y - alpha * _horner(c, y, np.empty(y.shape)) - r
         done = np.all(np.abs(g) <= 1e-12 * (1.0 + np.abs(r)))
         if done:
             return y if y.ndim else float(y)
         lo = np.where(g < 0, y, lo)
         hi = np.where(g > 0, y, hi)
-        step = g / (1.0 - alpha * dp(y))
+        step = g / (1.0 - alpha * _horner(dc, y, np.empty(y.shape)))
         y_new = y - step
         outside = (y_new < lo) | (y_new > hi)
         y = np.where(outside, 0.5 * (lo + hi), y_new)
     raise SolverError("resolvent Newton did not reach 1e-12 in 100 iterations")
 
 
+def _p_alpha(p_coeffs, alpha, r, J, out):
+    """p_alpha(r) into out; J = J_alpha(r) when alpha > 0, unused at 0."""
+    if alpha == 0:
+        return _horner(_poly_pair(p_coeffs)[0], r, out)
+    np.subtract(J, r, out=out)
+    out /= alpha
+    return out
+
+
+def _p_alpha_prime(p_coeffs, alpha, r, J, out):
+    """p_alpha'(r) into out; J = J_alpha(r) when alpha > 0, unused at 0."""
+    dc = _poly_pair(p_coeffs)[1]
+    if alpha == 0:
+        return _horner(dc, r, out)
+    _horner(dc, J, out)
+    np.divide(out, 1.0 - alpha * out, out=out)
+    return out
+
+
 def yosida_drift(p_coeffs, alpha, r):
     """p_alpha(r) = (J_alpha(r) - r)/alpha = p(J_alpha(r)); alpha=0 gives p."""
-    p, _ = _poly_pair(tuple(p_coeffs))
     r = np.asarray(r, dtype=float)
-    if alpha == 0:
-        out = p(r)
-        return out if out.ndim else float(out)
-    J = yosida_resolvent(p_coeffs, alpha, r)
-    out = (np.asarray(J) - r) / alpha
+    J = yosida_resolvent(p_coeffs, alpha, r) if alpha != 0 else None
+    out = _p_alpha(tuple(p_coeffs), alpha, r, J, np.empty(r.shape))
     return out if out.ndim else float(out)
 
 
 def yosida_drift_prime(p_coeffs, alpha, r):
     """d/dr p_alpha(r) = p'(J_alpha(r)) / (1 - alpha p'(J_alpha(r))) <= 0."""
-    p, dp = _poly_pair(tuple(p_coeffs))
     r = np.asarray(r, dtype=float)
-    if alpha == 0:
-        out = dp(r)
-        return out if out.ndim else float(out)
-    J = np.asarray(yosida_resolvent(p_coeffs, alpha, r))
-    d = dp(J)
-    out = d / (1.0 - alpha * d)
+    J = yosida_resolvent(p_coeffs, alpha, r) if alpha != 0 else None
+    out = _p_alpha_prime(tuple(p_coeffs), alpha, r, J, np.empty(r.shape))
     return out if out.ndim else float(out)
 
 
@@ -186,6 +220,48 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
+class _Reaction:
+    """The reaction terms of one stepper call, on (rows x quad nodes) arrays
+    allocated once and overwritten in place at every step.
+
+    load(X) synthesizes U = X E and, for alpha > 0, solves the resolvent
+    J = J_alpha(U) once for both the drift and the derivative-flow multiplier.
+    drift() and flow(eta) return fresh (rows x modes) arrays. The drift
+    integrand and the multiplier share the buffer P (drift() is done with it
+    before flow() starts), which keeps one (rows x nodes) array fewer in cache.
+    """
+
+    def __init__(self, config, rows):
+        self.p_coeffs = config.p_coeffs
+        self.alpha = config.yosida_alpha
+        self.dt = config.dt
+        self.E = basis_matrix(config.n_modes, config.grid)
+        self.weights = config.grid.weights
+        self.U, self.P, self.H = (np.empty((rows, config.grid.n_nodes)) for _ in range(3))
+        self.J = None
+
+    def load(self, X):
+        np.matmul(X, self.E, out=self.U)
+        if self.alpha != 0:
+            self.J = yosida_resolvent(self.p_coeffs, self.alpha, self.U)
+
+    def drift(self):
+        """Mode coefficients of p_alpha(U)."""
+        P = _p_alpha(self.p_coeffs, self.alpha, self.U, self.J, self.P)
+        P *= self.weights
+        return P @ self.E.T
+
+    def flow(self, eta):
+        """Project (eta E) exp(dt p_alpha'(U)) back onto the modes."""
+        M = _p_alpha_prime(self.p_coeffs, self.alpha, self.U, self.J, self.P)
+        M *= self.dt
+        np.exp(M, out=M)
+        H = np.matmul(eta, self.E, out=self.H)
+        H *= M
+        H *= self.weights
+        return H @ self.E.T
+
+
 def _steps(config, X, n, rng, eta=None, noise=True):
     """Step the scheme n times from X; yields (k, X, eta, w) after step k.
 
@@ -194,31 +270,34 @@ def _steps(config, X, n, rng, eta=None, noise=True):
     derivative flow. Given a direction eta (one row per path), the flow and
     the gradient weight w = int_0^t <B^{-1} eta, dW>, taken left-point with
     the path's own increments, are carried along; otherwise both are None.
-    w is updated in place. Raises BlowUpError when a coefficient of X
-    exceeds 1e6 in magnitude.
+    The yielded X and eta are fresh arrays at every step; w is updated in
+    place. Raises BlowUpError when a coefficient of X exceeds 1e6 in
+    magnitude.
     """
     a = config.rates
     ema = np.exp(-a * config.dt)
     phi = (1.0 - ema) / a
     sig = config.b_array * np.sqrt((1.0 - ema ** 2) / (2.0 * a))
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
-    weights = config.grid.weights
+    reaction = _Reaction(config, X.shape[0]) if config.has_reaction else None
     Binv = 1.0 / config.b_array
+    # one row per path: a (rows x modes) operand costs one ufunc loop, a
+    # broadcast (modes,) one loop per row
+    ema, phi, sig, Binv = (np.broadcast_to(v, X.shape).copy() for v in (ema, phi, sig, Binv))
     sqdt = math.sqrt(config.dt)
     w = None if eta is None else np.zeros(X.shape[0])
-    U, drift = None, 0.0
+    drift = 0.0
     for k in range(1, n + 1):
         xi = rng.standard_normal(X.shape)
         if not noise:
             xi = np.zeros_like(xi)
         if eta is not None:
             w += ((eta * Binv) * xi).sum(axis=1) * sqdt
-        if E is not None:
-            U = X @ E
-            drift = (yosida_drift(config.p_coeffs, config.yosida_alpha, U) * weights) @ E.T
+        if reaction is not None:
+            reaction.load(X)
+            drift = reaction.drift()
         X = ema * X + phi * drift + sig * xi
         if eta is not None:
-            eta = _eta_step(config, eta, U, ema, E)
+            eta = _eta_step(eta, ema, reaction)
         if np.max(np.abs(X)) > 1e6:
             raise BlowUpError(f"state norm exceeded 1e6 at step {k} (invalid reaction?)")
         yield k, X, eta, w
@@ -274,7 +353,8 @@ def sample_invariant(config, burn_in, count, thinning, seed):
     """Thinned post-burn-in states of one long path, with moment report.
 
     burn_in is in steps and must cover five relaxation times 1/alpha_1 of the
-    slow mode (BurnInError otherwise); thinning is at least 1. The
+    slow mode (BurnInError otherwise); thinning is at least 1, and count at
+    least 4, so that each half has the two draws a stderr needs. The
     stationarity diagnostic compares first and second half means of |x|_H^2
     at 3 batch-means stderr and raises NotConvergedError on failure.
     """
@@ -283,6 +363,8 @@ def sample_invariant(config, burn_in, count, thinning, seed):
         raise BurnInError(f"burn_in covers {burn_in * config.dt:.3g} time units; need >= {need:.3g}")
     if thinning < 1:
         raise ValueError(f"thinning must be at least 1, got {thinning}")
+    if count < 4:
+        raise ValueError(f"count must be at least 4 (two draws per half), got {count}")
     rng = as_rng(seed, "spde", "invariant")
     samples = np.empty((count, config.n_modes))
     X0 = np.zeros((1, config.n_modes))
@@ -319,13 +401,12 @@ def sample_invariant(config, burn_in, count, thinning, seed):
 # derivative flow and gradient estimators
 
 
-def _eta_step(config, eta, U, ema, E):
-    """One splitting step of the linearized flow along the frozen path, whose
-    state before the step synthesizes to U = X E."""
+def _eta_step(eta, ema, reaction):
+    """One splitting step of the linearized flow along the frozen path, with
+    the reaction (None without one) loaded from the state before the step."""
     eta = ema * eta
-    if config.has_reaction:
-        mult = np.exp(config.dt * yosida_drift_prime(config.p_coeffs, config.yosida_alpha, U))
-        eta = ((eta @ E) * mult * config.grid.weights) @ E.T
+    if reaction is not None:
+        eta = reaction.flow(eta)
     return eta
 
 
@@ -346,11 +427,12 @@ def derivative_flow(config, path_states, h, check_contraction=True):
     out = np.empty_like(states)
     out[:, 0] = eta
     ema = np.exp(-config.rates * config.dt)
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
+    reaction = _Reaction(config, n_paths) if config.has_reaction else None
     h_norm = math.sqrt(float((h ** 2).sum()))
     for k in range(1, n_times):
-        U = states[:, k - 1] @ E if config.has_reaction else None
-        eta = _eta_step(config, eta, U, ema, E)
+        if reaction is not None:
+            reaction.load(states[:, k - 1])
+        eta = _eta_step(eta, ema, reaction)
         if check_contraction:
             worst = math.sqrt(float((eta ** 2).sum(axis=1).max()))
             if worst > h_norm * (1.0 + 1e-8) + 1e-300:

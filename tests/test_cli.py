@@ -236,6 +236,14 @@ def test_spde_config_errors_name_their_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "commutator-curve", "params": {"thinning": 0}}, name="curve.json")
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "params.thinning" in capsys.readouterr().err
+    # a stderr per half of the chain needs at least two draws in each half
+    cfg = spde_invariant_config(tmp_path, count=3)
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "params.count" in capsys.readouterr().err
+    for n_x in (0, 1):
+        cfg = write_config(tmp_path, {"kind": "commutator-curve", "params": {"n_x": n_x}}, name="curve.json")
+        assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+        assert "params.n_x" in capsys.readouterr().err
 
 
 def test_fault_inside_the_stepper_is_not_a_config_error(tmp_path, monkeypatch):

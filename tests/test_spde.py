@@ -72,6 +72,10 @@ def test_config_validation():
     cfg = SpdeConfig(n_modes=1, dt=1e-3, T=1.0, p_coeffs=CUBIC)
     assert cfg.has_reaction
     assert cfg.rates[0] == pytest.approx(A1)
+    # derived arrays are built once per config and cannot be written
+    assert cfg.grid is cfg.grid and cfg.rates is cfg.rates and cfg.b_array is cfg.b_array
+    for arr in (cfg.rates, cfg.b_array, cfg.grid.nodes, cfg.grid.weights):
+        assert not arr.flags.writeable
     with pytest.raises(ValueError):
         cfg.n_steps(0.0005)
 
@@ -285,10 +289,18 @@ STEP_CONFIGS = {
 }
 
 
+def ref_reaction(cfg, U, prime=False):
+    """p_alpha(U), or p_alpha'(U); numpy's own polynomial evaluates p at alpha = 0."""
+    if cfg.yosida_alpha == 0:
+        p = np.polynomial.Polynomial(cfg.p_coeffs)
+        return (p.deriv() if prime else p)(U)
+    return (yosida_drift_prime if prime else yosida_drift)(cfg.p_coeffs, cfg.yosida_alpha, U)
+
+
 def ref_eta_step(cfg, eta, X_before, ema, E):
     eta = ema * eta
     if cfg.has_reaction:
-        mult = np.exp(cfg.dt * yosida_drift_prime(cfg.p_coeffs, cfg.yosida_alpha, X_before @ E))
+        mult = np.exp(cfg.dt * ref_reaction(cfg, X_before @ E, prime=True))
         eta = ((eta @ E) * mult * cfg.grid.weights) @ E.T
     return eta
 
@@ -311,7 +323,7 @@ def ref_path(cfg, X, n, rng, h=None, noise=True):
             w = w + ((eta * (1.0 / cfg.b_array)) * xi).sum(axis=1) * math.sqrt(cfg.dt)
         drift = 0.0
         if cfg.has_reaction:
-            drift = (yosida_drift(cfg.p_coeffs, cfg.yosida_alpha, X @ E) * cfg.grid.weights) @ E.T
+            drift = (ref_reaction(cfg, X @ E) * cfg.grid.weights) @ E.T
         X_prev, X = X, ema * X + phi * drift + sig * xi
         if eta is not None:
             eta = ref_eta_step(cfg, eta, X_prev, ema, E)
@@ -399,6 +411,52 @@ def test_v_norm_matches_reference_loop(name):
         assert table[eps].estimate == float(vals.mean())
         assert table[eps].stderr == float(vals.std(ddof=1) / math.sqrt(200))
     assert best.estimate == max(r.estimate for r in table.values())
+
+
+@pytest.mark.parametrize(
+    "cfg, rows",
+    [(cfg, 5) for cfg in STEP_CONFIGS.values()]
+    # the commutator benchmark's shape: 4 modes, 33 nodes, 2000 rows
+    + [(SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC, quad_nodes=33), 2000)],
+    ids=[*STEP_CONFIGS, "benchmark-shape"],
+)
+def test_steps_yield_fresh_arrays_that_match_reference_loop(cfg, rows):
+    """Every X and eta yielded over 20 steps with eta equals the reference
+    loop's, compared after the last step, so no later step overwrote one."""
+    X0 = as_rng(1, "x0").normal(scale=0.5, size=(rows, cfg.n_modes))
+    h = np.linspace(0.1, -0.05, cfg.n_modes)
+    steps = list(spde._steps(cfg, X0, 20, as_rng(8, "steps"), eta=np.broadcast_to(h, X0.shape).copy()))
+    states, weights = ref_path(cfg, X0, 20, as_rng(8, "steps"), h=h)
+    ema = np.exp(-cfg.rates * cfg.dt)
+    E = basis_matrix(cfg.n_modes, cfg.grid) if cfg.has_reaction else None
+    eta, X_before = np.broadcast_to(h, X0.shape).copy(), X0
+    for (k, X, eta_k, _), want in zip(steps, states, strict=True):
+        eta = ref_eta_step(cfg, eta, X_before, ema, E)
+        X_before = want
+        assert np.array_equal(X, want), k
+        assert np.array_equal(eta_k, eta), k
+    assert [s[0] for s in steps] == list(range(1, 21))
+    assert np.array_equal(steps[-1][3], weights[-1])
+
+
+@pytest.mark.parametrize("deg", [3, 5, 7])
+def test_horner_matches_numpy_polynomial(deg):
+    rng = np.random.default_rng(deg)
+    c = rng.normal(size=deg + 1)
+    c[::2] = 0.0  # odd reactions, as in the catalog, next to a dense one
+    x = np.concatenate([rng.uniform(-20.0, 20.0, 1978), [0.0, -0.0, 20.0, -20.0, 19.9999, -19.9999], rng.normal(size=64)])
+    x = x.reshape(64, 32)
+    for coeffs in (tuple(c), tuple(rng.normal(size=deg + 1))):
+        p = np.polynomial.Polynomial(coeffs)
+        pc, dc = spde._poly_pair(coeffs)
+        assert np.array_equal(spde._horner(pc, x, np.empty_like(x)), p(x))
+        assert np.array_equal(spde._horner(dc, x, np.empty_like(x)), p.deriv()(x))
+
+
+def test_invariant_sampler_needs_two_draws_per_half():
+    cfg = ou_config(n_modes=1)
+    with pytest.raises(ValueError, match="count"):
+        sample_invariant(cfg, 600, 3, 1, seed=0)
 
 
 def test_bel_gradient_flags_blowup_with_its_step():
