@@ -99,7 +99,10 @@ def run_ibp_check(params, seed, workers, outdir):
             h_arg = np.asarray(h, dtype=float)
             if h_arg.size > m.n_modes:
                 raise ConfigError(f"params.pairs[{i}]: direction vector longer than n_modes={m.n_modes}")
-        rep = measures.ibp_residual(m, u, h_arg, count, stream(seed, "ibp-check", uname, i))
+        try:
+            rep = measures.ibp_residual(m, u, h_arg, count, stream(seed, "ibp-check", uname, i))
+        except (measures.SamplerDegenerateError, measures.NotThinnableError) as exc:
+            raise ConfigError(f"params.measure: {exc}") from exc
         return uname, h, rep
 
     results = map_units(one, list(enumerate(pair_specs)), workers)

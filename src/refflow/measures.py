@@ -10,6 +10,7 @@ lam_j = 2 pi^2 j^2 for the natural choice; the Gibbs family reweights the base
 by exp(-(alpha/p) int_0^1 |x(xi)|^p dxi) / Z with p > 2, alpha >= 0.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,6 +21,9 @@ from .rng import as_rng
 from .spectral import Grid, basis_matrix, synthesize
 
 SLICE_GRID_NODES = 128
+# proposals per float walk of the Metropolis chain: two float lists of this
+# length are the walk's only per-proposal memory
+GIBBS_WALK_BLOCK = 1024
 
 
 class SamplerDegenerateError(RuntimeError):
@@ -173,22 +177,34 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
     def advance(n_steps):
         nonlocal state, state_pot, accepted, proposed
         out = np.empty((n_steps, measure.n_modes))
-        # draw proposals and uniforms in bulk, then walk the chain
+        # draw proposals and uniforms in bulk, then walk the chain in plain
+        # floats one block at a time, recording the accepted indices
         props = rng.standard_normal((n_steps, measure.n_modes)) * base_std
         pots = _coupling(measure, synthesize(props, measure.grid))[0]
         logu = np.log(rng.random(n_steps))
-        for k in range(n_steps):
-            if logu[k] <= state_pot - pots[k]:
-                state = props[k]
-                state_pot = pots[k]
-                accepted += 1
-            proposed += 1
-            if proposed == adapt_window and accepted < 0.01 * adapt_window:
-                raise SamplerDegenerateError(
-                    f"acceptance {accepted}/{proposed} below 1%: alpha*p too aggressive "
-                    f"for n_modes={measure.n_modes}"
-                )
-            out[k] = state
+        for lo in range(0, n_steps, GIBBS_WALK_BLOCK):
+            hi = min(lo + GIBBS_WALK_BLOCK, n_steps)
+            pot, hits = state_pot, []
+            for k, lu, pk in zip(range(lo, hi), logu[lo:hi].tolist(), pots[lo:hi].tolist()):
+                if lu <= pot - pk:
+                    pot = pk
+                    hits.append(k)
+            if proposed < adapt_window <= proposed + hi - lo:
+                # acceptances up to and including the window's last proposal
+                seen = accepted + bisect.bisect_left(hits, lo + adapt_window - proposed)
+                if seen < 0.01 * adapt_window:
+                    raise SamplerDegenerateError(
+                        f"acceptance {seen}/{adapt_window} below 1%: alpha*p too aggressive "
+                        f"for n_modes={measure.n_modes}"
+                    )
+            state_pot = pot
+            accepted += len(hits)
+            proposed += hi - lo
+            first = hits[0] if hits else hi
+            out[lo:first] = state
+            if hits:
+                out[first:hi] = props[np.repeat(hits, np.diff(hits + [hi]))]
+                state = props[hits[-1]]
         return out
 
     warmup = min(200, 10 * measure.n_modes)

@@ -1,14 +1,13 @@
-"""Seed-derived random streams and deterministic reductions.
+"""Seed-derived random streams and order-stable parallel mapping.
 
 Every random draw in the package flows from one root seed through named
 streams: stream(seed, kind, module, unit) hashes the labels to a SeedSequence
 spawn key, so the stream for a given (experiment kind, module, work-unit
 index) is reproducible and independent of how many workers execute the units.
-Reductions over unit results use math.fsum in unit order, making outputs
-bit-identical for any worker count.
+map_units returns unit results in unit order, so outputs are bit-identical
+for any worker count.
 """
 
-import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,11 +27,6 @@ def as_rng(seed_or_rng, *labels):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return stream(seed_or_rng, *labels)
-
-
-def fsum(values):
-    """Compensated (exact) sum of a 1-d collection of floats."""
-    return math.fsum(float(v) for v in values)
 
 
 def map_units(fn, units, workers=1):

@@ -272,7 +272,7 @@ def _steps(config, X, n, rng, eta=None, noise=True):
     the path's own increments, are carried along; otherwise both are None.
     The yielded X and eta are fresh arrays at every step; w is updated in
     place. Raises BlowUpError when a coefficient of X exceeds 1e6 in
-    magnitude.
+    magnitude or is NaN.
     """
     a = config.rates
     ema = np.exp(-a * config.dt)
@@ -298,7 +298,7 @@ def _steps(config, X, n, rng, eta=None, noise=True):
         X = ema * X + phi * drift + sig * xi
         if eta is not None:
             eta = _eta_step(eta, ema, reaction)
-        if np.max(np.abs(X)) > 1e6:
+        if not np.max(np.abs(X)) <= 1e6:  # NaN fails this test too
             raise BlowUpError(f"state norm exceeded 1e6 at step {k} (invalid reaction?)")
         yield k, X, eta, w
 
@@ -416,7 +416,8 @@ def derivative_flow(config, path_states, h, check_contraction=True):
     path_states: (n_paths, n_steps+1, n_modes) at full resolution. Returns the
     same shape. The scheme is a product of contractions (exact linear decay,
     pointwise nonpositive-exponent multiplier, orthogonal projection), so
-    |eta(t)| <= |h| holds up to roundoff and is asserted at 1e-8 slack.
+    |eta(t)| <= |h| holds up to roundoff and is asserted at 1e-8 slack; a
+    NaN eta fails the assertion.
     """
     states = np.asarray(path_states, dtype=float)
     if states.ndim == 2:
@@ -435,7 +436,7 @@ def derivative_flow(config, path_states, h, check_contraction=True):
         eta = _eta_step(eta, ema, reaction)
         if check_contraction:
             worst = math.sqrt(float((eta ** 2).sum(axis=1).max()))
-            if worst > h_norm * (1.0 + 1e-8) + 1e-300:
+            if not worst <= h_norm * (1.0 + 1e-8) + 1e-300:
                 raise SchemeError(f"contraction violated at step {k}: |eta|={worst} > |h|={h_norm}")
         out[:, k] = eta
     return out

@@ -1,4 +1,4 @@
-"""Dirichlet sine eigenbasis on (0,1), quadrature grids, projections.
+"""Dirichlet sine eigenbasis on (0,1), quadrature grids, synthesis.
 
 Coefficient vectors are plain numpy arrays with the mode index on the last
 axis, so batched points have shape (npts, n_modes). The basis is
@@ -109,15 +109,6 @@ def basis_matrix(n_modes, grid):
         mat.setflags(write=False)
         _BASIS_CACHE[key] = mat
     return mat
-
-
-def project(values, n_modes, grid):
-    """Coefficients a_j = int values * e_j dxi by quadrature; batched on leading axes."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InvalidDataError("project: input values contain NaN or inf")
-    E = basis_matrix(n_modes, grid)
-    return (values * grid.weights) @ E.T
 
 
 def synthesize(coeffs, grid):

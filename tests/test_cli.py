@@ -175,6 +175,14 @@ def test_gibbs_sample_run(tmp_path):
     assert abs(report["details"]["lag1_autocorrelation_energy"]) < 0.1
 
 
+@pytest.mark.parametrize("kind", ["gibbs-sample", "ibp-check"])
+def test_degenerate_sampler_is_config_error(tmp_path, capsys, kind):
+    measure = {"name": "gibbs", "n_modes": 32, "alpha": 1e6, "p": 4}
+    cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": {"measure": measure, "count": 2000}})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "config error: params.measure: acceptance" in capsys.readouterr().err
+
+
 def test_failed_check_exits_one(tmp_path, monkeypatch):
     def fake(params, seed, workers, outdir):
         return {"verdicts": {"probe": "fail"}, "warnings": [], "details": {}, "outputs": []}

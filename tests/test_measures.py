@@ -10,10 +10,12 @@ from scipy import stats
 from refflow import measures
 from refflow.cylinders import Cylinder
 from refflow.measures import (
+    GIBBS_WALK_BLOCK,
     GaussianMeasure,
     GibbsMeasure,
     LadderDensity,
     NotThinnableError,
+    SamplerDegenerateError,
     beta,
     beta_components,
     exp_integrability,
@@ -29,7 +31,7 @@ from refflow.measures import (
     sample_gibbs,
     tensor_grid,
 )
-from refflow.rng import stream
+from refflow.rng import as_rng, stream
 from refflow.spectral import Grid, basis_matrix, synthesize
 
 
@@ -123,6 +125,101 @@ def test_sampler_not_thinnable_error():
     with pytest.raises(NotThinnableError):
         sample_gibbs(m, 300, 1, max_thin=1)
     assert abs(lag1_autocorrelation((sample_gibbs(m, 300, 1) ** 2).sum(axis=1))) < 0.1
+
+
+def test_sampler_degenerate_error():
+    m = GibbsMeasure(base=GaussianMeasure(n_modes=32), alpha=1e6, p=4.0)
+    with pytest.raises(SamplerDegenerateError, match="acceptance 4/1000 below 1%"):
+        sample_gibbs(m, 2000, 1)
+
+
+def ref_sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
+    """sample_gibbs with the chain walked one numpy scalar and one row at a time."""
+    rng = as_rng(seed, "measures", "gibbs")
+    std = measure.base.mode_std
+    state = rng.standard_normal(measure.n_modes) * std
+    state_pot = float(measures._coupling(measure, synthesize(state[None], measure.grid))[0][0])
+    accepted = proposed = 0
+
+    def advance(n_steps):
+        nonlocal state, state_pot, accepted, proposed
+        out = np.empty((n_steps, measure.n_modes))
+        props = rng.standard_normal((n_steps, measure.n_modes)) * std
+        pots = measures._coupling(measure, synthesize(props, measure.grid))[0]
+        logu = np.log(rng.random(n_steps))
+        for k in range(n_steps):
+            if logu[k] <= state_pot - pots[k]:
+                state, state_pot = props[k], pots[k]
+                accepted += 1
+            proposed += 1
+            if proposed == adapt_window and accepted < 0.01 * adapt_window:
+                raise SamplerDegenerateError(
+                    f"acceptance {accepted}/{proposed} below 1%: alpha*p too aggressive "
+                    f"for n_modes={measure.n_modes}"
+                )
+            out[k] = state
+        return out
+
+    advance(min(200, 10 * measure.n_modes))
+    chain = advance(count)
+    thin = 1
+    while lag1_autocorrelation((chain ** 2).sum(axis=1)) >= 0.1:
+        thin *= 2
+        if thin > max_thin:
+            raise NotThinnableError(f"lag-1 autocorrelation still >= 0.1 at thinning {max_thin}")
+        chain = advance(count * thin)[thin - 1 :: thin]
+    return chain
+
+
+def gibbs(n_modes, alpha, p):
+    return GibbsMeasure(base=GaussianMeasure(n_modes=n_modes), alpha=alpha, p=p)
+
+
+# (measure, count, seed, keyword arguments); with 4 modes the 40 warmup
+# proposals put the end of the 1000-proposal adapt window at chain row 960.
+# The degenerate chain (32 modes, seed 1) accepts proposals 4, 29, 59, 311
+# and 1490 of its first 8000, counting its 200 warmup proposals: a window
+# of 1490 ends on an acceptance, and one of 1300 ends 200 proposals before
+# the next acceptance.
+WALK_CASES = {
+    "below-window": (gibbs(4, 1.0, 4.0), 900, 1, {}),
+    "at-window": (gibbs(4, 1.0, 4.0), 960, 2, {}),
+    "above-window": (gibbs(4, 1.0, 4.0), 961, 1, {}),
+    "one-block": (gibbs(4, 2.0, 4.0), GIBBS_WALK_BLOCK, 1, {}),
+    "block-boundary": (gibbs(4, 2.0, 4.0), GIBBS_WALK_BLOCK + 1, 2, {}),
+    "many-blocks": (gibbs(2, 5.0, 6.0), 20000, 1, {}),
+    "thinning": (gibbs(4, 30.0, 4.0), 300, 1, {}),
+    "not-thinnable": (gibbs(4, 30.0, 4.0), 300, 1, {"max_thin": 1}),
+    "gauss-legendre": (gibbs(3, 2.0, 3.0), 5000, 1, {}),
+    "one-mode": (gibbs(1, 5.0, 4.0), 5000, 2, {}),
+    "degenerate": (gibbs(32, 1e6, 4.0), 2000, 1, {}),
+    "degenerate-window-ends-on-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"adapt_window": 1490}),
+    "degenerate-window-before-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"adapt_window": 1300}),
+    "degenerate-in-later-block": (
+        gibbs(32, 1e6, 4.0), 4 * GIBBS_WALK_BLOCK, 1, {"adapt_window": 3 * GIBBS_WALK_BLOCK + 300}
+    ),
+    # unthinned chains whose first row after warmup, and whose third block's
+    # first row, repeat a state carried over from before a rejection
+    "advance-starts-with-rejection": (gibbs(4, 10.0, 4.0), GIBBS_WALK_BLOCK + 1, 14, {}),
+    "block-starts-with-rejection": (gibbs(4, 5.0, 4.0), 2 * GIBBS_WALK_BLOCK + 1, 39, {}),
+}
+
+
+def sampler_outcome(sampler, measure, count, seed, kw):
+    try:
+        return sampler(measure, count, seed, **kw)
+    except (SamplerDegenerateError, NotThinnableError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_sample_gibbs_matches_reference_walk(name):
+    want = sampler_outcome(ref_sample_gibbs, *WALK_CASES[name])
+    got = sampler_outcome(sample_gibbs, *WALK_CASES[name])
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_exp_integrability_oracle():

@@ -140,6 +140,12 @@ def test_simulate_flags_blowup():
         simulate(cfg, np.array([2e6]), seed=0, disable_noise=True)
 
 
+def test_simulate_flags_nan_state_with_its_step():
+    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC, quad_nodes=9)
+    with pytest.raises(BlowUpError, match="at step 1 "):
+        simulate(cfg, np.array([np.nan, 0.0]), seed=1)
+
+
 def test_derivative_flow_ou_is_exponential_decay():
     cfg = ou_config(n_modes=3, T=0.2)
     ens = simulate(cfg, np.zeros(3), seed=1, n_paths=2)
@@ -157,6 +163,14 @@ def test_derivative_flow_contracts_with_reaction():
     norms = np.sqrt((etas ** 2).sum(axis=2))
     assert np.all(norms <= 1.0 + 1e-8)
     assert np.all(np.diff(norms, axis=1) <= 1e-10)
+
+
+def test_derivative_flow_flags_nan_path_with_its_step():
+    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC, quad_nodes=9)
+    states = simulate(cfg, np.array([0.3, -0.1]), seed=1, n_paths=2).states.copy()
+    states[1, 2, 0] = np.nan
+    with pytest.raises(SchemeError, match="at step 3:"):
+        derivative_flow(cfg, states, np.array([1.0, 0.0]))
 
 
 def test_scheme_error_is_an_assertion():
