@@ -2,7 +2,7 @@
 Gibbs reference measures on truncated spectral coordinates.
 
 Modules:
-    spectral   eigenpairs, quadrature grids, synthesis
+    spectral   sine basis and eigenvalues, quadrature grids, synthesis
     cylinders  bounded smooth cylinder functions
     rng        named seed streams and order-stable parallel mapping
     measures   reference measures, log-derivatives, disintegration, ladder

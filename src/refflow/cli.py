@@ -270,12 +270,13 @@ def run_entropy_audit(params, seed, workers, outdir):
 
 
 def _spde_config(params, defaults):
+    """The SpdeConfig of params over defaults, and the report warnings it needs."""
     merged = dict(defaults)
-    merged.update({k: params[k] for k in ("n_modes", "dt", "T", "B_diag", "yosida_alpha", "quad_nodes") if k in params})
+    merged.update({k: params[k] for k in ("n_modes", "dt", "T", "B_diag", "yosida_alpha") if k in params})
     coeffs = _validated("params.reaction", catalog.polynomial_reaction, params.get("reaction", merged.pop("reaction", None)))
     b = merged.get("B_diag", 1.0)
     b_tuple = tuple(np.atleast_1d(np.asarray(b, dtype=float)))
-    return _validated(
+    config = _validated(
         "params",
         spde.SpdeConfig,
         n_modes=int(merged["n_modes"]),
@@ -284,12 +285,15 @@ def _spde_config(params, defaults):
         B_diag=b_tuple,
         p_coeffs=coeffs,
         yosida_alpha=float(merged.get("yosida_alpha", 0.0)),
-        quad_nodes=int(merged.get("quad_nodes", 257)),
     )
+    warnings = []
+    if "quad_nodes" in params:
+        warnings.append("params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree")
+    return config, warnings
 
 
 def run_spde_invariant(params, seed, workers, outdir):
-    config = _spde_config(params, {"n_modes": 32, "dt": 1e-3, "T": 1.0, "reaction": {"name": "ou"}})
+    config, warnings = _spde_config(params, {"n_modes": 32, "dt": 1e-3, "T": 1.0, "reaction": {"name": "ou"}})
     burn_default = int(math.ceil(6.0 / (eigenvalue(1) * config.dt)))
     burn_in = _validated("params.burn_in", int, params.get("burn_in", burn_default))
     count = _validated("params.count", int, params.get("count", 2000))
@@ -300,7 +304,7 @@ def run_spde_invariant(params, seed, workers, outdir):
         raise ConfigError("params.thinning: must be at least 1")
     try:
         samples, rep = spde.sample_invariant(config, burn_in, count, thinning, stream(seed, "spde-invariant", "chain"))
-    except (spde.BurnInError, spde.NotConvergedError) as exc:
+    except spde.BurnInError as exc:
         raise ConfigError(f"params.burn_in: {exc}") from exc
     header = [f"mode_{j + 1}" for j in range(config.n_modes)]
     out = _write_csv(outdir, "samples.csv", header, [[_fmt(v) for v in row] for row in samples])
@@ -316,14 +320,14 @@ def run_spde_invariant(params, seed, workers, outdir):
         details["l2_expected_ou"] = expected
         ok = abs(rep.l2_moment - expected) <= 4.0 * rep.l2_stderr
         verdicts["ou-second-moment"] = "pass" if ok else "fail"
-    return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
+    return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}
 
 
 def run_commutator_curve(params, seed, workers, outdir):
     eps_grid = [float(e) for e in params.get("eps_grid", [0.5, 0.2, 0.1, 0.05, 0.02])]
     if not eps_grid or any(not 0 < e <= 1 for e in eps_grid):
         raise ConfigError("params.eps_grid: entries must lie in (0, 1]")
-    config = _spde_config(
+    config, warnings = _spde_config(
         params,
         {"n_modes": 4, "dt": 2e-3, "T": max(eps_grid), "reaction": {"name": "cubic", "c1": -1.0}},
     )
@@ -344,9 +348,13 @@ def run_commutator_curve(params, seed, workers, outdir):
     rows = [[_fmt(c.eps), _fmt(c.value), _fmt(c.stderr), str(c.n_samples)] for c in rep.estimates]
     out = _write_csv(outdir, "commutator_curve.csv", ["eps", "value", "stderr", "n_samples"], rows)
     verdicts = {"decay": "pass" if rep.trend_established else "warn"}
-    warnings = [] if rep.trend_established else [
-        "decay trend not established at this sampling budget (inconclusive, not a failure)"
-    ]
+    if not rep.trend_established:
+        warnings.append("decay trend not established at this sampling budget (inconclusive, not a failure)")
+    if not rep.stationary:
+        warnings.append(
+            "the invariant-measure chain of the base points failed its 3-sigma stationarity check"
+            " (first vs second half of |x|^2)"
+        )
     details = {
         "estimates": [
             {"eps": c.eps, "value": c.value, "stderr": c.stderr, "n_samples": c.n_samples}

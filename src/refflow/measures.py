@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rng import as_rng
-from .spectral import Grid, basis_matrix, synthesize
+from .spectral import Grid, basis_matrix, exact_midpoint_grid, synthesize
 
 SLICE_GRID_NODES = 128
 # proposals per float walk of the Metropolis chain: two float lists of this
@@ -70,9 +70,8 @@ def coupling_grid(p, n_modes):
     integrate exactly; any other p gets SLICE_GRID_NODES Gauss-Legendre nodes.
     """
     if p == int(p) and int(p) % 2 == 0:
-        grid = Grid.midpoint(int(p) * n_modes // 2 + 1)
-    else:
-        grid = Grid.gauss_legendre(SLICE_GRID_NODES)
+        return exact_midpoint_grid(int(p) * n_modes)
+    grid = Grid.gauss_legendre(SLICE_GRID_NODES)
     # shared by every measure and slice with this (p, n_modes)
     grid.nodes.setflags(write=False)
     grid.weights.setflags(write=False)

@@ -67,6 +67,20 @@ class Grid:
         return np.asarray(values) @ self.weights
 
 
+@lru_cache(maxsize=None)
+def exact_midpoint_grid(degree):
+    """The fewest midpoint nodes on (0,1) that integrate every cosine
+    polynomial of degree <= degree in pi xi exactly: degree // 2 + 1.
+
+    m midpoint nodes sum cos(k pi xi) to exactly 0 for 0 < k < 2m. The grid is
+    shared by every caller, so its arrays are read-only.
+    """
+    grid = Grid.midpoint(degree // 2 + 1)
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
+
+
 def simpson_weights(n):
     """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on n + 1 equispaced
     nodes, n even, without the factor h/3."""
@@ -91,11 +105,6 @@ def eigenfunction(j, grid):
     return np.sqrt(2.0) * np.sin(j * np.pi * grid.nodes)
 
 
-def eigenpair(j, grid):
-    """(values of e_j on the grid, alpha_j)."""
-    return eigenfunction(j, grid), float(eigenvalue(j))
-
-
 _BASIS_CACHE = {}
 
 
@@ -116,13 +125,6 @@ def synthesize(coeffs, grid):
     coeffs = np.asarray(coeffs, dtype=float)
     E = basis_matrix(coeffs.shape[-1], grid)
     return coeffs @ E
-
-
-def apply_fractional_power(theta, coeffs):
-    """Coefficientwise (-A)^theta: a_j -> alpha_j^theta a_j."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    js = np.arange(1, coeffs.shape[-1] + 1)
-    return coeffs * eigenvalue(js) ** theta
 
 
 def lp_norm(values, p, grid):

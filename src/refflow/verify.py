@@ -8,7 +8,6 @@ reports; the entropy bound is the one theorem-level inequality, and violating
 it raises instead of returning a failed report.
 """
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -84,27 +83,6 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v
-
-
-def format_reports(reports):
-    """Aligned text rendering, one line per report."""
-    width = max((len(r.name) for r in reports), default=4)
-    lines = []
-    for r in reports:
-        verdict = "pass" if r.passed else "FAIL"
-        lines.append(
-            f"{r.name:<{width}}  residual={r.residual: .6e}  tol={r.tolerance:.1e}  {verdict}"
-        )
-    return "\n".join(lines)
-
-
-def reports_to_json(reports, path=None):
-    payload = [r.to_dict() for r in reports]
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def _box(solution, n_per_axis, radius=None):

@@ -218,7 +218,7 @@ def test_c08_spde_regression():
 
 def test_c09_commutator_decay():
     c = Criterion(9)
-    config = spde.SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=(0.0, -1.0, 0.0, -1.0), quad_nodes=33)
+    config = spde.SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=(0.0, -1.0, 0.0, -1.0))
     u = catalog.build_cylinder("mode1_soft")
     F = catalog.build_field({"name": "constant", "coeffs": [0.1]})
     rep = spde.commutator_decay_curve(config, u, F, [0.5, 0.02], 2000, 200, 77)
@@ -273,7 +273,7 @@ ACCEPTANCE_CONFIGS = {
     },
     "commutator-curve": {
         "kind": "commutator-curve", "seed": 5,
-        "params": {"eps_grid": [0.5, 0.02], "n_mc": 200, "n_x": 4, "quad_nodes": 33},
+        "params": {"eps_grid": [0.5, 0.02], "n_mc": 200, "n_x": 4},
     },
     "bdg-check": {
         "kind": "bdg-check", "seed": 5,

@@ -263,3 +263,43 @@ def test_fault_inside_the_stepper_is_not_a_config_error(tmp_path, monkeypatch):
     cfg = spde_invariant_config(tmp_path)
     with pytest.raises(ValueError, match="fault inside the stepper"):
         cli.main(["run", cfg, "--output", str(tmp_path / "out")])
+
+
+def test_quad_nodes_is_ignored_with_a_warning(tmp_path):
+    cubic = {"name": "cubic", "c1": -1.0}
+    plain = spde_invariant_config(tmp_path, reaction=cubic, thinning=10)
+    assert cli.main(["run", plain, "--output", str(tmp_path / "plain")]) == 0
+    cfg = write_config(
+        tmp_path,
+        {"kind": "spde-invariant", "seed": 1,
+         "params": {"n_modes": 2, "dt": 0.01, "count": 64, "thinning": 10, "burn_in": 60,
+                    "reaction": cubic, "quad_nodes": 33}},
+        name="quad.json",
+    )
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "quad")]) == 0
+    report = json.loads((tmp_path / "quad" / "report.json").read_text())
+    assert report["warnings"] == [
+        "params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree"
+    ]
+    assert (tmp_path / "quad" / "samples.csv").read_bytes() == (tmp_path / "plain" / "samples.csv").read_bytes()
+
+
+def test_nonstationary_chain_is_a_verdict_not_a_config_error(tmp_path, capsys):
+    # seeds whose chain at n_modes 4, dt 2e-3 and 20 draws fails the 3-sigma halves test
+    cfg = write_config(
+        tmp_path,
+        {"kind": "spde-invariant", "seed": 125, "params": {"n_modes": 4, "dt": 0.002, "count": 20, "thinning": 51}},
+    )
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "inv")]) == 1
+    manifest = json.loads((tmp_path / "inv" / "manifest.json").read_text())
+    assert manifest["verdicts"]["stationary"] == "fail"
+    assert "config error" not in capsys.readouterr().err
+    cfg = write_config(
+        tmp_path,
+        {"kind": "commutator-curve", "seed": 73, "params": {"eps_grid": [0.04, 0.02], "n_mc": 20, "n_x": 20}},
+        name="curve.json",
+    )
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "curve")]) == 0
+    report = json.loads((tmp_path / "curve" / "report.json").read_text())
+    assert "decay" in report["verdicts"]
+    assert any("stationarity check" in w for w in report["warnings"])

@@ -8,7 +8,7 @@ from refflow import catalog, spde
 from refflow.cylinders import Cylinder
 from refflow.fields import constant_field
 from refflow.rng import as_rng
-from refflow.spectral import basis_matrix
+from refflow.spectral import Grid, basis_matrix
 from refflow.spde import (
     BlowUpError,
     SchemeError,
@@ -30,6 +30,7 @@ from refflow.spde import (
 )
 
 CUBIC = (0.0, -1.0, 0.0, -1.0)  # p(r) = -r - r^3
+QUINTIC = (0.0, -1.0, 0.0, 0.0, 0.0, -1.0)  # p(r) = -r - r^5
 A1 = math.pi ** 2
 
 # [DERIVED] mpmath OU values
@@ -74,7 +75,8 @@ def test_config_validation():
     assert cfg.rates[0] == pytest.approx(A1)
     # derived arrays are built once per config and cannot be written
     assert cfg.grid is cfg.grid and cfg.rates is cfg.rates and cfg.b_array is cfg.b_array
-    for arr in (cfg.rates, cfg.b_array, cfg.grid.nodes, cfg.grid.weights):
+    assert cfg.projection is cfg.projection
+    for arr in (cfg.rates, cfg.b_array, cfg.grid.nodes, cfg.grid.weights, cfg.projection):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         cfg.n_steps(0.0005)
@@ -104,6 +106,8 @@ def test_yosida_drift_prime_range():
         assert np.all(d > -1.0 / alpha)
     assert np.allclose(yosida_drift_prime(CUBIC, 0.0, r), np.polynomial.Polynomial(CUBIC).deriv()(r))
     assert np.allclose(yosida_drift(CUBIC, 0.0, r), np.polynomial.Polynomial(CUBIC)(r))
+    # a linear p has a constant p'
+    assert np.array_equal(yosida_drift_prime((0.0, -2.0), 0.0, r), np.full_like(r, -2.0))
 
 
 def test_simulate_matches_stationary_variance():
@@ -141,7 +145,7 @@ def test_simulate_flags_blowup():
 
 
 def test_simulate_flags_nan_state_with_its_step():
-    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC, quad_nodes=9)
+    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC)
     with pytest.raises(BlowUpError, match="at step 1 "):
         simulate(cfg, np.array([np.nan, 0.0]), seed=1)
 
@@ -166,7 +170,7 @@ def test_derivative_flow_contracts_with_reaction():
 
 
 def test_derivative_flow_flags_nan_path_with_its_step():
-    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC, quad_nodes=9)
+    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC)
     states = simulate(cfg, np.array([0.3, -0.1]), seed=1, n_paths=2).states.copy()
     states[1, 2, 0] = np.nan
     with pytest.raises(SchemeError, match="at step 3:"):
@@ -294,12 +298,17 @@ def test_bdg_degenerate_and_validation():
 
 # ---------------------------------------------------------------------------
 # Reference: the per-step loop that every entry point once wrote out for
-# itself. The shared stepper must reproduce it bit for bit.
+# itself, with its arithmetic: polyval, then the quadrature weights, then E^T.
+# The shared stepper projects with (E w)^T in one product, so with a reaction
+# it must agree to RTOL of the reference's scale; without one (OU) there is no
+# quadrature and it must agree bit for bit.
+
+RTOL = 1e-12
 
 STEP_CONFIGS = {
     "ou": SpdeConfig(n_modes=3, dt=1e-2, T=0.2),
-    "cubic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, quad_nodes=17),
-    "cubic-yosida": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3, quad_nodes=17),
+    "cubic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC),
+    "cubic-yosida": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3),
 }
 
 
@@ -317,6 +326,15 @@ def ref_eta_step(cfg, eta, X_before, ema, E):
         mult = np.exp(cfg.dt * ref_reaction(cfg, X_before @ E, prime=True))
         eta = ((eta @ E) * mult * cfg.grid.weights) @ E.T
     return eta
+
+
+def assert_matches(cfg, got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if not cfg.has_reaction:
+        assert np.array_equal(got, want)
+        return
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
 
 
 def ref_path(cfg, X, n, rng, h=None, noise=True):
@@ -354,7 +372,7 @@ def test_simulate_matches_reference_loop(name, noise):
     ens = simulate(cfg, x0, seed=11, record_every=3, disable_noise=not noise)
     states, _ = ref_path(cfg, x0, 20, as_rng(11, "spde", "simulate"), noise=noise)
     want = np.stack([x0] + [states[k - 1] for k in (3, 6, 9, 12, 15, 18, 20)], axis=1)
-    assert np.array_equal(ens.states, want)
+    assert_matches(cfg, ens.states, want)
     assert np.array_equal(ens.times, [0.0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.2])
 
 
@@ -365,8 +383,8 @@ def test_sample_invariant_matches_reference_loop(name):
     samples, rep = sample_invariant(cfg, burn, count, thin, seed=5)
     states, _ = ref_path(cfg, np.zeros((1, 3)), burn + count * thin, as_rng(5, "spde", "invariant"))
     want = np.array([states[burn + (i + 1) * thin - 1][0] for i in range(count)])
-    assert np.array_equal(samples, want)
-    assert rep.l2_moment == float((want ** 2).sum(axis=1).mean())
+    assert_matches(cfg, samples, want)
+    assert_matches(cfg, rep.l2_moment, float((want ** 2).sum(axis=1).mean()))
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
@@ -380,7 +398,7 @@ def test_derivative_flow_matches_reference_loop(name):
     eta = np.broadcast_to(h, (3, 3)).copy()
     for k in range(1, ens.states.shape[1]):
         eta = ref_eta_step(cfg, eta, ens.states[:, k - 1], ema, E)
-        assert np.array_equal(etas[:, k], eta)
+        assert_matches(cfg, etas[:, k], eta)
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
@@ -391,8 +409,8 @@ def test_bel_gradient_matches_reference_loop(name):
     rep = bel_gradient(cfg, u.value, x, h, 0.1, 300, seed=9)
     states, weights = ref_path(cfg, np.repeat(x[None], 300, axis=0), 10, as_rng(9, "spde", "bel"), h=h)
     vals = u.value(states[-1]) * weights[-1] / 0.1
-    assert rep.estimate == float(vals.mean())
-    assert rep.stderr == float(vals.std(ddof=1) / math.sqrt(300))
+    assert_matches(cfg, rep.estimate, float(vals.mean()))
+    assert_matches(cfg, rep.stderr, float(vals.std(ddof=1) / math.sqrt(300)))
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
@@ -407,8 +425,8 @@ def test_commutator_matches_reference_loop(name):
     X, gu = states[-1], u.grad(states[-1])
     m = min(gu.shape[1], 2)
     d = u.value(X) * weights[-1] / 0.08 - (gu[:, :m] * F.value(0.0, X)[:, :m]).sum(axis=1)
-    assert rep.estimate == float(d.mean())
-    assert rep.stderr == float(d.std(ddof=1) / math.sqrt(300))
+    assert_matches(cfg, rep.estimate, float(d.mean()))
+    assert_matches(cfg, rep.stderr, float(d.std(ddof=1) / math.sqrt(300)))
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
@@ -422,16 +440,16 @@ def test_v_norm_matches_reference_loop(name):
     phi0 = phi(xs)
     for eps in eps_grid:
         vals = phi0 * (phi0 - phi(states[round(eps / cfg.dt) - 1])) / eps
-        assert table[eps].estimate == float(vals.mean())
-        assert table[eps].stderr == float(vals.std(ddof=1) / math.sqrt(200))
+        assert_matches(cfg, table[eps].estimate, float(vals.mean()))
+        assert_matches(cfg, table[eps].stderr, float(vals.std(ddof=1) / math.sqrt(200)))
     assert best.estimate == max(r.estimate for r in table.values())
 
 
 @pytest.mark.parametrize(
     "cfg, rows",
     [(cfg, 5) for cfg in STEP_CONFIGS.values()]
-    # the commutator benchmark's shape: 4 modes, 33 nodes, 2000 rows
-    + [(SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC, quad_nodes=33), 2000)],
+    # the commutator benchmark's shape: 4 modes, 2000 rows
+    + [(SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC), 2000)],
     ids=[*STEP_CONFIGS, "benchmark-shape"],
 )
 def test_steps_yield_fresh_arrays_that_match_reference_loop(cfg, rows):
@@ -447,10 +465,10 @@ def test_steps_yield_fresh_arrays_that_match_reference_loop(cfg, rows):
     for (k, X, eta_k, _), want in zip(steps, states, strict=True):
         eta = ref_eta_step(cfg, eta, X_before, ema, E)
         X_before = want
-        assert np.array_equal(X, want), k
-        assert np.array_equal(eta_k, eta), k
+        assert_matches(cfg, X, want)
+        assert_matches(cfg, eta_k, eta)
     assert [s[0] for s in steps] == list(range(1, 21))
-    assert np.array_equal(steps[-1][3], weights[-1])
+    assert_matches(cfg, steps[-1][3], weights[-1])
 
 
 @pytest.mark.parametrize("deg", [3, 5, 7])
@@ -501,3 +519,61 @@ def test_repeated_eps_fills_every_row():
     _, twice = v_norm(cfg, phi, [0.02, 0.02, 0.04], 100, seed=6, burn_in=60, thinning=2)
     _, single = v_norm(cfg, phi, [0.02, 0.04], 100, seed=6, burn_in=60, thinning=2)
     assert twice == single
+
+
+# ---------------------------------------------------------------------------
+# Exactness gate of the reaction grid: (d + 1) N + 1 midpoint nodes against a
+# 1025-node Gauss-Legendre reference, which resolves every integrand here to
+# rounding.
+
+REF_GRID = Grid.gauss_legendre(1025)
+
+
+def ref_projection(values, n_modes):
+    E = basis_matrix(n_modes, REF_GRID)
+    return (values(E) * REF_GRID.weights) @ E.T
+
+
+@pytest.mark.parametrize("p_coeffs", [CUBIC, QUINTIC], ids=["cubic", "quintic"])
+@pytest.mark.parametrize("n_modes", [1, 2, 4, 32])
+def test_drift_is_exact_on_the_reaction_grid(n_modes, p_coeffs):
+    cfg = SpdeConfig(n_modes=n_modes, dt=1e-3, T=1.0, p_coeffs=p_coeffs)
+    d = len(p_coeffs) - 1
+    assert cfg.grid.rule == "uniform-midpoint" and cfg.grid.n_nodes == (d + 1) * n_modes + 1
+    p = np.polynomial.Polynomial(p_coeffs)
+    X = as_rng(3, "drift").normal(scale=0.5, size=(16, n_modes))
+    reaction = spde._Reaction(cfg, len(X))
+    reaction.load(X)
+    want = ref_projection(lambda E: p(X @ E), n_modes)
+    assert np.max(np.abs(reaction.drift() - want)) <= 1e-13 * np.max(np.abs(want))
+    # half the nodes, (d + 1) N / 2, miss the drift's top cosine degree
+    short = Grid.midpoint((d + 1) * n_modes // 2)
+    Es = basis_matrix(n_modes, short)
+    aliased = (p(X @ Es) * short.weights) @ Es.T
+    assert np.max(np.abs(aliased - want)) > 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_modes, dt", [(4, 2e-3), (32, 1e-3)], ids=["commutator-workload", "c08"])
+def test_eta_projection_matches_fine_reference(n_modes, dt):
+    """exp(dt p'(U)) is not a polynomial: the grid's spare degree is measured here."""
+    cfg = SpdeConfig(n_modes=n_modes, dt=dt, T=1.0, p_coeffs=CUBIC)
+    rng = as_rng(4, "eta")
+    # the OU invariant scale, which bounds the cubic reaction's
+    X = rng.normal(size=(64, n_modes)) * np.sqrt(0.5 / cfg.rates)
+    eta = rng.normal(size=X.shape)
+    reaction = spde._Reaction(cfg, len(X))
+    reaction.load(X)
+    dp = np.polynomial.Polynomial(CUBIC).deriv()
+    want = ref_projection(lambda E: (eta @ E) * np.exp(dt * dp(X @ E)), n_modes)
+    assert np.max(np.abs(reaction.flow(eta) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_invariant_sampler_reports_a_nonstationary_chain():
+    """Seed 73 is one of 4 in 1..1000 whose base-point chain at the commutator
+    workload's shape fails the 3-sigma halves test; the sampler returns the
+    report instead of raising."""
+    cfg = SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=CUBIC)
+    samples, rep = sample_invariant(cfg, 304, 20, 51, as_rng(73, "spde", "curve-outer"))
+    assert samples.shape == (20, 4) and np.all(np.isfinite(samples))
+    assert not rep.stationary
+    assert rep.first_half_l2 != rep.second_half_l2

@@ -7,10 +7,8 @@ from refflow.spectral import (
     Grid,
     InvalidDataError,
     InvalidIndexError,
-    apply_fractional_power,
     basis_matrix,
     eigenfunction,
-    eigenpair,
     eigenvalue,
     lp_norm,
     simpson_weights,
@@ -49,10 +47,10 @@ def test_orthonormality():
     assert np.max(np.abs(gram - np.eye(12))) < 1e-12
 
 
-def test_eigenpair_second_derivative():
+def test_eigenfunction_second_derivative():
     # -e_j'' = alpha_j e_j, checked with central differences on an interior point
     g = Grid.midpoint(2001)
-    vals, alpha = eigenpair(3, g)
+    vals, alpha = eigenfunction(3, g), float(eigenvalue(3))
     h = g.nodes[1] - g.nodes[0]
     i = 700
     second = (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / h ** 2
@@ -96,24 +94,6 @@ def test_parseval():
     vals = synthesize(coeffs, g)
     energies = (vals ** 2) @ g.weights
     assert np.allclose(energies, (coeffs ** 2).sum(axis=1), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.floats(-1.0, 1.0, allow_nan=False),
-    st.floats(-1.0, 1.0, allow_nan=False),
-)
-def test_fractional_power_group_law(theta1, theta2):
-    coeffs = np.linspace(0.1, 1.0, 6)
-    a = apply_fractional_power(theta2, apply_fractional_power(theta1, coeffs))
-    b = apply_fractional_power(theta1 + theta2, coeffs)
-    assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(b))
-
-
-def test_fractional_power_inverts_laplacian():
-    coeffs = np.array([1.0, -2.0, 0.5])
-    lap = apply_fractional_power(1.0, coeffs)
-    assert np.allclose(apply_fractional_power(-1.0, lap), coeffs, atol=1e-14)
 
 
 def test_basis_matrix_batched_synthesis():

@@ -13,9 +13,7 @@ from refflow.verify import (
     ball_volume,
     entropy,
     entropy_bound_check,
-    format_reports,
     mass_conservation,
-    reports_to_json,
     uniqueness_probe,
     weak_residual,
 )
@@ -40,31 +38,13 @@ def test_test_function_must_vanish_at_horizon():
 def test_report_pass_semantics():
     two = VerificationReport(name="r", residual=-0.5, error=0.5, tolerance=0.1)
     assert not two.passed
-    one = VerificationReport(name="r", residual=-0.5, error=0.5, tolerance=0.1, one_sided=True)
+    one = VerificationReport(
+        name="r", residual=-0.5, error=0.5, tolerance=0.1, one_sided=True, metadata={"v": np.float64(2.0)}
+    )
     assert one.passed
     d = one.to_dict()
     assert d["passed"] is True and d["one_sided"] is True
-    json.dumps(d)
-
-
-def test_format_reports_lines():
-    reports = [
-        VerificationReport(name="a", residual=1e-9, error=1e-9, tolerance=1e-4),
-        VerificationReport(name="bb", residual=0.5, error=0.5, tolerance=1e-4),
-    ]
-    lines = format_reports(reports).splitlines()
-    assert len(lines) == 2
-    assert lines[0].endswith("pass")
-    assert lines[1].endswith("FAIL")
-
-
-def test_reports_to_json_writes_file(tmp_path):
-    reports = [VerificationReport(name="a", residual=0.0, error=0.0, tolerance=1.0, metadata={"v": np.float64(2.0)})]
-    path = tmp_path / "reports.json"
-    text = reports_to_json(reports, path)
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(text)
-    assert loaded[0]["metadata"]["v"] == 2.0
+    assert json.loads(json.dumps(d))["metadata"] == {"v": 2.0}
 
 
 def test_weak_residual_small_for_constant_field(const_problem):
