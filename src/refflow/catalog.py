@@ -1,12 +1,14 @@
 """Registered building blocks: measures, fields, reactions, densities,
 cylinders, test functions, observables, and the standard problem set.
 
-Every entry carries a one-line mathematical description so `list-catalog`
-output is self-explanatory. Builders take plain dicts (parsed config blocks)
-and return the corresponding domain objects.
+Each section is one registry: a dict from a name to its Entry, which holds
+the label and one-line mathematical description that `list-catalog` prints,
+and the builder. Builders take plain dicts (parsed config blocks) and return
+the corresponding domain objects.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,22 +17,54 @@ from . import measures, transport, verify
 from .cylinders import Cylinder
 
 
+class Entry(NamedTuple):
+    label: str  # the name, with its parameters in parentheses
+    description: str
+    build: object
+
+
+class SpecError(ValueError):
+    """A spec that build_problem cannot build, raised before any numerics
+    run; `field` is the offending key's path within the spec, or None."""
+
+    def __init__(self, msg, field=None):
+        super().__init__(msg)
+        self.field = field
+
+
+def _registry(*entries):
+    return {e.label.split("(")[0]: e for e in entries}
+
+
+def _lookup(registry, section, name):
+    try:
+        return registry[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {section} {name!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # measures
 
 
+def _gibbs(spec, n_modes):
+    base = measures.GaussianMeasure(n_modes=n_modes)
+    return measures.GibbsMeasure(base=base, alpha=float(spec.get("alpha", 1.0)), p=float(spec.get("p", 4.0)))
+
+
+MEASURES = _registry(
+    Entry(
+        "gaussian(n_modes)",
+        "product Gaussian, mode-j precision 2 pi^2 j^2",
+        lambda spec, n_modes: measures.GaussianMeasure(n_modes=n_modes),
+    ),
+    Entry("gibbs(alpha,p)", "Gaussian reweighted by exp(-(alpha/p) int |x(xi)|^p dxi)/Z, p > 2", _gibbs),
+)
+
+
 def build_measure(spec):
-    name = spec.get("name", "gaussian")
     n_modes = int(spec.get("n_modes", 1))
-    if name == "gaussian":
-        return measures.GaussianMeasure(n_modes=n_modes)
-    if name == "gibbs":
-        return measures.GibbsMeasure(
-            base=measures.GaussianMeasure(n_modes=n_modes),
-            alpha=float(spec.get("alpha", 1.0)),
-            p=float(spec.get("p", 4.0)),
-        )
-    raise ValueError(f"unknown measure {name!r}")
+    return _lookup(MEASURES, "measure", spec.get("name", "gaussian")).build(spec, n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -58,32 +92,47 @@ def _cubic_sat():
     return fields_mod.Reaction(fn=fn, deriv=deriv, bound=1.0, name="cubic_sat")
 
 
-SCALAR_REACTIONS = {
-    "neg_arctan": _neg_arctan,
-    "cubic_sat": _cubic_sat,
-}
+SCALAR_REACTIONS = _registry(
+    Entry("neg_arctan", "f(r) = -arctan(r); |f| <= pi/2", _neg_arctan),
+    Entry("cubic_sat", "f(r) = -(r/sqrt(1+r^2))^3; |f| <= 1", _cubic_sat),
+)
+
+
+# ---------------------------------------------------------------------------
+# SPDE reactions (ascending coefficients)
+
+
+def _odd_reaction(name, degree):
+    """p(r) = -r^degree + c1 r; c1 > 0 would make p increasing near 0."""
+
+    def build(spec):
+        c1 = float(spec.get("c1", -1.0))
+        if c1 > 0:
+            raise ValueError(f"{name} reaction needs c1 <= 0, got {c1}")
+        return (0.0, c1) + (0.0,) * (degree - 2) + (-1.0,)
+
+    return build
+
+
+REACTIONS = _registry(
+    Entry("ou", "p = 0: pure Ornstein-Uhlenbeck linear dynamics", lambda spec: ()),
+    Entry("cubic(c1)", "p(r) = -r^3 + c1 r with c1 <= 0 (decreasing, odd degree 3)", _odd_reaction("cubic", 3)),
+    Entry("quintic(c1)", "p(r) = -r^5 + c1 r with c1 <= 0 (decreasing, odd degree 5)", _odd_reaction("quintic", 5)),
+)
 
 
 def polynomial_reaction(spec):
     """SPDE reaction coefficients (ascending powers)."""
-    name = spec.get("name", "ou") if spec else "ou"
-    if name == "ou":
-        return ()
-    if name == "cubic":
-        c1 = float(spec.get("c1", -1.0))
-        if c1 > 0:
-            raise ValueError(f"cubic reaction needs c1 <= 0, got {c1}")
-        return (0.0, c1, 0.0, -1.0)
-    if name == "quintic":
-        return (0.0, float(spec.get("c1", -1.0)), 0.0, 0.0, 0.0, -1.0)
-    raise ValueError(f"unknown reaction {name!r}")
+    spec = spec or {}
+    return _lookup(REACTIONS, "reaction", spec.get("name", "ou")).build(spec)
 
 
 # ---------------------------------------------------------------------------
 # drift fields
 
 
-def _swirl(s=0.2):
+def _swirl(spec, n_modes):
+    s = float(spec.get("s", 0.2))
     c1 = fields_mod.FieldComponent(
         value_fn=lambda t, X: s * np.tanh(X[:, 1]),
         grad_fn=lambda t, X: np.stack([np.zeros(X.shape[0]), s / np.cosh(X[:, 1]) ** 2], axis=-1),
@@ -99,38 +148,58 @@ def _swirl(s=0.2):
     return fields_mod.CylindricalField(components=(c1, c2), smoothness=2, name="swirl")
 
 
-def build_field(spec, n_modes=None):
-    name = spec.get("name", "constant")
-    if name == "constant":
-        return fields_mod.constant_field(np.asarray(spec.get("coeffs", [0.1]), dtype=float))
-    if name == "swirl":
-        return _swirl(float(spec.get("s", 0.2)))
-    if name == "zero":
-        return fields_mod.constant_field(np.zeros(int(spec.get("k", 1))))
-    if name.startswith("nemytskii:"):
-        rname = name.split(":", 1)[1]
-        if rname not in SCALAR_REACTIONS:
-            raise ValueError(f"unknown scalar reaction {rname!r}")
+def _nemytskii(reaction):
+    def build(spec, n_modes):
         nm = int(spec.get("n_modes", n_modes or 1))
-        nem = fields_mod.NemytskiiField(reaction=SCALAR_REACTIONS[rname](), n_modes=nm)
+        nem = fields_mod.NemytskiiField(reaction=reaction(), n_modes=nm)
         level = spec.get("level")
         return fields_mod.galerkin(nem, int(level)) if level else nem
-    raise ValueError(f"unknown field {name!r}")
+
+    return build
+
+
+FIELDS = _registry(
+    Entry(
+        "constant(coeffs)",
+        "fixed coefficient vector on the first k modes",
+        lambda spec, n_modes: fields_mod.constant_field(np.asarray(spec.get("coeffs", [0.1]), dtype=float)),
+    ),
+    Entry(
+        "zero(k)",
+        "zero drift in k components",
+        lambda spec, n_modes: fields_mod.constant_field(np.zeros(int(spec.get("k", 1)))),
+    ),
+    Entry("swirl(s)", "divergence-free bounded rotation (s tanh(x2), -s tanh(x1))", _swirl),
+    *(
+        Entry(f"nemytskii:{name}", f"(-A)^{{-1}} composed with {r.description}", _nemytskii(r.build))
+        for name, r in SCALAR_REACTIONS.items()
+    ),
+)
+
+
+def build_field(spec, n_modes=None):
+    return _lookup(FIELDS, "field", spec.get("name", "constant")).build(spec, n_modes)
 
 
 # ---------------------------------------------------------------------------
 # initial densities
 
 
-def build_density(spec):
-    name = spec.get("name", "bump")
-    if name == "bump":
-        return transport.bump_density(
+DENSITIES = _registry(
+    Entry(
+        "bump(centers,radii,height)",
+        "product of C2 bumps h prod (1-((x_i-c_i)/r_i)^2)_+^3",
+        lambda spec: transport.bump_density(
             centers=np.asarray(spec.get("centers", [0.0]), dtype=float),
             radii=np.asarray(spec.get("radii", [0.5]), dtype=float),
             height=float(spec.get("height", 1.0)),
-        )
-    raise ValueError(f"unknown density {name!r}")
+        ),
+    ),
+)
+
+
+def build_density(spec):
+    return _lookup(DENSITIES, "density", spec.get("name", "bump")).build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +292,26 @@ def _energy_soft(k=4, c=1.0):
     return Cylinder(n_active=k, value_fn=value, grad_fn=grad, name=f"energy_soft({k},{c:g})", bound=c)
 
 
-CYLINDERS = {
-    "cos_m1": _cyl_cos_m1,
-    "sin_m12": _cyl_sin_m12,
-    "gauss_m123": _cyl_gauss_m123,
-    "tanh_m1": _cyl_tanh_m1,
-    "rational_m12": _cyl_rational_m12,
-    "cos_sin_m13": _cyl_cos_sin_m13,
-}
+CYLINDERS = _registry(
+    Entry("cos_m1", "cos(x1)", _cyl_cos_m1),
+    Entry("sin_m12", "sin(x1 + 2 x2)", _cyl_sin_m12),
+    Entry("gauss_m123", "exp(-(x1^2+x2^2+x3^2))", _cyl_gauss_m123),
+    Entry("tanh_m1", "tanh(x1)", _cyl_tanh_m1),
+    Entry("rational_m12", "1/(1 + x1^2 + x2^2)", _cyl_rational_m12),
+    Entry("cos_sin_m13", "cos(x1) sin(x3)", _cyl_cos_sin_m13),
+)
 
-OBSERVABLES = {
-    "mode1_soft": _mode1_soft,
-    "energy_soft": _energy_soft,
-}
+OBSERVABLES = _registry(
+    Entry("mode1_soft(c)", "c tanh(x1/c): smooth bounded mode-1 readout", _mode1_soft),
+    Entry("energy_soft(k,c)", "c tanh(|x|_k^2/c): smooth bounded energy readout", _energy_soft),
+)
 
 
 def build_cylinder(name, **kw):
+    """A cylinder by name; an observable takes its parameters as keywords."""
     if name in CYLINDERS:
-        return CYLINDERS[name]()
-    if name in OBSERVABLES:
-        return OBSERVABLES[name](**kw)
-    raise ValueError(f"unknown cylinder {name!r}")
+        return CYLINDERS[name].build()
+    return _lookup(OBSERVABLES, "cylinder", name).build(**kw)
 
 
 # the six (u, h) pairs exercised by the log-derivative duality check;
@@ -262,23 +330,55 @@ IBP_PAIRS = (
 # time factors and test functions
 
 
-def build_time_factor(name, T):
-    if name == "linear_ramp":
-        return (lambda t: 1.0 - t / T), (lambda t: -1.0 / T)
-    if name == "quadratic_ramp":
-        return (lambda t: (1.0 - t / T) ** 2), (lambda t: -2.0 * (1.0 - t / T) / T)
-    if name == "cos_ramp":
-        return (
+TIME_FACTORS = _registry(
+    Entry("linear_ramp", "g(t) = 1 - t/T", lambda T: (lambda t: 1.0 - t / T, lambda t: -1.0 / T)),
+    Entry(
+        "quadratic_ramp",
+        "g(t) = (1 - t/T)^2",
+        lambda T: (lambda t: (1.0 - t / T) ** 2, lambda t: -2.0 * (1.0 - t / T) / T),
+    ),
+    Entry(
+        "cos_ramp",
+        "g(t) = cos(pi t / 2T)",
+        lambda T: (
             lambda t: math.cos(0.5 * math.pi * t / T),
             lambda t: -0.5 * math.pi / T * math.sin(0.5 * math.pi * t / T),
-        )
-    raise ValueError(f"unknown time factor {name!r}")
+        ),
+    ),
+)
+
+
+def build_time_factor(name, T):
+    """(g, g') of the named time factor on [0, T]."""
+    return _lookup(TIME_FACTORS, "time factor", name).build(T)
 
 
 def build_test_function(spec, T):
     g, gp = build_time_factor(spec.get("g", "linear_ramp"), T)
     f = build_cylinder(spec.get("f", "cos_m1"))
     return verify.TestFunction(g=g, g_prime=gp, f=f, T=T, name=f"{spec.get('g','linear_ramp')}*{f.name}")
+
+
+# the sections of list-catalog, in order
+SECTIONS = (
+    ("measures", MEASURES),
+    ("fields", FIELDS),
+    ("reactions", REACTIONS),
+    ("densities", DENSITIES),
+    ("cylinders", CYLINDERS),
+    ("time_factors", TIME_FACTORS),
+    ("observables", OBSERVABLES),
+)
+
+
+def catalog_text():
+    lines = []
+    for section, registry in SECTIONS:
+        lines.append(f"{section}:")
+        width = max(len(e.label) for e in registry.values())
+        for e in registry.values():
+            lines.append(f"  {e.label:<{width}}  {e.description}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -334,97 +434,32 @@ def default_problems(which="1d"):
 
 
 def build_problem(spec, ladder_spec=None, respect_first_branch=False):
-    """Assemble (measure, slice/ladder reference, field, rho0, config, u)."""
-    m = build_measure(spec["measure"])
-    N = int(spec["N"])
-    dis = measures.psi_squared(m, N)
-    slc = dis.bind(None)
+    """Assemble (measure, slice/ladder reference, field, rho0, config, u).
+
+    The spec is read and checked first: any error in it raises a SpecError
+    before the numerics (psi_squared's Z estimate, the ladder's mollifier)
+    run, and an error raised by those propagates as it is.
+    """
+    try:
+        m = build_measure(spec["measure"])
+        N = int(spec["N"])
+        if N > m.n_modes:
+            raise SpecError(f"N={N} exceeds n_modes={m.n_modes}", "N")
+        if ladder_spec:
+            M, l = float(ladder_spec["M"]), int(ladder_spec["l"])
+            if M < 1:
+                raise SpecError(f"clip level must satisfy M >= 1, got {M}", "ladder.M")
+            if l < 1:
+                raise SpecError(f"mollifier scale must satisfy l >= 1, got {l}", "ladder.l")
+        field = build_field(spec["field"], n_modes=m.n_modes)
+        rho0 = build_density(spec["rho0"])
+        config = transport.FlowConfig(dt_ode=float(spec.get("dt", 1e-3)), T=float(spec.get("T", 0.5)))
+        u = build_test_function(spec.get("test_function", {}), config.T)
+    except SpecError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(str(exc)) from exc
+    reference = measures.psi_squared(m, N).bind(None)
     if ladder_spec:
-        reference = measures.ladder(
-            slc,
-            float(ladder_spec["M"]),
-            int(ladder_spec["l"]),
-            respect_first_branch=respect_first_branch,
-        )
-    else:
-        reference = slc
-    field = build_field(spec["field"], n_modes=m.n_modes)
-    rho0 = build_density(spec["rho0"])
-    config = transport.FlowConfig(dt_ode=float(spec.get("dt", 1e-3)), T=float(spec.get("T", 0.5)))
-    u = build_test_function(spec.get("test_function", {}), config.T)
+        reference = measures.ladder(reference, M, l, respect_first_branch=respect_first_branch)
     return m, reference, field, rho0, config, u
-
-
-# ---------------------------------------------------------------------------
-# listing
-
-
-CATALOG_SECTIONS = (
-    (
-        "measures",
-        [
-            ("gaussian(n_modes)", "product Gaussian, mode-j precision 2 pi^2 j^2"),
-            ("gibbs(alpha,p)", "Gaussian reweighted by exp(-(alpha/p) int |x(xi)|^p dxi)/Z, p > 2"),
-        ],
-    ),
-    (
-        "fields",
-        [
-            ("constant(coeffs)", "fixed coefficient vector on the first k modes"),
-            ("zero(k)", "zero drift in k components"),
-            ("swirl(s)", "divergence-free bounded rotation (s tanh(x2), -s tanh(x1))"),
-            ("nemytskii:neg_arctan", "(-A)^{-1} composed with f(r) = -arctan(r); |f| <= pi/2"),
-            ("nemytskii:cubic_sat", "(-A)^{-1} composed with f(r) = -(r/sqrt(1+r^2))^3; |f| <= 1"),
-        ],
-    ),
-    (
-        "reactions",
-        [
-            ("ou", "p = 0: pure Ornstein-Uhlenbeck linear dynamics"),
-            ("cubic(c1)", "p(r) = -r^3 + c1 r with c1 <= 0 (decreasing, odd degree 3)"),
-            ("quintic(c1)", "p(r) = -r^5 + c1 r with c1 <= 0 (decreasing, odd degree 5)"),
-        ],
-    ),
-    (
-        "densities",
-        [
-            ("bump(centers,radii,height)", "product of C2 bumps h prod (1-((x_i-c_i)/r_i)^2)_+^3"),
-        ],
-    ),
-    (
-        "cylinders",
-        [
-            ("cos_m1", "cos(x1)"),
-            ("sin_m12", "sin(x1 + 2 x2)"),
-            ("gauss_m123", "exp(-(x1^2+x2^2+x3^2))"),
-            ("tanh_m1", "tanh(x1)"),
-            ("rational_m12", "1/(1 + x1^2 + x2^2)"),
-            ("cos_sin_m13", "cos(x1) sin(x3)"),
-        ],
-    ),
-    (
-        "time_factors",
-        [
-            ("linear_ramp", "g(t) = 1 - t/T"),
-            ("quadratic_ramp", "g(t) = (1 - t/T)^2"),
-            ("cos_ramp", "g(t) = cos(pi t / 2T)"),
-        ],
-    ),
-    (
-        "observables",
-        [
-            ("mode1_soft(c)", "c tanh(x1/c): smooth bounded mode-1 readout"),
-            ("energy_soft(k,c)", "c tanh(|x|_k^2/c): smooth bounded energy readout"),
-        ],
-    ),
-)
-
-
-def catalog_text():
-    lines = []
-    for section, entries in CATALOG_SECTIONS:
-        lines.append(f"{section}:")
-        width = max(len(n) for n, _ in entries)
-        for n, desc in entries:
-            lines.append(f"  {n:<{width}}  {desc}")
-    return "\n".join(lines)

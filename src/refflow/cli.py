@@ -18,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,6 @@ from . import catalog
 from . import fields as fields_mod
 from . import measures, spde, transport, verify
 from .rng import map_units, stream
-from .spectral import eigenvalue
 from .verify import _jsonable
 
 KINDS = (
@@ -50,12 +48,24 @@ class ConfigError(ValueError):
 
 
 def _validated(path, fn, *args, **kw):
+    """fn(*args, **kw), with a KeyError, TypeError or ValueError it raises
+    turned into a ConfigError at path; wrap only the reading of a config
+    value, never numerics, or a fault in them would exit 2."""
     try:
         return fn(*args, **kw)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _problem(path, spec):
+    """catalog.build_problem, whose spec errors (raised before its numerics
+    run) become ConfigErrors under path."""
+    try:
+        return catalog.build_problem(spec, ladder_spec=spec.get("ladder"))
+    except catalog.SpecError as exc:
+        raise ConfigError(f"{path}.{exc.field}: {exc}" if exc.field else f"{path}: {exc}") from exc
 
 
 def _fmt(v):
@@ -151,9 +161,7 @@ def _require(params, *keys):
 
 def run_transport_solve(params, seed, workers, outdir):
     _require(params, "measure", "N", "field", "rho0")
-    m, reference, field, rho0, config, _u = _validated(
-        "params", catalog.build_problem, params, ladder_spec=params.get("ladder")
-    )
+    m, reference, field, rho0, config, _u = _problem("params", params)
     times = [float(t) for t in params.get("times", [config.T / 2.0, config.T])]
     for t in times:
         _validated("params.times", config.n_steps, t)
@@ -183,16 +191,14 @@ def run_verify_suite(params, seed, workers, outdir):
 
     def one(spec):
         pid = spec.get("id", "problem")
-        m, reference, field, rho0, config, u = _validated(
-            f"params.problems[{pid}]", catalog.build_problem, spec, ladder_spec=spec.get("ladder")
-        )
+        m, reference, field, rho0, config, u = _problem(f"params.problems[{pid}]", spec)
         sol = transport.solve(rho0, field, reference, config)
         npa = int(spec.get("n_per_axis", 128 if sol.N == 1 else 96))
         reps = [verify.weak_residual(sol, u, n_time=n_time, n_per_axis=npa)]
         for t in spec.get("times", [config.T]):
             reps.append(verify.mass_conservation(sol, float(t), n_per_axis=npa))
         if params.get("uniqueness"):
-            slc = measures.psi_squared(m, sol.N).bind(None)
+            slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
             refs = [slc, measures.ladder(slc, 8, 16)]
             reps.append(
                 verify.uniqueness_probe(
@@ -216,19 +222,22 @@ def run_verify_suite(params, seed, workers, outdir):
 
 def run_entropy_audit(params, seed, workers, outdir):
     _require(params, "measure", "N", "field", "rho0")
-    m, reference, field, rho0, config, _u = _validated(
-        "params", catalog.build_problem, params, ladder_spec=params.get("ladder")
-    )
-    sol = transport.solve(rho0, field, reference, config, N=int(params["N"]))
+    m, reference, field, rho0, config, _u = _problem("params", params)
     delta = params.get("delta")
     if delta is None:
-        delta = _validated("params.field", fields_mod.delta_recipe, field, m)
-    delta = float(delta)
-    dis = measures.psi_squared(m, int(params["N"]))
+        try:
+            delta = fields_mod.delta_recipe(field, m)
+        except fields_mod.UnboundedFieldError as exc:
+            raise ConfigError(f"params.field: {exc}") from exc
+    delta = _validated("params.delta", float, delta)
+    if not delta > 0:
+        raise ConfigError(f"params.delta: must be positive, got {delta}")
+    sol = transport.solve(rho0, field, reference, config, N=int(params["N"]))
+    slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
     domain_radius = float(params.get("domain_radius", sol.support_radius + 1.0))
     try:
         cf = fields_mod.cf_delta(
-            field, dis, delta, config.T,
+            field, slc.disintegration, delta, config.T,
             tail_samples=int(params.get("tail_samples", 1)),
             seed=seed, domain_radius=domain_radius,
             n_per_axis=int(params.get("cf_per_axis", 96)),
@@ -294,8 +303,7 @@ def _spde_config(params, defaults):
 
 def run_spde_invariant(params, seed, workers, outdir):
     config, warnings = _spde_config(params, {"n_modes": 32, "dt": 1e-3, "T": 1.0, "reaction": {"name": "ou"}})
-    burn_default = int(math.ceil(6.0 / (eigenvalue(1) * config.dt)))
-    burn_in = _validated("params.burn_in", int, params.get("burn_in", burn_default))
+    burn_in = _validated("params.burn_in", int, params.get("burn_in", spde.relaxation_steps(config, 6.0)))
     count = _validated("params.count", int, params.get("count", 2000))
     if count < 4:
         raise ConfigError("params.count: must be at least 4 (two draws per half of the chain)")
@@ -368,11 +376,21 @@ def run_commutator_curve(params, seed, workers, outdir):
 
 def run_bdg_check(params, seed, workers, outdir):
     p = _validated("params.p", float, params.get("p", 4))
-    phi = params.get("phi", 1.0)
+    if not p >= 4:
+        raise ConfigError(f"params.p: moment order must be >= 4, got {p}")
+    phi = _validated("params.phi", np.asarray, params.get("phi", 1.0), dtype=float)
+    if phi.ndim > 1 or phi.size == 0:
+        raise ConfigError("params.phi: must be a number or a nonempty list of numbers")
     t = _validated("params.t", float, params.get("t", 1.0))
+    if not t > 0:
+        raise ConfigError(f"params.t: must be positive, got {t}")
     n_mc = _validated("params.n_mc", int, params.get("n_mc", 20000))
+    if n_mc < 2:
+        raise ConfigError("params.n_mc: need at least 2 samples")
     n_steps = _validated("params.n_steps", int, params.get("n_steps", 512))
-    rep1 = _validated("params", spde.bdg_check, p, phi, t, n_mc, stream(seed, "bdg-check", "mc", 1), n_steps)
+    if n_steps < 1:
+        raise ConfigError(f"params.n_steps: must be at least 1, got {n_steps}")
+    rep1 = spde.bdg_check(p, phi, t, n_mc, stream(seed, "bdg-check", "mc", 1), n_steps)
     reps = [(n_mc, rep1)]
     if params.get("doubling", True):
         rep2 = spde.bdg_check(p, phi, t, 2 * n_mc, stream(seed, "bdg-check", "mc", 2), n_steps)

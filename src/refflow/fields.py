@@ -33,6 +33,10 @@ class TimeDomainError(ValueError):
     pass
 
 
+class UnboundedFieldError(ValueError):
+    """A field component declares no finite bound."""
+
+
 class DeltaTooLargeError(OverflowError):
     def __init__(self, msg, suggested_delta=None):
         super().__init__(msg)
@@ -87,14 +91,6 @@ class CylindricalField:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.stack([c.value(t, X) for c in self.components], axis=-1)
 
-    def value_padded(self, t, X, width):
-        vals = self.value(t, X)
-        if width == self.n_components:
-            return vals
-        out = np.zeros((vals.shape[0], width))
-        out[:, : self.n_components] = vals
-        return out
-
 
 def constant_field(coeffs, name="constant"):
     coeffs = np.asarray(coeffs, dtype=float)
@@ -106,22 +102,6 @@ def constant_field(coeffs, name="constant"):
             name=f"const_{i+1}",
         )
         for i, c in enumerate(coeffs)
-    )
-    return CylindricalField(components=comps, smoothness=2, name=name)
-
-
-def linear_field(B, name="linear", bound=np.inf):
-    """F(x) = Bx restricted to the first k coordinates (test helper)."""
-    B = np.asarray(B, dtype=float)
-    k = B.shape[0]
-    comps = tuple(
-        FieldComponent(
-            value_fn=lambda t, X, row=B[i]: X[:, :k] @ row,
-            grad_fn=lambda t, X, row=B[i]: np.broadcast_to(row, (X.shape[0], k)).copy(),
-            bound=bound,
-            name=f"lin_{i+1}",
-        )
-        for i in range(k)
     )
     return CylindricalField(components=comps, smoothness=2, name=name)
 
@@ -253,41 +233,6 @@ def dstar(field, beta_oracle, t, X):
     return -divergence(field, t, X) - (vals * b).sum(axis=1)
 
 
-def dstar_product_rule_check(field, phi, beta_oracle, X, t=0.0):
-    """Max residual of D*(phi F) = phi D*F - <D phi, F> over the sample X.
-
-    phi is a Cylinder (value + gradient) in at least n_components coords.
-    The left side is evaluated through an independently assembled product
-    field so the two routes share no intermediate values.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    k = field.n_components
-
-    def product_component(i, comp):
-        def value_fn(t_, Y):
-            return phi.value(Y) * comp.value(t_, Y)
-
-        def grad_fn(t_, Y):
-            g_f = comp.grad(t_, Y)
-            if g_f is None:
-                raise NotDifferentiableError("product rule check needs analytic gradients")
-            return phi.value(Y)[:, None] * g_f + comp.value(t_, Y)[:, None] * phi.grad(Y)[:, :k]
-
-        return FieldComponent(value_fn=value_fn, grad_fn=grad_fn, bound=np.inf, name=f"phi*{comp.name}")
-
-    product = CylindricalField(
-        components=tuple(product_component(i, c) for i, c in enumerate(field.components)),
-        smoothness=min(field.smoothness, 1),
-        horizon=field.horizon,
-        time_dependent=field.time_dependent,
-        name=f"phi*{field.name}",
-    )
-    lhs = dstar(product, beta_oracle, t, X)
-    f_vals = field.value(t, X)
-    rhs = phi.value(X) * dstar(field, beta_oracle, t, X) - (phi.grad(X)[:, :k] * f_vals).sum(axis=1)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 # ---------------------------------------------------------------------------
 # probes for the standing hypotheses
 
@@ -311,7 +256,8 @@ class ClaimsReport:
 
 
 def claims_probe(nem, measure, eps, count, seed, level=None):
-    """Smallest constants C with div-part and beta-part >= -C - eps*penalty.
+    """Checks the standing hypothesis that D*F is bounded below: the smallest
+    constants C with div-part and beta-part >= -C - eps*penalty.
 
     penalty(x) = |x|_2^2 + alpha |x|_p^p; samples drawn from the measure.
     Records full-sample and half-sample constants so stability under sample
@@ -351,68 +297,17 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
     )
 
 
-@dataclass(frozen=True)
-class ConditionProbe:
-    """Diagonal smoothing operator data for the sufficiency-chain probe."""
-
-    eps_n: np.ndarray
-    C: float = 0.0
-    delta: float = 1.0
-    tail_tolerance: float = 1e-6
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps_n, dtype=float)
-        if np.any(eps <= 0):
-            raise ValueError("smoothing eigenvalues must be positive")
-        if self.delta <= 0 or self.C < 0:
-            raise ValueError("need delta > 0 and C >= 0")
-        object.__setattr__(self, "eps_n", eps)
-
-    def partial_sums(self):
-        return np.cumsum(self.eps_n ** 2)
-
-    def tail_gap(self):
-        s = self.partial_sums()
-        return float(s[-1] - s[len(s) // 2])
-
-    def square_summable(self):
-        s = self.partial_sums()
-        return bool(np.all(np.diff(s) >= 0) and self.tail_gap() <= self.tail_tolerance)
-
-    def smooth(self, field):
-        """Component-wise eps_i scaling of a CylindricalField."""
-        k = field.n_components
-        if len(self.eps_n) < k:
-            raise ValueError("need one smoothing eigenvalue per component")
-        comps = tuple(
-            FieldComponent(
-                value_fn=lambda t, X, c=c, e=float(self.eps_n[i]): e * c.value(t, X),
-                grad_fn=(None if c.grad_fn is None else (lambda t, X, c=c, e=float(self.eps_n[i]): e * c.grad(t, X))),
-                bound=float(self.eps_n[i]) * c.bound,
-                name=f"smoothed_{c.name}",
-            )
-            for i, c in enumerate(field.components)
-        )
-        return CylindricalField(
-            components=comps,
-            smoothness=field.smoothness,
-            horizon=field.horizon,
-            time_dependent=field.time_dependent,
-            name=f"smoothed_{field.name}",
-        )
-
-
 # ---------------------------------------------------------------------------
 # the exponential cost functional C_F(delta)
 
 
 def delta_recipe(field, measure, count=2000, seed=0):
     """delta = min_i c_i / (N (||f_i||_inf + 1)) over the active components."""
-    c = measures.integrability_constants(measure, count=count, seed=seed)
     k = field.n_components
     bounds = np.array([comp.bound for comp in field.components])
     if not np.all(np.isfinite(bounds)):
-        raise ValueError("delta recipe needs finite declared component bounds")
+        raise UnboundedFieldError("delta recipe needs finite declared component bounds")
+    c = measures.integrability_constants(measure, count=count, seed=seed)
     return float(np.min(c[:k] / (k * (bounds + 1.0))))
 
 
@@ -482,10 +377,13 @@ def cf_delta(
                     ds = -divergence(field, t, X) - (f_vals * lg[:, :k]).sum(axis=1)
                     pos = np.clip(ds, 0.0, None)
                     if delta * pos.max() > 700.0:
+                        try:
+                            suggested = delta_recipe(field, m)
+                        except UnboundedFieldError:
+                            suggested = None
                         raise DeltaTooLargeError(
-                            f"delta={delta} overflows exp at (M,l)=({M},{l}); "
-                            f"suggested delta={delta_recipe_safe(field, m)}",
-                            suggested_delta=delta_recipe_safe(field, m),
+                            f"delta={delta} overflows exp at (M,l)=({M},{l}); suggested delta={suggested}",
+                            suggested_delta=suggested,
                         )
                     return float(w @ ((np.exp(delta * pos) - 1.0) * vals))
 
@@ -509,10 +407,3 @@ def cf_delta(
         tail_count=len(tails),
         max_at_grid_edge=bool(edge),
     )
-
-
-def delta_recipe_safe(field, measure):
-    try:
-        return delta_recipe(field, measure)
-    except Exception:
-        return None

@@ -250,6 +250,7 @@ class SliceDensity:
     z_stderr: float = 0.0
     name: str = ""
     smooth_positive_bounded: bool = True
+    disintegration: object = None  # the DisintegrationDensity that bound it
 
     def _log_value_and_beta(self, X, gradient=True):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -305,6 +306,7 @@ class DisintegrationDensity:
             log_pref=self.log_pref,
             z_stderr=self.z_stderr,
             name=f"psi2(N={self.N})",
+            disintegration=self,
         )
 
 
@@ -470,7 +472,8 @@ class ExpIntegrabilityReport:
 
 
 def exp_integrability(measure, h, c, count, seed):
-    """MC mean of exp(c |beta_h|) with a half-sample stability diagnostic."""
+    """Checks that the log-derivative beta_h is exponentially integrable: the MC
+    mean of exp(c |beta_h|) with a half-sample stability diagnostic."""
     if c <= 0:
         raise ValueError(f"exponential-integrability constant must be positive, got {c}")
     X = sample_gibbs(measure, count, seed)

@@ -18,17 +18,21 @@ steps they keep.
 Also here: derivative flows along frozen paths, semigroup and gradient
 estimators (the probabilistic integration-by-parts weight), the smoothing
 commutator and its decay curve, the V-norm quadratic form, and the
-martingale-moment ratio check.
+martingale-moment ratio check. Two functions check claims of the paper
+directly: `commutator_identity_probe` the commutator formula for
+D_x P_t - P_t D_x, and `v_norm` the Dirichlet form of the invariant measure;
+`simulate`, `semigroup`, `bel_gradient`, `derivative_flow` and
+`yosida_drift` are checked against closed forms by acceptance criterion 8.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .rng import as_rng, map_units
-from .spectral import basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
+from .spectral import Grid, basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
 
 
 class BlowUpError(FloatingPointError):
@@ -45,6 +49,16 @@ class SolverError(RuntimeError):
 
 class BurnInError(ValueError):
     """The burn-in is too short for the slowest mode to relax."""
+
+
+# Gauss-Legendre nodes of the reaction grid when yosida_alpha > 0
+YOSIDA_GRID_NODES = 257
+
+
+def relaxation_steps(config, times):
+    """Steps that cover `times` relaxation times 1/alpha_1 of the slowest mode:
+    6 make the default burn-in, 1 the default thinning."""
+    return int(math.ceil(times / (eigenvalue(1) * config.dt)))
 
 
 @lru_cache(maxsize=64)
@@ -131,15 +145,22 @@ class SpdeConfig:
 
     @cached_property
     def grid(self):
-        """Midpoint grid of (d + 1) n_modes + 1 nodes, d = max(reaction degree, 3).
+        """Midpoint grid of (d + 1) n_modes + 1 nodes, d = max(reaction degree, 3),
+        or YOSIDA_GRID_NODES Gauss-Legendre nodes when yosida_alpha > 0.
 
-        It integrates cosine polynomials of degree 2 (d + 1) n_modes + 1 in
-        pi xi exactly: the drift p(U) e_i has degree (d + 1) n_modes and the
-        l4 moment of sample_invariant 4 n_modes, so both are exact. The
-        derivative-flow multiplier exp(dt p'(U)), and the drift itself when
-        yosida_alpha > 0, are not polynomials; for those the spare degree is
-        a measured margin, not an exactness bound.
+        The midpoint grid integrates cosine polynomials of degree
+        2 (d + 1) n_modes + 1 in pi xi exactly: the drift p(U) e_i has degree
+        (d + 1) n_modes and the l4 moment of sample_invariant 4 n_modes, so
+        both are exact. The derivative-flow multiplier exp(dt p'(U)) is not a
+        polynomial; for it the spare degree is a measured margin, not an
+        exactness bound. Neither is the Yosida drift p(J_alpha(U)), which no
+        midpoint grid of this size resolves at unit-scale states.
         """
+        if self.yosida_alpha > 0:
+            grid = Grid.gauss_legendre(YOSIDA_GRID_NODES)
+            grid.nodes.setflags(write=False)
+            grid.weights.setflags(write=False)
+            return grid
         degree = max((i for i, c in enumerate(self.p_coeffs) if c != 0), default=0)
         return exact_midpoint_grid(2 * (max(degree, 3) + 1) * self.n_modes)
 
@@ -206,7 +227,8 @@ def _p_alpha_prime(p_coeffs, alpha, r, J, out):
 
 
 def yosida_drift(p_coeffs, alpha, r):
-    """p_alpha(r) = (J_alpha(r) - r)/alpha = p(J_alpha(r)); alpha=0 gives p."""
+    """The Yosida drift p_alpha(r) = (J_alpha(r) - r)/alpha = p(J_alpha(r)) of
+    criterion 8's resolvent identity; alpha=0 gives p."""
     r = np.asarray(r, dtype=float)
     J = yosida_resolvent(p_coeffs, alpha, r) if alpha != 0 else None
     out = _p_alpha(tuple(p_coeffs), alpha, r, J, np.empty(r.shape))
@@ -320,7 +342,8 @@ def _steps(config, X, n, rng, eta=None, noise=True):
 
 
 def simulate(config, x0, seed, n_paths=1, record_every=1, disable_noise=False):
-    """Forward paths of the spectral scheme; same seed gives identical output.
+    """Forward paths of the reaction-diffusion SPDE, checked against the exact
+    OU law by criterion 8; same seed gives identical output.
 
     x0: single coefficient vector shared across paths, or (n_paths, n_modes).
     Noise per step is sigma_j xi with sigma matching the exact per-step OU
@@ -423,7 +446,8 @@ def _eta_step(eta, ema, reaction):
 
 
 def derivative_flow(config, path_states, h, check_contraction=True):
-    """eta trajectory along a frozen path: d eta = [A eta + Dp_alpha(X) eta] dt.
+    """The derivative flow eta = D_x X_t h, whose contraction criterion 8
+    checks, along a frozen path: d eta = [A eta + Dp_alpha(X) eta] dt.
 
     path_states: (n_paths, n_steps+1, n_modes) at full resolution. Returns the
     same shape. The scheme is a product of contractions (exact linear decay,
@@ -463,11 +487,12 @@ class EstimateReport:
 
 
 def semigroup(config, phi, x, t, n_mc, seed):
-    """(P_t phi)(x) by Monte Carlo over independent paths from x."""
+    """The transition semigroup (P_t phi)(x), checked against OU decay by
+    criterion 8, by Monte Carlo over independent paths from x."""
     if config.n_steps(t) == 0:
         v = float(np.asarray(phi(np.atleast_2d(np.asarray(x, dtype=float)))).ravel()[0])
         return EstimateReport(estimate=v, stderr=0.0, n_mc=n_mc)
-    cfg = _with_horizon(config, t)
+    cfg = replace(config, T=t)
     ens = simulate(cfg, np.asarray(x, dtype=float), seed, n_paths=n_mc, record_every=max(1, cfg.n_steps(t)))
     vals = np.asarray(phi(ens.states[:, -1]), dtype=float)
     return EstimateReport(
@@ -477,21 +502,9 @@ def semigroup(config, phi, x, t, n_mc, seed):
     )
 
 
-def _with_horizon(config, t):
-    if abs(config.T - t) < 1e-15:
-        return config
-    return SpdeConfig(
-        n_modes=config.n_modes,
-        dt=config.dt,
-        T=t,
-        B_diag=config.B_diag,
-        p_coeffs=config.p_coeffs,
-        yosida_alpha=config.yosida_alpha,
-    )
-
-
 def bel_gradient(config, phi, x, h, t, n_mc, seed):
-    """Directional derivative of P_t phi at x via the probabilistic weight.
+    """D_x P_t phi at x along h, checked against OU decay by criterion 8, via
+    the Bismut-Elworthy-Li weight.
 
     (1/t) E[ phi(X_t) int_0^t <B^{-1} eta(s), dW(s)> ] with the stochastic
     integral accumulated left-point on the simulation grid, sharing the same
@@ -511,17 +524,6 @@ def bel_gradient(config, phi, x, h, t, n_mc, seed):
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
     return EstimateReport(estimate=est, stderr=se, n_mc=n_mc, inconclusive=bool(se > 0.5 * abs(est)))
-
-
-def fd_gradient(config, phi, x, h, t, n_mc, seed, step=1e-3):
-    """Central finite difference of the semigroup in direction h (shared noise)."""
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
-    up = semigroup(config, phi, x + step * h, t, n_mc, seed)
-    dn = semigroup(config, phi, x - step * h, t, n_mc, seed)
-    est = (up.estimate - dn.estimate) / (2.0 * step)
-    se = math.sqrt(up.stderr ** 2 + dn.stderr ** 2) / (2.0 * step)
-    return EstimateReport(estimate=est, stderr=se, n_mc=n_mc)
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +599,9 @@ def commutator_decay_curve(
     is identical for any worker count."""
     eps_grid = sorted(float(e) for e in eps_grid)
     if burn_in is None:
-        burn_in = int(math.ceil(6.0 / (eigenvalue(1) * config.dt)))
+        burn_in = relaxation_steps(config, 6.0)
     if thinning is None:
-        # one relaxation time of the slowest mode between kept draws
-        thinning = int(math.ceil(1.0 / (eigenvalue(1) * config.dt)))
+        thinning = relaxation_steps(config, 1.0)
     xs, chain = sample_invariant(config, burn_in, n_x_samples, thinning, as_rng(seed, "spde", "curve-outer"))
 
     def one_point(ix):
@@ -635,7 +636,8 @@ def commutator_decay_curve(
 
 
 def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, seed):
-    """Residual probe of the constant-direction smoothing identity.
+    """Checks the DaDe14 commutator formula for D_x P_t - P_t D_x, for a
+    constant direction F = h.
 
     For a constant field F = h the commutator satisfies
     B_eps(u,h) = int_0^eps P_{eps-s}[ <A h + Dp_alpha(.) h, D P_s u> ](x) ds
@@ -683,7 +685,7 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
 
     rhs_terms = []
     for j, s in enumerate(s_nodes):
-        cfg_out = _with_horizon(config, eps - s) if eps - s > 0 else None
+        cfg_out = replace(config, T=eps - s) if eps - s > 0 else None
         if cfg_out is None:
             z = np.atleast_2d(x0)
         else:
@@ -699,7 +701,8 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
 
 
 def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
-    """max over the eps grid of (1/eps) E_gamma[ phi (phi - P_eps phi) ].
+    """Checks the Dirichlet form of the invariant measure gamma, the quadratic
+    form of the V-norm: max over the eps grid of (1/eps) E_gamma[ phi (phi - P_eps phi) ].
 
     One invariant-measure draw and one path per MC sample; the path is run to
     max(eps) and snapshotted at each grid value, so every grid point uses the
@@ -707,9 +710,9 @@ def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     if burn_in is None:
-        burn_in = int(math.ceil(6.0 / (eigenvalue(1) * config.dt)))
+        burn_in = relaxation_steps(config, 6.0)
     if thinning is None:
-        thinning = int(math.ceil(1.0 / (eigenvalue(1) * config.dt)))
+        thinning = relaxation_steps(config, 1.0)
     xs, _ = sample_invariant(config, burn_in, n_mc, thinning, as_rng(seed, "spde", "vnorm-outer"))
     rng = as_rng(seed, "spde", "vnorm-inner")
     n_total = config.n_steps(eps_grid[-1])

@@ -62,10 +62,6 @@ class Grid:
     def n_nodes(self):
         return len(self.nodes)
 
-    def integrate(self, values):
-        """Integrate grid values over (0,1); values may be batched on leading axes."""
-        return np.asarray(values) @ self.weights
-
 
 @lru_cache(maxsize=None)
 def exact_midpoint_grid(degree):
@@ -99,12 +95,6 @@ def eigenvalue(j):
     return (np.pi * np.asarray(j, dtype=float)) ** 2
 
 
-def eigenfunction(j, grid):
-    if j < 1 or int(j) != j:
-        raise InvalidIndexError(f"eigenfunction index must be a positive integer, got {j}")
-    return np.sqrt(2.0) * np.sin(j * np.pi * grid.nodes)
-
-
 _BASIS_CACHE = {}
 
 
@@ -125,11 +115,3 @@ def synthesize(coeffs, grid):
     coeffs = np.asarray(coeffs, dtype=float)
     E = basis_matrix(coeffs.shape[-1], grid)
     return coeffs @ E
-
-
-def lp_norm(values, p, grid):
-    """(int |values|^p dxi)^(1/p) on the grid; batched on leading axes."""
-    if p < 1:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    values = np.asarray(values, dtype=float)
-    return (np.abs(values) ** p @ grid.weights) ** (1.0 / p)

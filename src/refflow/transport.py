@@ -19,7 +19,6 @@ and takes a fresh sweep, starting at that time, for every time.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -90,39 +89,6 @@ def _step(field, u, Z, h, integrator):
     if not np.all(np.isfinite(nxt)):
         raise FieldEvaluationError(f"non-finite state while stepping at u={u}")
     return nxt
-
-
-def flow(field, s, t, x, config):
-    """Solution at time t of dz/du = F(u,z), z(s) = x. Handles t < s too."""
-    Z = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-    squeeze = np.asarray(x).ndim == 1
-    n = config.n_steps(abs(t - s))
-    h = math.copysign(config.dt_ode, t - s) if n else 0.0
-    u = s
-    for _ in range(n):
-        Z = _step(field, u, Z, h, config.integrator)
-        u += h
-    return Z[0] if squeeze else Z
-
-
-def reversed_field(field, T):
-    """The backward field G(t,x) = -F(T-t, x) used for inverse characteristics."""
-    comps = tuple(
-        fields_mod.FieldComponent(
-            value_fn=lambda t, X, c=c: -c.value(T - t, X),
-            grad_fn=(None if c.grad_fn is None else (lambda t, X, c=c: -c.grad(T - t, X))),
-            bound=c.bound,
-            name=f"rev_{c.name}",
-        )
-        for c in field.components
-    )
-    return fields_mod.CylindricalField(
-        components=comps,
-        smoothness=field.smoothness,
-        horizon=field.horizon,
-        time_dependent=field.time_dependent,
-        name=f"reversed_{field.name}",
-    )
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,8 @@ class ApproximationReport:
 def approximate_initial_density(
     rho, measure, N, M_clip, l_smooth, count=20000, tail_draws=64, seed=0, n_quad=17
 ):
-    """Smooth cylindrical approximant of a density with finite entropy.
+    """Checks that a density with finite entropy is approximated by smooth
+    cylinders, the approximation step of the existence proof.
 
     The approximant at x (first N coordinates) averages the clipped input over
     a fixed tail sample (conditional-expectation stand-in) and then mollifies

@@ -16,9 +16,9 @@ def sine_basis(j, xi):
 
 
 print("== basis and quadrature oracles ==")
-# lp_norm(e1, p=4) = (int 4 sin^4(pi xi) dxi)^(1/4) = (3/2)^(1/4)
+# L4 norm of e1: (int 4 sin^4(pi xi) dxi)^(1/4) = (3/2)^(1/4)
 v = (mp.quad(lambda x: sine_basis(1, x) ** 4, [0, 1])) ** mp.mpf("0.25")
-print("lp_norm(e1, 4)            =", mp.nstr(v, 17), " (analytic (3/2)^(1/4) =", mp.nstr(mp.mpf(3) / 2 ** 1 ** 1, 17), ")")
+print("|e1|_L4                   =", mp.nstr(v, 17), " (analytic (3/2)^(1/4) =", mp.nstr(mp.mpf(3) / 2 ** 1 ** 1, 17), ")")
 print("(3/2)**0.25               =", mp.nstr((mp.mpf(3) / 2) ** mp.mpf("0.25"), 17))
 
 # Fourier-sine coefficients of xi(1-xi) in the sqrt(2)-normalized basis:

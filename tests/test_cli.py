@@ -1,10 +1,12 @@
 import json
+import pathlib
 import re
+from types import SimpleNamespace
 
 import pytest
 
 import refflow
-from refflow import cli, spde, verify
+from refflow import catalog, cli, measures, spde, verify
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -303,3 +305,84 @@ def test_nonstationary_chain_is_a_verdict_not_a_config_error(tmp_path, capsys):
     report = json.loads((tmp_path / "curve" / "report.json").read_text())
     assert "decay" in report["verdicts"]
     assert any("stationarity check" in w for w in report["warnings"])
+
+
+def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
+    assert cli.main(["list-catalog"]) == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith(" "):
+            listed[section].append(line.split()[0])
+        else:
+            section = line.rstrip(":")
+            listed[section] = []
+    assert listed == {name: [e.label for e in registry.values()] for name, registry in catalog.SECTIONS}
+    builders = {
+        "measures": lambda name: catalog.build_measure({"name": name}),
+        "fields": lambda name: catalog.build_field({"name": name}),
+        "reactions": lambda name: catalog.polynomial_reaction({"name": name}),
+        "densities": lambda name: catalog.build_density({"name": name}),
+        "cylinders": catalog.build_cylinder,
+        "time_factors": lambda name: catalog.build_time_factor(name, 1.0),
+        "observables": catalog.build_cylinder,
+    }
+    for section, labels in listed.items():
+        for label in labels:
+            builders[section](label.split("(")[0])
+
+
+CONFIGS = pathlib.Path(__file__).parents[1] / "scripts" / "configs"
+
+
+def problem_params():
+    return json.loads((CONFIGS / "entropy_audit.json").read_text())["params"]
+
+
+def _fault(*args, **kwargs):
+    raise ValueError("fault inside the numerics")
+
+
+@pytest.mark.parametrize(
+    "kind, module, name, replacement",
+    [
+        ("transport-solve", measures, "normalizing_constant", _fault),
+        ("verify-suite", measures, "normalizing_constant", _fault),
+        ("entropy-audit", measures, "normalizing_constant", _fault),
+        ("bdg-check", spde, "as_rng", lambda *args: SimpleNamespace(standard_normal=_fault)),
+    ],
+)
+def test_fault_inside_the_numerics_is_not_a_config_error(tmp_path, monkeypatch, kind, module, name, replacement):
+    monkeypatch.setattr(module, name, replacement)
+    params = {} if kind in ("verify-suite", "bdg-check") else problem_params()
+    cfg = write_config(tmp_path, {"kind": kind, "params": params})
+    with pytest.raises(ValueError, match="fault inside the numerics"):
+        cli.main(["run", cfg, "--output", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "kind, change, path",
+    [
+        ("transport-solve", {"N": 2}, "params.N"),
+        ("verify-suite", {"problems": [dict(problem_params(), id="p", N=2)]}, "params.problems[p].N"),
+        ("entropy-audit", {"ladder": {"M": 0.5, "l": 4}}, "params.ladder.M"),
+        ("transport-solve", {"ladder": {"M": 2, "l": 0}}, "params.ladder.l"),
+        ("bdg-check", {"p": 2}, "params.p"),
+        ("spde-invariant", {"reaction": {"name": "cubic", "c1": 0.5}}, "params.reaction"),
+        ("spde-invariant", {"reaction": {"name": "quintic", "c1": 0.5}}, "params.reaction"),
+    ],
+)
+def test_spec_errors_exit_two_with_their_field_path(tmp_path, capsys, kind, change, path):
+    params = {} if kind in ("verify-suite", "bdg-check", "spde-invariant") else problem_params()
+    cfg = write_config(tmp_path, {"kind": kind, "params": {**params, **change}})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_delta_too_large_suggests_a_delta_from_one_pilot_sample(tmp_path, capsys, monkeypatch):
+    pilot = measures.integrability_constants
+    calls = []
+    monkeypatch.setattr(measures, "integrability_constants", lambda *a, **kw: calls.append(a) or pilot(*a, **kw))
+    cfg = write_config(tmp_path, {"kind": "entropy-audit", "seed": 1, "params": {**problem_params(), "delta": 1e4}})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert re.search(r"config error: params\.delta: .*suggested delta=0\.\d+", capsys.readouterr().err)
+    assert len(calls) == 1
