@@ -433,32 +433,52 @@ def default_problems(which="1d"):
     raise ValueError(f"unknown problem set {which!r}")
 
 
+def _read(key, build, *args):
+    """build(*args), with a KeyError, TypeError or ValueError it raises turned
+    into a SpecError at key."""
+    try:
+        return build(*args)
+    except SpecError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(str(exc), key) from exc
+
+
+def problem_config(spec):
+    """The FlowConfig of a problem spec, from its dt (default 1e-3) and T
+    (default 0.5); a bad value raises SpecError under its key."""
+    steps = {}
+    for key, default in (("dt", 1e-3), ("T", 0.5)):
+        steps[key] = _read(key, float, spec.get(key, default))
+        if not steps[key] > 0:
+            raise SpecError(f"must be positive, got {steps[key]}", key)
+    return transport.FlowConfig(dt_ode=steps["dt"], T=steps["T"])
+
+
 def build_problem(spec, ladder_spec=None, respect_first_branch=False):
     """Assemble (measure, slice/ladder reference, field, rho0, config, u).
 
     The spec is read and checked first: any error in it raises a SpecError
-    before the numerics (psi_squared's Z estimate, the ladder's mollifier)
-    run, and an error raised by those propagates as it is.
+    under its key before the numerics (psi_squared's Z estimate, the ladder's
+    mollifier) run, and an error raised by those propagates as it is.
     """
-    try:
-        m = build_measure(spec["measure"])
-        N = int(spec["N"])
-        if N > m.n_modes:
-            raise SpecError(f"N={N} exceeds n_modes={m.n_modes}", "N")
-        if ladder_spec:
-            M, l = float(ladder_spec["M"]), int(ladder_spec["l"])
-            if M < 1:
-                raise SpecError(f"clip level must satisfy M >= 1, got {M}", "ladder.M")
-            if l < 1:
-                raise SpecError(f"mollifier scale must satisfy l >= 1, got {l}", "ladder.l")
-        field = build_field(spec["field"], n_modes=m.n_modes)
-        rho0 = build_density(spec["rho0"])
-        config = transport.FlowConfig(dt_ode=float(spec.get("dt", 1e-3)), T=float(spec.get("T", 0.5)))
-        u = build_test_function(spec.get("test_function", {}), config.T)
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(str(exc)) from exc
+    for key in ("measure", "N", "field", "rho0"):
+        if key not in spec:
+            raise SpecError("required", key)
+    m = _read("measure", build_measure, spec["measure"])
+    N = _read("N", int, spec["N"])
+    if N > m.n_modes:
+        raise SpecError(f"N={N} exceeds n_modes={m.n_modes}", "N")
+    if ladder_spec:
+        M, l = _read("ladder", lambda: (float(ladder_spec["M"]), int(ladder_spec["l"])))
+        if M < 1:
+            raise SpecError(f"clip level must satisfy M >= 1, got {M}", "ladder.M")
+        if l < 1:
+            raise SpecError(f"mollifier scale must satisfy l >= 1, got {l}", "ladder.l")
+    field = _read("field", build_field, spec["field"], m.n_modes)
+    rho0 = _read("rho0", build_density, spec["rho0"])
+    config = problem_config(spec)
+    u = _read("test_function", build_test_function, spec.get("test_function", {}), config.T)
     reference = measures.psi_squared(m, N).bind(None)
     if ladder_spec:
         reference = measures.ladder(reference, M, l, respect_first_branch=respect_first_branch)

@@ -59,13 +59,43 @@ def _validated(path, fn, *args, **kw):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _problem(path, spec):
-    """catalog.build_problem, whose spec errors (raised before its numerics
-    run) become ConfigErrors under path."""
+def _spec(path, fn, spec, **kw):
+    """fn(spec, **kw) of catalog, whose spec errors (raised before any
+    numerics run) become ConfigErrors under path."""
     try:
-        return catalog.build_problem(spec, ladder_spec=spec.get("ladder"))
+        return fn(spec, **kw)
     except catalog.SpecError as exc:
         raise ConfigError(f"{path}.{exc.field}: {exc}" if exc.field else f"{path}: {exc}") from exc
+
+
+def _problem(path, spec):
+    return _spec(path, catalog.build_problem, spec, ladder_spec=spec.get("ladder"))
+
+
+def _times(path, raw, config):
+    """The times at path as floats, each a whole number of config's ODE
+    steps inside [0, T]."""
+    times = _validated(path, lambda ts: [float(t) for t in ts], raw)
+    for t in times:
+        _validated(path, config.n_steps, t)
+        if t > config.T + 1e-12:
+            raise ConfigError(f"{path}: time {t} is past T={config.T}")
+    return times
+
+
+def _count(path, raw, low):
+    """int(raw), checked to be at least low."""
+    value = _validated(path, int, raw)
+    if not value >= low:
+        raise ConfigError(f"{path}: must be at least {low}, got {value}")
+    return value
+
+
+def _positive(path, raw):
+    value = _validated(path, float, raw)
+    if not value > 0:
+        raise ConfigError(f"{path}: must be positive, got {value}")
+    return value
 
 
 def _fmt(v):
@@ -161,19 +191,20 @@ def _require(params, *keys):
 
 def run_transport_solve(params, seed, workers, outdir):
     _require(params, "measure", "N", "field", "rho0")
-    m, reference, field, rho0, config, _u = _problem("params", params)
-    times = [float(t) for t in params.get("times", [config.T / 2.0, config.T])]
-    for t in times:
-        _validated("params.times", config.n_steps, t)
-    probe = transport.TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=int(params["N"]))
+    config = _spec("params", catalog.problem_config, params)
+    times = _times("params.times", params.get("times", [config.T / 2.0, config.T]), config)
     n_eval = _validated("params.eval_per_axis", int, params.get("eval_per_axis", 21))
-    R = float(params.get("eval_radius", probe.support_radius))
+    R = _positive("params.eval_radius", params["eval_radius"]) if "eval_radius" in params else None
+    npa = _count("params.n_per_axis", params["n_per_axis"], 1) if "n_per_axis" in params else None
+    m, reference, field, rho0, config, _u = _problem("params", params)
+    probe = transport.TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=int(params["N"]))
+    R = probe.support_radius if R is None else R
     axes = [np.linspace(-R, R, n_eval)] * probe.N
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     sol = transport.solve(rho0, field, reference, config, time_grid=[0.0] + times, eval_points=pts, N=probe.N)
     out_density = "density.csv"
     sol.write_csv(os.path.join(outdir, out_density))
-    npa = _validated("params.n_per_axis", int, params.get("n_per_axis", 128 if probe.N == 1 else 96))
+    npa = npa or (128 if probe.N == 1 else 96)
     verdicts, details, rows = {}, {}, []
     for t in times:
         rep = verify.mass_conservation(sol, t, n_per_axis=npa)
@@ -188,27 +219,32 @@ def run_verify_suite(params, seed, workers, outdir):
     pset = params.get("problems", "1d")
     specs = _validated("params.problems", catalog.default_problems, pset) if isinstance(pset, str) else list(pset)
     n_time = _validated("params.n_time", int, params.get("n_time", 20))
+    tol = _validated("params.uniqueness_tol", float, params.get("uniqueness_tol", 1e-2))
 
-    def one(spec):
+    def checked(spec):
+        """(spec, its mass-check times, its n_per_axis or None), read before any numerics run."""
+        path = f"params.problems[{spec.get('id', 'problem')}]"
+        config = _spec(path, catalog.problem_config, spec)
+        times = _times(f"{path}.times", spec.get("times", [config.T]), config)
+        npa = _count(f"{path}.n_per_axis", spec["n_per_axis"], 1) if "n_per_axis" in spec else None
+        return spec, times, npa
+
+    def one(unit):
+        spec, times, npa = unit
         pid = spec.get("id", "problem")
         m, reference, field, rho0, config, u = _problem(f"params.problems[{pid}]", spec)
         sol = transport.solve(rho0, field, reference, config)
-        npa = int(spec.get("n_per_axis", 128 if sol.N == 1 else 96))
+        npa = npa or (128 if sol.N == 1 else 96)
         reps = [verify.weak_residual(sol, u, n_time=n_time, n_per_axis=npa)]
-        for t in spec.get("times", [config.T]):
-            reps.append(verify.mass_conservation(sol, float(t), n_per_axis=npa))
+        for t in times:
+            reps.append(verify.mass_conservation(sol, t, n_per_axis=npa))
         if params.get("uniqueness"):
             slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
             refs = [slc, measures.ladder(slc, 8, 16)]
-            reps.append(
-                verify.uniqueness_probe(
-                    rho0, field, refs, config, spec.get("times", [config.T]),
-                    tol=float(params.get("uniqueness_tol", 1e-2)), seed=seed,
-                )
-            )
+            reps.append(verify.uniqueness_probe(rho0, field, refs, config, times, tol=tol, seed=seed))
         return pid, reps
 
-    results = map_units(one, specs, workers)
+    results = map_units(one, [checked(spec) for spec in specs], workers)
     verdicts, details, rows = {}, {}, []
     for pid, reps in results:
         for rep in reps:
@@ -222,6 +258,12 @@ def run_verify_suite(params, seed, workers, outdir):
 
 def run_entropy_audit(params, seed, workers, outdir):
     _require(params, "measure", "N", "field", "rho0")
+    config = _spec("params", catalog.problem_config, params)
+    times = _times("params.times", params.get("times", [config.T / 2.0, config.T]), config)
+    domain_radius = _positive("params.domain_radius", params["domain_radius"]) if "domain_radius" in params else None
+    tail_samples = _count("params.tail_samples", params.get("tail_samples", 1), 0)
+    cf_per_axis = _count("params.cf_per_axis", params.get("cf_per_axis", 96), 1)
+    npa = _count("params.n_per_axis", params["n_per_axis"], 1) if "n_per_axis" in params else None
     m, reference, field, rho0, config, _u = _problem("params", params)
     delta = params.get("delta")
     if delta is None:
@@ -234,20 +276,16 @@ def run_entropy_audit(params, seed, workers, outdir):
         raise ConfigError(f"params.delta: must be positive, got {delta}")
     sol = transport.solve(rho0, field, reference, config, N=int(params["N"]))
     slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
-    domain_radius = float(params.get("domain_radius", sol.support_radius + 1.0))
     try:
         cf = fields_mod.cf_delta(
             field, slc.disintegration, delta, config.T,
-            tail_samples=int(params.get("tail_samples", 1)),
-            seed=seed, domain_radius=domain_radius,
-            n_per_axis=int(params.get("cf_per_axis", 96)),
+            tail_samples=tail_samples,
+            seed=seed, domain_radius=sol.support_radius + 1.0 if domain_radius is None else domain_radius,
+            n_per_axis=cf_per_axis,
         )
     except fields_mod.DeltaTooLargeError as exc:
         raise ConfigError(f"params.delta: {exc}") from exc
-    times = [float(t) for t in params.get("times", [config.T / 2.0, config.T])]
-    for t in times:
-        _validated("params.times", config.n_steps, t)
-    npa = _validated("params.n_per_axis", int, params.get("n_per_axis", 128 if sol.N == 1 else 96))
+    npa = npa or (128 if sol.N == 1 else 96)
     verdicts, details, rows = {}, {}, []
     for t in times:
         rep = verify.entropy_bound_check(sol, t, delta, cf.estimate, n_per_axis=npa)

@@ -10,16 +10,28 @@ where c solves dc/du = F(u, c), c(t) = x. Fixed-step RK4 (or RK2) for the
 flow; the exponent uses the trapezoid rule on the same nodes so both
 discretizations refine together.
 
-For an autonomous field (time_dependent False) the backward path from x over
-time t is a prefix of the path from x over any later time, so one backward
-sweep of max(times) steps serves every time node on a point set:
-feynman_kac_many evaluates the times in increasing order and each continues
-the sweep of the one before. A time-dependent field has no prefix property
-and takes a fresh sweep, starting at that time, for every time.
+One kernel, _sweep_to, takes every backward sweep:
+
+- The field rows it evaluates for D*F at the end of a step are the next
+  step's first RK stage, so a step costs one field evaluation fewer.
+- The path depends on F alone; the reference measure enters only through the
+  log-gradient in D*F = -div F - sum_i f_i beta_i. Solutions that share
+  rho0, field and config therefore share one sweep (feynman_kac_shared):
+  the states, field rows and div F are computed once per step and only beta
+  once per reference.
+- For an autonomous field (time_dependent False) the backward path from x
+  over time t is a prefix of the path from x over any later time, so one
+  sweep of max(times) steps serves every time node on a point set: times run
+  in increasing order and each continues the sweep of the one before. A
+  time-dependent field has no prefix property and takes a fresh sweep,
+  starting at that time, for every time.
+- A density already computed at the same time on the solution's last point
+  set is served again without a sweep.
 """
 
 import csv
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +75,9 @@ class FlowConfig:
         return n
 
 
-def _rhs(field, u, Z):
-    vals = field.value(u, Z)
+def _velocity(vals, Z):
+    """Field rows vals as the velocity of the states Z: zero beyond the
+    field's components."""
     k = vals.shape[1]
     if k == Z.shape[1]:
         return vals
@@ -75,16 +88,15 @@ def _rhs(field, u, Z):
     return out
 
 
-def _step(field, u, Z, h, integrator):
+def _step(field, u, Z, h, integrator, F):
+    """One step of size h from (u, Z), given the field rows F = field.value(u, Z)."""
+    k1 = _velocity(F, Z)
+    k2 = _velocity(field.value(u + 0.5 * h, Z + 0.5 * h * k1), Z)
     if integrator == "RK2":
-        k1 = _rhs(field, u, Z)
-        k2 = _rhs(field, u + 0.5 * h, Z + 0.5 * h * k1)
         nxt = Z + h * k2
     else:
-        k1 = _rhs(field, u, Z)
-        k2 = _rhs(field, u + 0.5 * h, Z + 0.5 * h * k1)
-        k3 = _rhs(field, u + 0.5 * h, Z + 0.5 * h * k2)
-        k4 = _rhs(field, u + h, Z + h * k3)
+        k3 = _velocity(field.value(u + 0.5 * h, Z + 0.5 * h * k2), Z)
+        k4 = _velocity(field.value(u + h, Z + h * k3), Z)
         nxt = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(nxt)):
         raise FieldEvaluationError(f"non-finite state while stepping at u={u}")
@@ -157,12 +169,10 @@ class TransportSolution:
             if isinstance(self.reference, LadderDensity)
             else self.reference.beta
         )
-        # the last backward sweep feynman_kac ran, for a later time to continue:
-        # (X, k, Z, acc, R), the states Z after k steps from the rows of X inside
-        # the support ball, the trapezoid sum acc of D*F (step k weighted 1/2)
-        # and the running sum R that continues it (step k weighted 1). Replaced
-        # whole and never mutated, so threads sharing a solution can at worst
-        # repeat a sweep.
+        # the last backward sweep on this solution, a _Sweep: for a later time
+        # to continue, and for the densities it computed to be served again.
+        # Replaced whole and never mutated, so threads sharing a solution can
+        # at worst repeat a sweep.
         self._sweep = None
 
     def rho(self, t, x):
@@ -177,37 +187,109 @@ class TransportSolution:
                     writer.writerow([f"{t:.12g}"] + [f"{c:.12g}" for c in row] + [f"{v:.17g}"])
 
 
+class _Sweep(NamedTuple):
+    """A solution's last backward sweep, taken from time t on the point set X.
+
+    Z holds the states after k steps of the rows of X inside the support ball,
+    and F the field rows at (t - k dt, Z), the next step's first RK stage; a
+    sweep shared by several solutions shares these arrays. acc is the
+    solution's trapezoid sum of D*F (step k weighted 1/2) and R the running
+    sum that continues it (step k weighted 1). served maps each time of this
+    and earlier sweeps on X to its read-only density.
+    """
+
+    X: np.ndarray
+    k: int
+    Z: np.ndarray
+    F: np.ndarray
+    acc: np.ndarray
+    R: np.ndarray
+    served: dict
+
+
 def feynman_kac(solution, t, x):
     """Density at time t and points x (rows); exactly 0 outside the support ball.
 
     Integrates the characteristics of x backward n = t/dt_ode steps to time 0
     and returns rho0 at their foot times exp(dt_ode * trapezoid sum of D*F).
-    For an autonomous field the path over t is a prefix of the path over any
-    later time, so when the solution's last sweep ran on the same points for
-    at most n steps this call continues it instead of restarting at x; the
-    sums keep the order of a fresh sweep, so the result is bit-identical. A
-    time-dependent field, an earlier time or other points start afresh at t.
+    A density the solution already computed at t on the same points is
+    served again as a copy. For an autonomous field the path over t is a
+    prefix of the path over any later time, so when the solution's last sweep
+    ran on the same points for at most n steps this call continues it instead
+    of restarting at x; the sums keep the order of a fresh sweep, so the
+    result is bit-identical. A time-dependent field, an earlier time or other
+    points start afresh at t.
 
     Exponent overflow beyond 700 raises RepresentationOverflowError naming the
     offending (t, x); points whose characteristic exits the initial support
     return exactly 0 without exponentiating.
     """
-    cfg = solution.config
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    rho = _sweep_to((solution,), t, X)[0]
+    return float(rho[0]) if np.asarray(x).ndim == 1 else rho.copy()
+
+
+def _weights(fld, betas, u, Z):
+    """The field rows F(u, Z) and, for each log-gradient oracle in betas,
+    D*F(u, Z) as fields.dstar computes it; F and div F are evaluated once."""
+    F = fld.value(u, Z)
+    k = F.shape[1]
+    neg_div = -fields_mod.divergence(fld, u, Z)
+    return F, [neg_div - (F * np.asarray(beta(Z), dtype=float)[:, :k]).sum(axis=1) for beta in betas]
+
+
+def _sweep_to(solutions, t, X):
+    """Densities at time t on the rows of X, one read-only array per solution,
+    from one backward sweep; the solutions share rho0, field and config.
+
+    Served from the solutions' last sweeps when each holds t on X; else the
+    sweep continues their last joint sweep on X when that is valid, or starts
+    afresh at t, and becomes each solution's last sweep.
+    """
+    first = solutions[0]
+    cfg, fld = first.config, first.field
     if t < 0 or t > cfg.T + 1e-12:
         raise ValueError(f"t={t} outside [0, {cfg.T}]")
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
-    out = np.zeros(X.shape[0])
-    near = np.sqrt((X ** 2).sum(axis=1)) <= solution.support_radius + 1e-12
     n = cfg.n_steps(t)
+    out = np.zeros(X.shape[0])
+    near = np.sqrt((X ** 2).sum(axis=1)) <= first.support_radius + 1e-12
     if n == 0:
-        out[near] = np.clip(solution.rho0.value(X[near]), 0.0, None)
-        return float(out[0]) if squeeze else out
-    if near.any():
-        Z, acc = _sweep_to(solution, t, X, near, n)
-        expnt = cfg.dt_ode * acc
-        rho0v = np.clip(solution.rho0.value(Z), 0.0, None)
-        alive = rho0v > 0
+        out[near] = np.clip(first.rho0.value(X[near]), 0.0, None)
+    if n == 0 or not near.any():
+        out.setflags(write=False)
+        return [out] * len(solutions)
+    lasts = [s._sweep for s in solutions]
+    if not all(last is not None and np.array_equal(last.X, X) for last in lasts):
+        lasts = None
+    elif all(t in last.served for last in lasts):
+        return [last.served[t] for last in lasts]
+
+    dt, betas = cfg.dt_ode, [s.beta_oracle for s in solutions]
+    # t <= horizon: a fresh sweep evaluates the field at t and raises beyond it
+    if (
+        lasts is not None
+        and lasts[0].k <= n
+        and not fld.time_dependent
+        and t <= fld.horizon
+        and all(last.Z is lasts[0].Z for last in lasts)
+    ):
+        k, Z, F = lasts[0].k, lasts[0].Z, lasts[0].F
+        accs, Rs = [last.acc for last in lasts], [last.R for last in lasts]
+    else:
+        k, Z = 0, X[near]
+        F, gs = _weights(fld, betas, t, Z)
+        Rs = [0.5 * g for g in gs]
+    for j in range(k + 1, n + 1):
+        Z = _step(fld, t - (j - 1) * dt, Z, -dt, cfg.integrator, F)
+        F, gs = _weights(fld, betas, max(t - j * dt, 0.0), Z)
+        accs = [R + 0.5 * g for R, g in zip(Rs, gs)]
+        Rs = [R + g for R, g in zip(Rs, gs)]
+
+    rho0v = np.clip(first.rho0.value(Z), 0.0, None)
+    alive = rho0v > 0
+    rhos = []
+    for acc in accs:
+        expnt = dt * acc
         if np.any(expnt[alive] > 700.0):
             bad = int(np.argmax(np.where(alive, expnt, -np.inf)))
             raise RepresentationOverflowError(
@@ -215,35 +297,15 @@ def feynman_kac(solution, t, x):
             )
         vals = np.zeros(Z.shape[0])
         vals[alive] = rho0v[alive] * np.exp(expnt[alive])
-        out[near] = vals
-    return float(out[0]) if squeeze else out
-
-
-def _sweep_to(solution, t, X, near, n):
-    """States and trapezoid sum of D*F after n >= 1 backward steps from
-    (t, X[near]), continuing the solution's last sweep when that is valid;
-    the result becomes the last sweep."""
-    cfg, fld, beta = solution.config, solution.field, solution.beta_oracle
-    dt = cfg.dt_ode
-    last = solution._sweep
-    # t <= horizon: a fresh sweep evaluates the field at t and raises beyond it
-    if (
-        last is not None
-        and last[1] <= n
-        and not fld.time_dependent
-        and t <= fld.horizon
-        and np.array_equal(last[0], X)
-    ):
-        _, k, Z, acc, R = last
-    else:
-        k, Z, acc = 0, X[near], None
-        R = 0.5 * fields_mod.dstar(fld, beta, t, Z)
-    for j in range(k + 1, n + 1):
-        Z = _step(fld, t - (j - 1) * dt, Z, -dt, cfg.integrator)
-        g = fields_mod.dstar(fld, beta, max(t - j * dt, 0.0), Z)
-        acc, R = R + 0.5 * g, R + g
-    solution._sweep = (X.copy(), n, Z, acc, R)
-    return Z, acc
+        rho = out.copy()
+        rho[near] = vals
+        rho.setflags(write=False)
+        rhos.append(rho)
+    X = X.copy()
+    for i, s in enumerate(solutions):
+        served = {**(lasts[i].served if lasts is not None else {}), t: rhos[i]}
+        s._sweep = _Sweep(X, n, Z, F, accs[i], Rs[i], served)
+    return rhos
 
 
 def feynman_kac_many(solution, times, x):
@@ -252,7 +314,8 @@ def feynman_kac_many(solution, times, x):
     Times run in increasing order, so for an autonomous field each continues
     the backward sweep of the one before and the whole set costs one sweep of
     max(times) steps; a time-dependent field takes one fresh sweep per time.
-    Rows follow the order of `times`; each time is checked as in feynman_kac.
+    A repeated time is served from the first. Rows follow the order of
+    `times`; each time is checked as in feynman_kac.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     times = [float(t) for t in times]
@@ -260,6 +323,27 @@ def feynman_kac_many(solution, times, x):
     for i in sorted(range(len(times)), key=times.__getitem__):
         out[i] = feynman_kac(solution, times[i], X)
     return out
+
+
+def feynman_kac_shared(solutions, times, x):
+    """Densities of several solutions at each time on one point set, shape
+    (len(solutions), len(times), npts), from one backward sweep.
+
+    The solutions must share rho0, field and config, as solutions of one
+    problem under different reference measures do: the characteristics then
+    coincide and only the log-gradient in D*F differs. The sweep walks the
+    times in increasing order for all solutions together, leaving each
+    density in its solution's last sweep; feynman_kac_many then serves them.
+    Raises ValueError for solutions that do not share the three.
+    """
+    first = solutions[0]
+    for s in solutions[1:]:
+        if s.rho0 is not first.rho0 or s.field is not first.field or s.config != first.config:
+            raise ValueError("solutions share a backward sweep only with the same rho0, field and config")
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    for t in sorted({float(t) for t in times}):
+        _sweep_to(solutions, t, X)
+    return np.stack([feynman_kac_many(s, times, X) for s in solutions])
 
 
 def solve(rho0, field, reference, config, time_grid=(), eval_points=None, y=None, N=None):

@@ -301,7 +301,10 @@ def uniqueness_probe(rho0, field, references, config, t_eval, tol=1e-2, n_eval=2
 
     references: two or more reference densities (exact slices or ladders) for
     the same problem; evaluation points are drawn once, uniformly over the
-    common support box, and shared by every solution.
+    common support box, and shared by every solution. The solutions differ
+    only in their reference, so one backward sweep over the evaluation points
+    serves them all: the characteristics are integrated once and only the
+    log-gradient in D*F is evaluated per reference.
     """
     if len(references) < 2:
         raise ValueError("need at least two discretizations to compare")
@@ -313,7 +316,7 @@ def uniqueness_probe(rho0, field, references, config, t_eval, tol=1e-2, n_eval=2
     N = sols[0].N
     rng = as_rng(seed, "verify", "uniqueness")
     X = rng.uniform(-R, R, size=(n_eval, N))
-    rhos = [transport.feynman_kac_many(s, np.atleast_1d(t_eval), X) for s in sols]
+    rhos = transport.feynman_kac_shared(sols, np.atleast_1d(t_eval), X)
     dists = {}
     worst = 0.0
     for a in range(len(sols)):

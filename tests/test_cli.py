@@ -369,6 +369,11 @@ def test_fault_inside_the_numerics_is_not_a_config_error(tmp_path, monkeypatch, 
         ("bdg-check", {"p": 2}, "params.p"),
         ("spde-invariant", {"reaction": {"name": "cubic", "c1": 0.5}}, "params.reaction"),
         ("spde-invariant", {"reaction": {"name": "quintic", "c1": 0.5}}, "params.reaction"),
+        ("transport-solve", {"measure": {"name": "cauchy"}}, "params.measure"),
+        ("transport-solve", {"rho0": {"name": "bump", "radii": [-0.5]}}, "params.rho0"),
+        ("entropy-audit", {"dt": "fine"}, "params.dt"),
+        ("verify-suite", {"problems": [dict(problem_params(), id="p", T=0.0)]}, "params.problems[p].T"),
+        ("transport-solve", {"test_function": {"g": "sawtooth"}}, "params.test_function"),
     ],
 )
 def test_spec_errors_exit_two_with_their_field_path(tmp_path, capsys, kind, change, path):
@@ -386,3 +391,37 @@ def test_delta_too_large_suggests_a_delta_from_one_pilot_sample(tmp_path, capsys
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert re.search(r"config error: params\.delta: .*suggested delta=0\.\d+", capsys.readouterr().err)
     assert len(calls) == 1
+
+
+def test_unknown_field_names_its_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"kind": "transport-solve", "params": {**problem_params(), "field": {"name": "nemytskii:tan"}}})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "config error: params.field: unknown field 'nemytskii:tan'" in capsys.readouterr().err
+
+
+def verify_problem(**change):
+    return {"problems": [dict(problem_params(), id="p", **change)]}
+
+
+@pytest.mark.parametrize(
+    "kind, change, path",
+    [
+        ("transport-solve", {"times": [0.0105]}, "params.times"),
+        ("transport-solve", {"times": [0.75]}, "params.times"),
+        ("transport-solve", {"eval_radius": "wide"}, "params.eval_radius"),
+        ("entropy-audit", {"domain_radius": -1.0}, "params.domain_radius"),
+        ("entropy-audit", {"tail_samples": "many"}, "params.tail_samples"),
+        ("entropy-audit", {"cf_per_axis": 0}, "params.cf_per_axis"),
+        ("entropy-audit", {"times": ["soon"]}, "params.times"),
+        ("verify-suite", verify_problem(n_per_axis="fine"), "params.problems[p].n_per_axis"),
+        ("verify-suite", verify_problem(times=0.25), "params.problems[p].times"),
+        ("verify-suite", {"uniqueness": True, "uniqueness_tol": "tight"}, "params.uniqueness_tol"),
+    ],
+)
+def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):
+    # a value checked only after the numerics start would meet this fault first
+    monkeypatch.setattr(measures, "normalizing_constant", _fault)
+    params = {} if kind == "verify-suite" else problem_params()
+    cfg = write_config(tmp_path, {"kind": kind, "params": {**params, **change}})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err

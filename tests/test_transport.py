@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refflow import catalog, fields, measures, transport
+from refflow import catalog, cli, fields, measures, transport
 from refflow.transport import (
     FlowConfig,
     RepresentationOverflowError,
@@ -11,6 +13,7 @@ from refflow.transport import (
     bump_density,
     feynman_kac,
     feynman_kac_many,
+    feynman_kac_shared,
     pde_residual,
     solve,
 )
@@ -257,7 +260,7 @@ def _feynman_kac_reference(solution, t, X):
     acc = 0.5 * fields.dstar(fld, beta, t, Z)
     u = t
     for k in range(1, n + 1):
-        Z = transport._step(fld, u, Z, -cfg.dt_ode, cfg.integrator)
+        Z = transport._step(fld, u, Z, -cfg.dt_ode, cfg.integrator, fld.value(u, Z))
         u = t - k * cfg.dt_ode
         g = fields.dstar(fld, beta, max(u, 0.0), Z)
         acc = acc + (0.5 * g if k == n else g)
@@ -310,18 +313,20 @@ def test_sweep_matches_per_time_integration(pid, ladder, integrator):
         assert np.array_equal(feynman_kac(fresh, t, X), row)
 
 
-def test_sweep_restarts_for_time_dependent_field():
-    growing = fields.CylindricalField(
-        components=(
-            fields.FieldComponent(
-                value_fn=lambda t, X: 0.1 * (1.0 + 5.0 * t) * np.ones(X.shape[0]),
-                grad_fn=lambda t, X: np.zeros((X.shape[0], 1)),
-                bound=0.2,
-            ),
+GROWING = fields.CylindricalField(
+    components=(
+        fields.FieldComponent(
+            value_fn=lambda t, X: 0.1 * (1.0 + 5.0 * t) * np.ones(X.shape[0]),
+            grad_fn=lambda t, X: np.zeros((X.shape[0], 1)),
+            bound=0.2,
         ),
-        time_dependent=True,
-    )
-    sol = _catalog_solution("g1_const", "RK4", field=growing)
+    ),
+    time_dependent=True,
+)
+
+
+def test_sweep_restarts_for_time_dependent_field():
+    sol = _catalog_solution("g1_const", "RK4", field=GROWING)
     X = _points(sol)
     want = np.stack([_feynman_kac_reference(sol, t, X) for t in SWEEP_TIMES])
     assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
@@ -351,6 +356,9 @@ def test_sweep_is_not_continued_on_points_changed_in_place():
     feynman_kac(sol, 0.01, X)
     X += 0.05
     assert np.array_equal(feynman_kac(sol, 0.02, X), _feynman_kac_reference(sol, 0.02, X))
+    # nor is a density at the same time served for them
+    X += 0.05
+    assert np.array_equal(feynman_kac(sol, 0.02, X), _feynman_kac_reference(sol, 0.02, X))
 
 
 def _pde_residual_old_order(solution, t, X, h_t, h_x):
@@ -375,12 +383,75 @@ def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
     sol = _catalog_solution(pid, "RK4", ladder=ladder)
     X = _points(sol)[::7]
     h = 2 * sol.config.dt_ode
-    dstar = fields.dstar
+    # the sweep evaluates the field through CylindricalField.value, not dstar
+    assert isinstance(sol.field, fields.CylindricalField)
+    value = fields.CylindricalField.value
     calls = []
-    monkeypatch.setattr(transport.fields_mod, "dstar", lambda *a: calls.append(1) or dstar(*a))
+    monkeypatch.setattr(fields.CylindricalField, "value", lambda *a: calls.append(1) or value(*a))
     want = _pde_residual_old_order(sol, 0.02, X, h, 1e-4)
     old_calls = len(calls)
     calls.clear()
     assert np.array_equal(pde_residual(sol, 0.02, X, h_t=h, h_x=1e-4), want)
     # t - h_t, t and t + h_t share one sweep instead of taking three
     assert len(calls) < old_calls - sol.config.n_steps(0.02)
+
+
+def _slice_and_ladder(pid, integrator, field=None):
+    """Solutions of one catalog problem under its exact slice and under the
+    ladder Psi^2_{8,16} of that slice."""
+    exact = _catalog_solution(pid, integrator, field=field)
+    ladder = measures.ladder(exact.reference, 8, 16)
+    return [exact, TransportSolution(rho0=exact.rho0, field=exact.field, reference=ladder, config=exact.config, N=exact.N)]
+
+
+@pytest.mark.parametrize("integrator", ["RK4", "RK2"])
+@pytest.mark.parametrize("pid,field", [("g1_const", None), ("gibbs1_arctan", None), ("g2_swirl", None), ("g1_const", GROWING)])
+def test_shared_sweep_matches_each_reference(pid, field, integrator):
+    sols = _slice_and_ladder(pid, integrator, field=field)
+    X = _points(sols[0])
+    assert not np.all(np.sqrt((X ** 2).sum(axis=1)) <= sols[0].support_radius)
+    want = np.stack([[_feynman_kac_reference(s, t, X) for t in SWEEP_TIMES] for s in sols])
+    assert np.any(want[0] != want[1])
+    assert np.array_equal(feynman_kac_shared(sols, SWEEP_TIMES, X), want)
+
+
+def test_served_density_is_a_copy(monkeypatch):
+    sol = _catalog_solution("g2_swirl", "RK4")
+    X = _points(sol)
+    got = feynman_kac(sol, 0.02, X)
+    want = got.copy()
+    got[:] = -1.0
+    value = fields.CylindricalField.value
+    calls = []
+    monkeypatch.setattr(fields.CylindricalField, "value", lambda *a: calls.append(1) or value(*a))
+    assert np.array_equal(feynman_kac(sol, 0.02, X), want)
+    assert np.array_equal(feynman_kac_many(sol, [0.02, 0.02], X), [want, want])
+    assert calls == []
+
+
+def test_shared_sweep_needs_one_rho0_field_and_config():
+    sols = _slice_and_ladder("g1_const", "RK4")
+    X = _points(sols[0])
+    exact = sols[0]
+    base = dict(rho0=exact.rho0, field=exact.field, reference=sols[1].reference, config=exact.config, N=1)
+    for change in (
+        {"rho0": bump_density([0.0], [0.5])},
+        {"field": fields.constant_field([0.1])},
+        {"config": FlowConfig(dt_ode=exact.config.dt_ode, T=exact.config.T, integrator="RK2")},
+    ):
+        with pytest.raises(ValueError, match="same rho0, field and config"):
+            feynman_kac_shared([exact, TransportSolution(**{**base, **change})], [0.01], X)
+
+
+def test_uniqueness_report_is_the_same_for_any_worker_count(tmp_path):
+    problems = [
+        dict(p, T=0.04, times=[0.02, 0.04], n_per_axis=32)
+        for p in catalog.default_problems("all")
+    ]
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps({"kind": "verify-suite", "seed": 3, "params": {"problems": problems, "n_time": 4, "uniqueness": True}}))
+    for workers in ("1", "2"):
+        assert cli.main(["run", str(path), "--output", str(tmp_path / workers), "--workers", workers]) == 0
+    report = (tmp_path / "1" / "report.json").read_bytes()
+    assert b"uniqueness" in report
+    assert report == (tmp_path / "2" / "report.json").read_bytes()
