@@ -92,6 +92,7 @@ def _count(path, raw, low):
 
 
 def _positive(path, raw):
+    """float(raw), checked to be positive."""
     value = _validated(path, float, raw)
     if not value > 0:
         raise ConfigError(f"{path}: must be positive, got {value}")
@@ -271,9 +272,7 @@ def run_entropy_audit(params, seed, workers, outdir):
             delta = fields_mod.delta_recipe(field, m)
         except fields_mod.UnboundedFieldError as exc:
             raise ConfigError(f"params.field: {exc}") from exc
-    delta = _validated("params.delta", float, delta)
-    if not delta > 0:
-        raise ConfigError(f"params.delta: must be positive, got {delta}")
+    delta = _positive("params.delta", delta)
     sol = transport.solve(rho0, field, reference, config, N=int(params["N"]))
     slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
     try:
@@ -345,9 +344,7 @@ def run_spde_invariant(params, seed, workers, outdir):
     count = _validated("params.count", int, params.get("count", 2000))
     if count < 4:
         raise ConfigError("params.count: must be at least 4 (two draws per half of the chain)")
-    thinning = _validated("params.thinning", int, params.get("thinning", 5))
-    if thinning < 1:
-        raise ConfigError("params.thinning: must be at least 1")
+    thinning = _count("params.thinning", params.get("thinning", 5), 1)
     try:
         samples, rep = spde.sample_invariant(config, burn_in, count, thinning, stream(seed, "spde-invariant", "chain"))
     except spde.BurnInError as exc:
@@ -387,9 +384,7 @@ def run_commutator_curve(params, seed, workers, outdir):
         raise ConfigError("params.n_x: must be at least 4 (two base points per half of the chain)")
     thinning = params.get("thinning")
     if thinning is not None:
-        thinning = _validated("params.thinning", int, thinning)
-        if thinning < 1:
-            raise ConfigError("params.thinning: must be at least 1")
+        thinning = _count("params.thinning", thinning, 1)
     rep = spde.commutator_decay_curve(config, u, F, eps_grid, n_mc, n_x, seed, thinning=thinning, workers=workers)
     rows = [[_fmt(c.eps), _fmt(c.value), _fmt(c.stderr), str(c.n_samples)] for c in rep.estimates]
     out = _write_csv(outdir, "commutator_curve.csv", ["eps", "value", "stderr", "n_samples"], rows)
@@ -419,15 +414,11 @@ def run_bdg_check(params, seed, workers, outdir):
     phi = _validated("params.phi", np.asarray, params.get("phi", 1.0), dtype=float)
     if phi.ndim > 1 or phi.size == 0:
         raise ConfigError("params.phi: must be a number or a nonempty list of numbers")
-    t = _validated("params.t", float, params.get("t", 1.0))
-    if not t > 0:
-        raise ConfigError(f"params.t: must be positive, got {t}")
+    t = _positive("params.t", params.get("t", 1.0))
     n_mc = _validated("params.n_mc", int, params.get("n_mc", 20000))
     if n_mc < 2:
         raise ConfigError("params.n_mc: need at least 2 samples")
-    n_steps = _validated("params.n_steps", int, params.get("n_steps", 512))
-    if n_steps < 1:
-        raise ConfigError(f"params.n_steps: must be at least 1, got {n_steps}")
+    n_steps = _count("params.n_steps", params.get("n_steps", 512), 1)
     rep1 = spde.bdg_check(p, phi, t, n_mc, stream(seed, "bdg-check", "mc", 1), n_steps)
     reps = [(n_mc, rep1)]
     if params.get("doubling", True):

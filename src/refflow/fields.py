@@ -5,7 +5,8 @@ function of the first few coordinates) and NemytskiiField (a bounded scalar
 reaction composed pointwise, then smoothed by (-A)^{-1}). The operators
 divergence and dstar implement div F and D*F = -div F - sum_i f_i beta_{e_i},
 where beta comes either from the measure (exact) or from a ladder density's
-log-gradient.
+log-gradient; dstar_rows evaluates D*F under several betas at once, together
+with the field rows.
 """
 
 import math
@@ -226,11 +227,18 @@ def dstar(field, beta_oracle, t, X):
     log-gradient; pass a SliceDensity.beta for the exact operator or a
     LadderDensity.log_gradient for the clipped/mollified variant.
     """
+    return dstar_rows(field, (beta_oracle,), t, X)[1][0]
+
+
+def dstar_rows(field, beta_oracles, t, X):
+    """The field rows F(t, X) and D*F(t, X) under each log-gradient oracle,
+    with F and div F evaluated once for all oracles; dstar is the one-oracle
+    case."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     vals = field.value(t, X)
     k = vals.shape[1]
-    b = np.asarray(beta_oracle(X), dtype=float)[:, :k]
-    return -divergence(field, t, X) - (vals * b).sum(axis=1)
+    neg_div = -divergence(field, t, X)
+    return vals, [neg_div - (vals * np.asarray(beta(X), dtype=float)[:, :k]).sum(axis=1) for beta in beta_oracles]
 
 
 # ---------------------------------------------------------------------------

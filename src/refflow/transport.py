@@ -18,7 +18,7 @@ One kernel, _sweep_to, takes every backward sweep:
   log-gradient in D*F = -div F - sum_i f_i beta_i. Solutions that share
   rho0, field and config therefore share one sweep (feynman_kac_shared):
   the states, field rows and div F are computed once per step and only beta
-  once per reference.
+  once per reference (fields.dstar_rows).
 - For an autonomous field (time_dependent False) the backward path from x
   over time t is a prefix of the path from x over any later time, so one
   sweep of max(times) steps serves every time node on a point set: times run
@@ -229,15 +229,6 @@ def feynman_kac(solution, t, x):
     return float(rho[0]) if np.asarray(x).ndim == 1 else rho.copy()
 
 
-def _weights(fld, betas, u, Z):
-    """The field rows F(u, Z) and, for each log-gradient oracle in betas,
-    D*F(u, Z) as fields.dstar computes it; F and div F are evaluated once."""
-    F = fld.value(u, Z)
-    k = F.shape[1]
-    neg_div = -fields_mod.divergence(fld, u, Z)
-    return F, [neg_div - (F * np.asarray(beta(Z), dtype=float)[:, :k]).sum(axis=1) for beta in betas]
-
-
 def _sweep_to(solutions, t, X):
     """Densities at time t on the rows of X, one read-only array per solution,
     from one backward sweep; the solutions share rho0, field and config.
@@ -277,11 +268,11 @@ def _sweep_to(solutions, t, X):
         accs, Rs = [last.acc for last in lasts], [last.R for last in lasts]
     else:
         k, Z = 0, X[near]
-        F, gs = _weights(fld, betas, t, Z)
+        F, gs = fields_mod.dstar_rows(fld, betas, t, Z)
         Rs = [0.5 * g for g in gs]
     for j in range(k + 1, n + 1):
         Z = _step(fld, t - (j - 1) * dt, Z, -dt, cfg.integrator, F)
-        F, gs = _weights(fld, betas, max(t - j * dt, 0.0), Z)
+        F, gs = fields_mod.dstar_rows(fld, betas, max(t - j * dt, 0.0), Z)
         accs = [R + 0.5 * g for R, g in zip(Rs, gs)]
         Rs = [R + g for R, g in zip(Rs, gs)]
 

@@ -16,6 +16,7 @@ from refflow.fields import (
     delta_recipe,
     divergence,
     dstar,
+    dstar_rows,
     galerkin,
 )
 from reference import dstar_product_rule_check, linear_field
@@ -160,6 +161,20 @@ def test_product_rule_on_gibbs_slice():
     phi = catalog.build_cylinder("gauss_m123")
     X = np.random.default_rng(8).normal(scale=0.3, size=(60, 4))
     assert dstar_product_rule_check(gal, phi, slc.beta, X) < 1e-12
+
+
+def test_dstar_rows_is_dstar_under_each_oracle():
+    m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=2), alpha=1.0, p=4.0)
+    slc = measures.psi_squared(m, 2).bind()
+    gal = galerkin(catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 2}), 1)
+    oracles = (slc.beta, measures.ladder(slc, 8, 16).log_gradient)
+    X = np.random.default_rng(9).normal(scale=0.5, size=(30, 2))
+    F, rows = dstar_rows(gal, oracles, 0.0, X)
+    assert np.array_equal(F, gal.value(0.0, X))
+    for beta, row in zip(oracles, rows):
+        assert np.array_equal(row, -divergence(gal, 0.0, X) - (F * beta(X)[:, :1]).sum(axis=1))
+        assert np.array_equal(row, dstar(gal, beta, 0.0, X))
+    assert np.any(rows[0] != rows[1])
 
 
 def test_claims_probe_bounded_and_stable():

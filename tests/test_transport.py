@@ -392,8 +392,14 @@ def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
     old_calls = len(calls)
     calls.clear()
     assert np.array_equal(pde_residual(sol, 0.02, X, h_t=h, h_x=1e-4), want)
-    # t - h_t, t and t + h_t share one sweep instead of taking three
-    assert len(calls) < old_calls - sol.config.n_steps(0.02)
+    # t - h_t, t and t + h_t share one sweep instead of taking three. A fresh
+    # RK4 sweep of n steps evaluates F 1 + 4n times and a continuation of n
+    # steps 4n times; pde_residual evaluates F once itself and once in dstar.
+    fresh = lambda t: 1 + 4 * sol.config.n_steps(t)
+    per_axis = 2 * fresh(0.02)
+    assert len(calls) == fresh(0.02 - h) + 2 * 4 * sol.config.n_steps(h) + X.shape[1] * per_axis + 2
+    # the old order swept afresh at t - h_t and at t as well
+    assert len(calls) < old_calls - 4 * sol.config.n_steps(0.02)
 
 
 def _slice_and_ladder(pid, integrator, field=None):
