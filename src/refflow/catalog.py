@@ -32,6 +32,14 @@ class SpecError(ValueError):
         self.field = field
 
 
+def spec_block(spec):
+    """spec, checked to be a parsed JSON object; anything else raises a
+    TypeError, which the config readers report under the block's path."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"must be a JSON object, got {spec!r}")
+    return spec
+
+
 def _registry(*entries):
     return {e.label.split("(")[0]: e for e in entries}
 
@@ -63,6 +71,7 @@ MEASURES = _registry(
 
 
 def build_measure(spec):
+    spec_block(spec)
     n_modes = int(spec.get("n_modes", 1))
     return _lookup(MEASURES, "measure", spec.get("name", "gaussian")).build(spec, n_modes)
 
@@ -123,7 +132,7 @@ REACTIONS = _registry(
 
 def polynomial_reaction(spec):
     """SPDE reaction coefficients (ascending powers)."""
-    spec = spec or {}
+    spec = spec_block(spec or {})
     return _lookup(REACTIONS, "reaction", spec.get("name", "ou")).build(spec)
 
 
@@ -178,6 +187,7 @@ FIELDS = _registry(
 
 
 def build_field(spec, n_modes=None):
+    spec_block(spec)
     return _lookup(FIELDS, "field", spec.get("name", "constant")).build(spec, n_modes)
 
 
@@ -199,6 +209,7 @@ DENSITIES = _registry(
 
 
 def build_density(spec):
+    spec_block(spec)
     return _lookup(DENSITIES, "density", spec.get("name", "bump")).build(spec)
 
 
@@ -354,6 +365,7 @@ def build_time_factor(name, T):
 
 
 def build_test_function(spec, T):
+    spec_block(spec)
     g, gp = build_time_factor(spec.get("g", "linear_ramp"), T)
     f = build_cylinder(spec.get("f", "cos_m1"))
     return verify.TestFunction(g=g, g_prime=gp, f=f, T=T, name=f"{spec.get('g','linear_ramp')}*{f.name}")

@@ -218,12 +218,13 @@ def run_transport_solve(params, seed, workers, outdir):
 
 def run_verify_suite(params, seed, workers, outdir):
     pset = params.get("problems", "1d")
-    specs = _validated("params.problems", catalog.default_problems, pset) if isinstance(pset, str) else list(pset)
+    specs = _validated("params.problems", catalog.default_problems if isinstance(pset, str) else list, pset)
     n_time = _validated("params.n_time", int, params.get("n_time", 20))
     tol = _validated("params.uniqueness_tol", float, params.get("uniqueness_tol", 1e-2))
 
-    def checked(spec):
+    def checked(i, spec):
         """(spec, its mass-check times, its n_per_axis or None), read before any numerics run."""
+        _validated(f"params.problems[{i}]", catalog.spec_block, spec)
         path = f"params.problems[{spec.get('id', 'problem')}]"
         config = _spec(path, catalog.problem_config, spec)
         times = _times(f"{path}.times", spec.get("times", [config.T]), config)
@@ -245,7 +246,7 @@ def run_verify_suite(params, seed, workers, outdir):
             reps.append(verify.uniqueness_probe(rho0, field, refs, config, times, tol=tol, seed=seed))
         return pid, reps
 
-    results = map_units(one, [checked(spec) for spec in specs], workers)
+    results = map_units(one, [checked(i, spec) for i, spec in enumerate(specs)], workers)
     verdicts, details, rows = {}, {}, []
     for pid, reps in results:
         for rep in reps:
@@ -376,7 +377,8 @@ def run_commutator_curve(params, seed, workers, outdir):
     )
     for e in eps_grid:
         _validated("params.eps_grid", config.n_steps, e)
-    u = _validated("params.u", catalog.build_cylinder, params.get("u", "mode1_soft"), **params.get("u_args", {}))
+    u_args = _validated("params.u_args", catalog.spec_block, params.get("u_args", {}))
+    u = _validated("params.u", catalog.build_cylinder, params.get("u", "mode1_soft"), **u_args)
     F = _validated("params.field", catalog.build_field, params.get("field", {"name": "constant", "coeffs": [0.1]}))
     n_mc = _validated("params.n_mc", int, params.get("n_mc", 2000))
     n_x = _validated("params.n_x", int, params.get("n_x", 200))

@@ -288,8 +288,7 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
 
     penalty = (X ** 2).sum(axis=1)
     if getattr(measure, "alpha", 0.0) > 0:
-        U = X @ basis_matrix(measure.n_modes, measure.grid)
-        penalty = penalty + measure.p * measures._coupling(measure, U)[0]
+        penalty = penalty + measure.p * measures._coupling(measure, X)[0]
 
     def smallest_c(vals, pen):
         return float(max(0.0, np.max(-vals - eps * pen)))

@@ -10,7 +10,6 @@ lam_j = 2 pi^2 j^2 for the natural choice; the Gibbs family reweights the base
 by exp(-(alpha/p) int_0^1 |x(xi)|^p dxi) / Z with p > 2, alpha >= 0.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,9 +20,14 @@ from .rng import as_rng
 from .spectral import Grid, basis_matrix, exact_midpoint_grid, synthesize
 
 SLICE_GRID_NODES = 128
-# proposals per float walk of the Metropolis chain: two float lists of this
-# length are the walk's only per-proposal memory
-GIBBS_WALK_BLOCK = 1024
+# grid values per block of the coupling kernel: a block's three 512 KB
+# buffers fit in a 2 MB L2, and a slice call of verify-1d (at most 8448 rows
+# x 3 nodes) is one block
+COUPLING_BLOCK_VALUES = 65536
+# BLAS computes a product of few rows with kernels that round differently
+# from the ones a long product uses; blocks of at least this many rows, a
+# multiple of 8, give every row the bits the one-shot product gives it
+COUPLING_MIN_ROWS = 1024
 
 
 class SamplerDegenerateError(RuntimeError):
@@ -78,13 +82,47 @@ def coupling_grid(p, n_modes):
     return grid
 
 
-def _coupling(m, U, E=None):
-    """(alpha/p) int |U|^p dxi per row of grid values U on m.grid, for m with
-    alpha, p and grid; given E (rows e_i on the grid), also the gradient
-    alpha int e_i |U|^{p-2} U dxi per row, else None."""
+def coupling_block_rows(n_nodes):
+    """Rows per block of the coupling kernel on a grid of n_nodes nodes."""
+    return max(COUPLING_MIN_ROWS, COUPLING_BLOCK_VALUES // n_nodes // 8 * 8)
+
+
+def _coupling(m, X, shift=None, potential=True, gradient=False):
+    """The Gibbs coupling of coefficient rows X, for m with alpha, p and grid.
+
+    With U = synthesize(X, m.grid) (+ shift) the grid values and e_i the
+    rows of basis_matrix(X.shape[1], m.grid): the potential
+    (alpha/p) int |U|^p dxi and the gradient alpha int e_i |U|^{p-2} U dxi
+    per row, each None unless asked for. U is synthesized one block of rows
+    at a time, and worked on in reused buffers; the last block takes the rows
+    left over, so a call of fewer than two blocks' rows is one block.
+    """
+    E = basis_matrix(X.shape[1], m.grid)
+    n, n_nodes = X.shape[0], E.shape[1]
+    rows = coupling_block_rows(n_nodes)
+    starts = range(0, max(n // rows, 1) * rows, rows)
+    pot = np.empty(n) if potential else None
+    grad = np.empty((n, E.shape[0])) if gradient else None
+    A = np.empty((n - starts[-1], n_nodes))
+    P = np.empty_like(A) if potential and gradient else A
     w = m.grid.weights
-    pot = (m.alpha / m.p) * (np.abs(U) ** m.p @ w)
-    grad = None if E is None else m.alpha * ((np.abs(U) ** (m.p - 2.0) * U * w) @ E.T)
+    for lo in starts:
+        hi = lo + rows if lo != starts[-1] else n
+        u = synthesize(X[lo:hi], m.grid)
+        if shift is not None:
+            u += shift
+        a = np.abs(u, out=A[: hi - lo])
+        if potential:
+            np.matmul(np.power(a, m.p, out=P[: hi - lo]), w, out=pot[lo:hi])
+        if gradient:
+            a **= m.p - 2.0  # as ** computes it: the square for p = 4
+            a *= u
+            a *= w
+            np.matmul(a, E.T, out=grad[lo:hi])
+    if potential:
+        pot *= m.alpha / m.p
+    if gradient:
+        grad *= m.alpha
     return pot, grad
 
 
@@ -121,8 +159,7 @@ def beta_components(measure, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = -measure.lam * X
     if isinstance(measure, GibbsMeasure) and measure.alpha > 0:
-        E = basis_matrix(measure.n_modes, measure.grid)
-        out = out - _coupling(measure, X @ E, E)[1]
+        out = out - _coupling(measure, X, potential=False, gradient=True)[1]
     return out
 
 
@@ -153,6 +190,34 @@ def lag1_autocorrelation(v):
     return float((d[:-1] * d[1:]).sum() / denom)
 
 
+def _metropolis_walk(state_pot, pots, logu):
+    """The accept decisions of an independence Metropolis chain that enters
+    with potential state_pot: proposal k is accepted, and becomes the state,
+    when logu[k] <= (potential of the state before k) - pots[k]. Returns
+    (acc, last), last[k] the index of the state after proposal k, -1 for the
+    entering state.
+
+    The decisions are solved as a fixed point instead of walked: guess the
+    state before each proposal, decide every proposal against its guess,
+    rebuild the guesses from those decisions, and repeat until the decisions
+    stop changing. Where the decisions before k are the walk's, the next
+    round's decision at k is the walk's too, so the first position at which
+    the iterate differs from the walk moves right every round: the loop ends
+    within len(pots) rounds, and its one fixed point is the walk.
+    """
+    idx = np.arange(len(pots))
+    pot_of = np.append(pots, state_pot)  # index -1 is the entering state
+    prev = idx - 1  # first guess: every proposal accepted
+    acc = None
+    while True:
+        new = logu <= pot_of[prev] - pots
+        if acc is not None and np.array_equal(new, acc):
+            return acc, last
+        acc = new
+        last = np.maximum.accumulate(np.where(acc, idx, -1))
+        prev[1:] = last[:-1]
+
+
 def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
     """Gibbs draws via independence Metropolis from the base Gaussian.
 
@@ -169,41 +234,34 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
 
     base_std = measure.base.mode_std
     state = rng.standard_normal(measure.n_modes) * base_std
-    state_pot = float(_coupling(measure, synthesize(state[None], measure.grid))[0][0])
+    state_pot = float(_coupling(measure, state[None])[0][0])
     accepted = 0
     proposed = 0
 
-    def advance(n_steps):
+    def advance(n_steps, thin=1):
+        """The chain's states after proposals thin-1, 2 thin-1, ... of
+        n_steps new ones, drawn in bulk with their uniforms."""
         nonlocal state, state_pot, accepted, proposed
-        out = np.empty((n_steps, measure.n_modes))
-        # draw proposals and uniforms in bulk, then walk the chain in plain
-        # floats one block at a time, recording the accepted indices
-        props = rng.standard_normal((n_steps, measure.n_modes)) * base_std
-        pots = _coupling(measure, synthesize(props, measure.grid))[0]
+        props = rng.standard_normal((n_steps, measure.n_modes))
+        props *= base_std
+        pots = _coupling(measure, props)[0]
         logu = np.log(rng.random(n_steps))
-        for lo in range(0, n_steps, GIBBS_WALK_BLOCK):
-            hi = min(lo + GIBBS_WALK_BLOCK, n_steps)
-            pot, hits = state_pot, []
-            for k, lu, pk in zip(range(lo, hi), logu[lo:hi].tolist(), pots[lo:hi].tolist()):
-                if lu <= pot - pk:
-                    pot = pk
-                    hits.append(k)
-            if proposed < adapt_window <= proposed + hi - lo:
-                # acceptances up to and including the window's last proposal
-                seen = accepted + bisect.bisect_left(hits, lo + adapt_window - proposed)
-                if seen < 0.01 * adapt_window:
-                    raise SamplerDegenerateError(
-                        f"acceptance {seen}/{adapt_window} below 1%: alpha*p too aggressive "
-                        f"for n_modes={measure.n_modes}"
-                    )
-            state_pot = pot
-            accepted += len(hits)
-            proposed += hi - lo
-            first = hits[0] if hits else hi
-            out[lo:first] = state
-            if hits:
-                out[first:hi] = props[np.repeat(hits, np.diff(hits + [hi]))]
-                state = props[hits[-1]]
+        acc, last = _metropolis_walk(state_pot, pots, logu)
+        if proposed < adapt_window <= proposed + n_steps:
+            # acceptances up to and including the window's last proposal
+            seen = accepted + int(np.count_nonzero(acc[: adapt_window - proposed]))
+            if seen < 0.01 * adapt_window:
+                raise SamplerDegenerateError(
+                    f"acceptance {seen}/{adapt_window} below 1%: alpha*p too aggressive "
+                    f"for n_modes={measure.n_modes}"
+                )
+        accepted += int(np.count_nonzero(acc))
+        proposed += n_steps
+        kept = last[thin - 1 :: thin]
+        out = props[np.maximum(kept, 0)]
+        out[kept < 0] = state
+        if last[-1] >= 0:
+            state, state_pot = props[last[-1]].copy(), float(pots[last[-1]])
         return out
 
     warmup = min(200, 10 * measure.n_modes)
@@ -214,7 +272,7 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
         thin *= 2
         if thin > max_thin:
             raise NotThinnableError(f"lag-1 autocorrelation still >= 0.1 at thinning {max_thin}")
-        chain = advance(count * thin)[thin - 1 :: thin]
+        chain = advance(count * thin, thin)
     return chain
 
 
@@ -223,7 +281,7 @@ def normalizing_constant(measure, count=20000, seed=0):
     if isinstance(measure, GaussianMeasure) or measure.alpha == 0:
         return 1.0, 0.0
     draws = sample_gaussian(measure.base, count, as_rng(seed, "measures", "zconst"))
-    w = np.exp(-_coupling(measure, synthesize(draws, measure.grid))[0])
+    w = np.exp(-_coupling(measure, draws)[0])
     return float(w.mean()), float(w.std(ddof=1) / math.sqrt(count))
 
 
@@ -252,23 +310,25 @@ class SliceDensity:
     smooth_positive_bounded: bool = True
     disintegration: object = None  # the DisintegrationDensity that bound it
 
-    def _log_value_and_beta(self, X, gradient=True):
+    def _log_value_and_beta(self, X, value=True, gradient=True):
+        """(log value, beta) rows of X, each None unless asked for."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        logv = self.log_pref - 0.5 * (X ** 2 @ self.lam)
-        b = -self.lam * X
+        logv = self.log_pref - 0.5 * (X ** 2 @ self.lam) if value else None
+        b = -self.lam * X if gradient else None
         if self.alpha > 0:
-            E = basis_matrix(self.N, self.grid)
-            pot, grad = _coupling(self, X @ E + self.y_values, E if gradient else None)
-            logv = logv - pot
-            b = b - grad if gradient else b
+            pot, grad = _coupling(self, X, self.y_values, value, gradient)
+            if value:
+                logv = logv - pot
+            if gradient:
+                b = b - grad
         return logv, b
 
     def value(self, X):
-        return np.exp(self._log_value_and_beta(X, False)[0])
+        return np.exp(self._log_value_and_beta(X, gradient=False)[0])
 
     def beta(self, X):
         """Log-gradient rows (d/dx_i log Psi^2)(x) = beta_{e_i}(x, y)."""
-        return self._log_value_and_beta(X)[1]
+        return self._log_value_and_beta(X, value=False)[1]
 
     def value_and_beta(self, X):
         logv, b = self._log_value_and_beta(X)

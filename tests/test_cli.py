@@ -374,6 +374,10 @@ def test_fault_inside_the_numerics_is_not_a_config_error(tmp_path, monkeypatch, 
         ("entropy-audit", {"dt": "fine"}, "params.dt"),
         ("verify-suite", {"problems": [dict(problem_params(), id="p", T=0.0)]}, "params.problems[p].T"),
         ("transport-solve", {"test_function": {"g": "sawtooth"}}, "params.test_function"),
+        # spec blocks that are not JSON objects
+        ("entropy-audit", {"field": "swirl"}, "params.field"),
+        ("verify-suite", {"problems": ["g1_const"]}, "params.problems[0]"),
+        ("ibp-check", {"measure": "gibbs"}, "params.measure"),
     ],
 )
 def test_spec_errors_exit_two_with_their_field_path(tmp_path, capsys, kind, change, path):

@@ -10,7 +10,6 @@ from scipy import stats
 from refflow import measures
 from refflow.cylinders import Cylinder
 from refflow.measures import (
-    GIBBS_WALK_BLOCK,
     GaussianMeasure,
     GibbsMeasure,
     LadderDensity,
@@ -32,7 +31,7 @@ from refflow.measures import (
     tensor_grid,
 )
 from refflow.rng import as_rng, stream
-from refflow.spectral import Grid, basis_matrix, synthesize
+from refflow.spectral import Grid, basis_matrix
 
 
 def gibbs4():
@@ -138,14 +137,14 @@ def ref_sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
     rng = as_rng(seed, "measures", "gibbs")
     std = measure.base.mode_std
     state = rng.standard_normal(measure.n_modes) * std
-    state_pot = float(measures._coupling(measure, synthesize(state[None], measure.grid))[0][0])
+    state_pot = float(measures._coupling(measure, state[None])[0][0])
     accepted = proposed = 0
 
     def advance(n_steps):
         nonlocal state, state_pot, accepted, proposed
         out = np.empty((n_steps, measure.n_modes))
         props = rng.standard_normal((n_steps, measure.n_modes)) * std
-        pots = measures._coupling(measure, synthesize(props, measure.grid))[0]
+        pots = measures._coupling(measure, props)[0]
         logu = np.log(rng.random(n_steps))
         for k in range(n_steps):
             if logu[k] <= state_pot - pots[k]:
@@ -185,8 +184,8 @@ WALK_CASES = {
     "below-window": (gibbs(4, 1.0, 4.0), 900, 1, {}),
     "at-window": (gibbs(4, 1.0, 4.0), 960, 2, {}),
     "above-window": (gibbs(4, 1.0, 4.0), 961, 1, {}),
-    "one-block": (gibbs(4, 2.0, 4.0), GIBBS_WALK_BLOCK, 1, {}),
-    "block-boundary": (gibbs(4, 2.0, 4.0), GIBBS_WALK_BLOCK + 1, 2, {}),
+    "one-block": (gibbs(4, 2.0, 4.0), 1024, 1, {}),
+    "block-boundary": (gibbs(4, 2.0, 4.0), 1025, 2, {}),
     "many-blocks": (gibbs(2, 5.0, 6.0), 20000, 1, {}),
     "thinning": (gibbs(4, 30.0, 4.0), 300, 1, {}),
     "not-thinnable": (gibbs(4, 30.0, 4.0), 300, 1, {"max_thin": 1}),
@@ -195,13 +194,16 @@ WALK_CASES = {
     "degenerate": (gibbs(32, 1e6, 4.0), 2000, 1, {}),
     "degenerate-window-ends-on-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"adapt_window": 1490}),
     "degenerate-window-before-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"adapt_window": 1300}),
-    "degenerate-in-later-block": (
-        gibbs(32, 1e6, 4.0), 4 * GIBBS_WALK_BLOCK, 1, {"adapt_window": 3 * GIBBS_WALK_BLOCK + 300}
-    ),
-    # unthinned chains whose first row after warmup, and whose third block's
-    # first row, repeat a state carried over from before a rejection
-    "advance-starts-with-rejection": (gibbs(4, 10.0, 4.0), GIBBS_WALK_BLOCK + 1, 14, {}),
-    "block-starts-with-rejection": (gibbs(4, 5.0, 4.0), 2 * GIBBS_WALK_BLOCK + 1, 39, {}),
+    "degenerate-in-later-block": (gibbs(32, 1e6, 4.0), 4096, 1, {"adapt_window": 3372}),
+    # unthinned chains whose first row after warmup, and whose row 2048,
+    # repeat a state carried over from before a rejection
+    "advance-starts-with-rejection": (gibbs(4, 10.0, 4.0), 1025, 14, {}),
+    "block-starts-with-rejection": (gibbs(4, 5.0, 4.0), 2049, 39, {}),
+    # sticky chains, thinned 64 and 128 times: 12740 proposals at 3.0%
+    # acceptance and 25530 at 2.0%, where the walk's fixed point takes the
+    # most rounds
+    "sticky": (gibbs(4, 1e5, 4.0), 100, 1, {}),
+    "sticky-gauss-legendre": (gibbs(3, 3e4, 3.0), 100, 1, {}),
 }
 
 
@@ -324,7 +326,7 @@ def test_coupling_on_exact_grid_matches_gauss_legendre(N):
     full = np.concatenate([X, np.broadcast_to(y, (25, 2))], axis=1)
     pot_ref, grad_ref = _coupling_reference(m.alpha, m.p, full, N + 2)
 
-    pot, grad = measures._coupling(m, synthesize(full, m.grid), basis_matrix(N + 2, m.grid))
+    pot, grad = measures._coupling(m, full, gradient=True)
     assert _close(pot, pot_ref) and _close(grad, grad_ref)
     assert _close(beta_components(m, full), -m.lam * full - grad_ref)
 
@@ -342,7 +344,7 @@ def test_coupling_grid_one_node_short_is_not_exact():
     X = np.array([[0.9], [-1.4]])
     pot_ref, grad_ref = _coupling_reference(1.0, 4.0, X, 1)
     short = SimpleNamespace(alpha=1.0, p=4.0, grid=Grid.midpoint(m.grid.n_nodes - 1))
-    pot, grad = measures._coupling(short, synthesize(X, short.grid), basis_matrix(1, short.grid))
+    pot, grad = measures._coupling(short, X, gradient=True)
     assert np.min(np.abs(pot - pot_ref) / np.abs(pot_ref)) > 1e-3
     assert np.min(np.abs(grad - grad_ref) / np.abs(grad_ref)) > 1e-3
 
@@ -352,6 +354,37 @@ def test_coupling_grid_keeps_gauss_legendre_for_other_p(p):
     m = GibbsMeasure(base=GaussianMeasure(n_modes=2), alpha=1.0, p=p)
     assert m.grid.rule == "gauss-legendre" and m.grid.n_nodes == measures.SLICE_GRID_NODES
     assert measures.coupling_grid(6.0, 3).n_nodes == 10
+
+
+def _coupling_unblocked(m, X, shift):
+    """The coupling kernel's formula as one product over all rows."""
+    E = basis_matrix(X.shape[1], m.grid)
+    U = X @ E if shift is None else X @ E + shift
+    w = m.grid.weights
+    pot = (m.alpha / m.p) * (np.abs(U) ** m.p @ w)
+    grad = m.alpha * ((np.abs(U) ** (m.p - 2.0) * U * w) @ E.T)
+    return pot, grad
+
+
+@pytest.mark.parametrize("p, n_modes", [(4.0, 4), (3.0, 2)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_blocked_coupling_is_the_unblocked_formula(p, n_modes, shifted):
+    m = gibbs(n_modes, 1.3, p)
+    n_nodes = m.grid.n_nodes
+    assert m.grid.rule == ("uniform-midpoint" if p == 4.0 else "gauss-legendre")
+    rows = measures.coupling_block_rows(n_nodes)
+    rng = np.random.default_rng(n_modes)
+    shift = rng.standard_normal(n_nodes) if shifted else None
+    # a call of up to 2 * rows - 1 rows is one block; the last block takes the rows left over
+    for n in (1, rows - 1, rows, 2 * rows - 1, 2 * rows, 2 * rows + 1, 3 * rows + 5):
+        X = 0.4 * rng.standard_normal((n, n_modes))
+        pot, grad = _coupling_unblocked(m, X, shift)
+        only_pot = measures._coupling(m, X, shift)
+        only_grad = measures._coupling(m, X, shift, potential=False, gradient=True)
+        both = measures._coupling(m, X, shift, gradient=True)
+        assert only_pot[1] is None and only_grad[0] is None
+        assert np.array_equal(only_pot[0], pot) and np.array_equal(both[0], pot)
+        assert np.array_equal(only_grad[1], grad) and np.array_equal(both[1], grad)
 
 
 def test_ladder_validation_and_first_branch():
