@@ -23,15 +23,6 @@ class Entry(NamedTuple):
     build: object
 
 
-class SpecError(ValueError):
-    """A spec that build_problem cannot build, raised before any numerics
-    run; `field` is the offending key's path within the spec, or None."""
-
-    def __init__(self, msg, field=None):
-        super().__init__(msg)
-        self.field = field
-
-
 def spec_block(spec):
     """spec, checked to be a parsed JSON object; anything else raises a
     TypeError, which the config readers report under the block's path."""
@@ -383,14 +374,18 @@ SECTIONS = (
 )
 
 
-def catalog_text():
+def columns_text(sections):
+    """(name, rows) sections as list-catalog prints them: "name:", then the
+    rows, with the columns before the last one padded to a common width."""
     lines = []
-    for section, registry in SECTIONS:
-        lines.append(f"{section}:")
-        width = max(len(e.label) for e in registry.values())
-        for e in registry.values():
-            lines.append(f"  {e.label:<{width}}  {e.description}")
+    for name, rows in sections:
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
+        lines += [f"{name}:"] + ["  " + "".join(f"{c:<{w}}  " for c, w in zip(row, widths)) + row[-1] for row in rows]
     return "\n".join(lines)
+
+
+def catalog_text():
+    return columns_text([(name, [(e.label, e.description) for e in reg.values()]) for name, reg in SECTIONS])
 
 
 # ---------------------------------------------------------------------------
@@ -445,53 +440,21 @@ def default_problems(which="1d"):
     raise ValueError(f"unknown problem set {which!r}")
 
 
-def _read(key, build, *args):
-    """build(*args), with a KeyError, TypeError or ValueError it raises turned
-    into a SpecError at key."""
-    try:
-        return build(*args)
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(str(exc), key) from exc
+def reference(measure, N, ladder=None):
+    """The slice reference psi^2 of measure on its first N modes, or its
+    (M, l) ladder; psi^2 estimates its normalizing constant Z."""
+    slc = measures.psi_squared(measure, N).bind(None)
+    return slc if ladder is None else measures.ladder(slc, *ladder)
 
 
-def problem_config(spec):
-    """The FlowConfig of a problem spec, from its dt (default 1e-3) and T
-    (default 0.5); a bad value raises SpecError under its key."""
-    steps = {}
-    for key, default in (("dt", 1e-3), ("T", 0.5)):
-        steps[key] = _read(key, float, spec.get(key, default))
-        if not steps[key] > 0:
-            raise SpecError(f"must be positive, got {steps[key]}", key)
-    return transport.FlowConfig(dt_ode=steps["dt"], T=steps["T"])
-
-
-def build_problem(spec, ladder_spec=None, respect_first_branch=False):
-    """Assemble (measure, slice/ladder reference, field, rho0, config, u).
-
-    The spec is read and checked first: any error in it raises a SpecError
-    under its key before the numerics (psi_squared's Z estimate, the ladder's
-    mollifier) run, and an error raised by those propagates as it is.
-    """
-    for key in ("measure", "N", "field", "rho0"):
-        if key not in spec:
-            raise SpecError("required", key)
-    m = _read("measure", build_measure, spec["measure"])
-    N = _read("N", int, spec["N"])
-    if N > m.n_modes:
-        raise SpecError(f"N={N} exceeds n_modes={m.n_modes}", "N")
-    if ladder_spec:
-        M, l = _read("ladder", lambda: (float(ladder_spec["M"]), int(ladder_spec["l"])))
-        if M < 1:
-            raise SpecError(f"clip level must satisfy M >= 1, got {M}", "ladder.M")
-        if l < 1:
-            raise SpecError(f"mollifier scale must satisfy l >= 1, got {l}", "ladder.l")
-    field = _read("field", build_field, spec["field"], m.n_modes)
-    rho0 = _read("rho0", build_density, spec["rho0"])
-    config = problem_config(spec)
-    u = _read("test_function", build_test_function, spec.get("test_function", {}), config.T)
-    reference = measures.psi_squared(m, N).bind(None)
-    if ladder_spec:
-        reference = measures.ladder(reference, M, l, respect_first_branch=respect_first_branch)
-    return m, reference, field, rho0, config, u
+def build_problem(spec, ladder_spec=None):
+    """Assemble (measure, slice/ladder reference, field, rho0, config, u) from
+    a problem spec such as those of default_problems. The spec is not checked
+    here: the CLI reads every config through its parameter tables first."""
+    m = build_measure(spec["measure"])
+    field = build_field(spec["field"], m.n_modes)
+    rho0 = build_density(spec["rho0"])
+    config = transport.FlowConfig(dt_ode=float(spec["dt"]), T=float(spec["T"]))
+    u = build_test_function(spec.get("test_function", {}), config.T)
+    ladder = (float(ladder_spec["M"]), int(ladder_spec["l"])) if ladder_spec else None
+    return m, reference(m, int(spec["N"]), ladder), field, rho0, config, u

@@ -18,9 +18,11 @@ import argparse
 import csv
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,72 +33,234 @@ from . import measures, spde, transport, verify
 from .rng import map_units, stream
 from .verify import _jsonable
 
-KINDS = (
-    "transport-solve",
-    "verify-suite",
-    "ibp-check",
-    "gibbs-sample",
-    "spde-invariant",
-    "commutator-curve",
-    "bdg-check",
-    "entropy-audit",
-)
-
 
 class ConfigError(ValueError):
-    """Invalid config content; the message carries the offending field path."""
+    """Invalid config content; `path` is the offending field's path in the config."""
+
+    def __init__(self, path, msg):
+        super().__init__(f"{path}: {msg}")
+        self.path, self.msg = path, msg
 
 
-def _validated(path, fn, *args, **kw):
-    """fn(*args, **kw), with a KeyError, TypeError or ValueError it raises
-    turned into a ConfigError at path; wrap only the reading of a config
-    value, never numerics, or a fault in them would exit 2."""
+# ---------------------------------------------------------------------------
+# parameter tables, read once before any runner code runs. An entry is (key,
+# (type name, coerce), bound, default): coerce(raw, values read so far) gives
+# the typed value, or raises TypeError or ValueError, and makes the checks that
+# need other values; bound "<op> <number>[ why]" holds for the value or each
+# of its entries; default is a raw value, REQUIRED or a Derived; a RETIRED
+# key's default says why it is ignored.
+
+
+class Derived(NamedTuple):
+    """A default that fn works out from the values read so far, or, when fn is None, the runner."""
+
+    text: str
+    fn: object = None
+
+
+REQUIRED = object()
+RETIRED = ("retired", None)
+COMPARE = {">=": operator.ge, ">": operator.gt}
+
+
+def _at(path, fn, *args):
+    """fn(*args) on a config value, with its TypeError or ValueError, or the
+    ConfigError of a nested table, raised as a ConfigError at or below path."""
     try:
-        return fn(*args, **kw)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return fn(*args)
+    except ConfigError as exc:
+        raise ConfigError(path + ("" if exc.path.startswith("[") else ".") + exc.path, exc.msg) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _spec(path, fn, spec, **kw):
-    """fn(spec, **kw) of catalog, whose spec errors (raised before any
-    numerics run) become ConfigErrors under path."""
-    try:
-        return fn(spec, **kw)
-    except catalog.SpecError as exc:
-        raise ConfigError(f"{path}.{exc.field}: {exc}" if exc.field else f"{path}: {exc}") from exc
+def _read(table, raw):
+    """The typed values of the JSON object raw, read through table."""
+    catalog.spec_block(raw)
+    got = {}
+    for key, (_, coerce), bound, default in table:
+        if key in raw:
+            value = raw[key]
+        elif default is REQUIRED:
+            raise ConfigError(key, "required")
+        else:
+            value = default.fn(got) if isinstance(default, Derived) and default.fn else default
+        if isinstance(value, Derived):
+            got[key] = None
+        elif coerce is not None:
+            got[key] = _at(key, coerce, value, got)
+            op, low = bound.split()[:2] if bound else (None, None)
+            if op and not all(COMPARE[op](v, float(low)) for v in np.ravel(got[key])):
+                raise ConfigError(key, f"must be {bound}, got {value!r}")
+    keys = [entry[0] for entry in table]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(key, f"unknown key; accepted: {', '.join(keys)}")
+    return got
 
 
-def _problem(path, spec):
-    return _spec(path, catalog.build_problem, spec, ladder_spec=spec.get("ladder"))
+def _read_params(kind, params):
+    """kind's typed params, and the report warnings of the retired keys among them."""
+    values = _at("params", _read, PARAMS[kind], params)
+    return values, [f"params.{key} is ignored: {why}" for key, t, _, why in PARAMS[kind] if t is RETIRED and key in params]
 
 
-def _times(path, raw, config):
-    """The times at path as floats, each a whole number of config's ODE
-    steps inside [0, T]."""
-    times = _validated(path, lambda ts: [float(t) for t in ts], raw)
+def _expect(ok, what, value):
+    """value, if ok; else a TypeError saying what it must be."""
+    if not ok:
+        raise TypeError(f"must be {what}, got {value!r}")
+    return value
+
+
+def _numbers(raw, got):
+    """A number or a nonempty list of numbers, as a float array."""
+    value = np.asarray(raw, dtype=float)
+    _expect(value.ndim <= 1 and value.size > 0, "a number or a nonempty list of numbers", raw)
+    return value
+
+
+def _steps(config, raw):
+    """raw as a nonempty list of floats, each a whole number of config's steps in [0, T]."""
+    times = [float(t) for t in _expect(isinstance(raw, list) and raw, "a nonempty list of numbers", raw)]
     for t in times:
-        _validated(path, config.n_steps, t)
-        if t > config.T + 1e-12:
-            raise ConfigError(f"{path}: time {t} is past T={config.T}")
+        config.n_steps(t)
+        if not 0 <= t <= config.T + 1e-12:
+            raise ValueError(f"{t} is not in [0, {config.T}]")
     return times
 
 
-def _count(path, raw, low):
-    """int(raw), checked to be at least low."""
-    value = _validated(path, int, raw)
-    if not value >= low:
-        raise ConfigError(f"{path}: must be at least {low}, got {value}")
-    return value
+def _pair(entry, n_modes):
+    """(name, cylinder, h for the numerics, h as given) of a [cylinder, index | vector] entry."""
+    name, h = _expect(isinstance(entry, (list, tuple)) and len(entry) == 2, "[cylinder, index | vector]", entry)
+    if isinstance(h, int):
+        return name, catalog.build_cylinder(name), _expect(0 <= h < n_modes, f"an index in 0..{n_modes - 1}", h), h
+    h_arg = _numbers(h, None)
+    _expect(h_arg.ndim == 1 and h_arg.size <= n_modes, f"a vector of at most n_modes={n_modes} numbers", h)
+    return name, catalog.build_cylinder(name), h_arg, h
 
 
-def _positive(path, raw):
-    """float(raw), checked to be positive."""
-    value = _validated(path, float, raw)
-    if not value > 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
-    return value
+def _problems(raw, got):
+    """The problems of the named set, or of the list raw, each read through PROBLEM."""
+    specs = catalog.default_problems(raw) if isinstance(raw, str) else raw
+    for i, spec in enumerate(_expect(isinstance(specs, list), "a problem set name or a list of problems", specs)):
+        _at(f"[{i}]", catalog.spec_block, spec)
+    return [_at(f"[{spec.get('id', 'problem')}]", _read, PROBLEM, spec) for spec in specs]
+
+
+INT, FLOAT = ("int", lambda raw, got: int(raw)), ("number", lambda raw, got: float(raw))
+NUMBERS = ("number | [number]", _numbers)
+BOOL = ("bool", lambda raw, got: _expect(isinstance(raw, bool), "true or false", raw))
+STR = ("string", lambda raw, got: _expect(isinstance(raw, str), "a string", raw))
+OBJECT = ("object", lambda raw, got: catalog.spec_block(raw))
+MEASURE = ("measure", lambda raw, got: catalog.build_measure(raw))
+LADDER = (("M", FLOAT, ">= 1", REQUIRED), ("l", INT, ">= 1", REQUIRED))
+GIBBS_4 = {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}
+
+
+# the fields of a transport problem
+PROBLEM = (
+    ("id", STR, "", "problem"),
+    ("measure", MEASURE, "", REQUIRED),
+    ("N", ("int <= measure n_modes", lambda raw, got: _expect(int(raw) <= got["measure"].n_modes, "<= n_modes", int(raw))),
+     ">= 1", REQUIRED),
+    ("field", ("field", lambda raw, got: catalog.build_field(raw, got["measure"].n_modes)), "", REQUIRED),
+    ("rho0", ("density", lambda raw, got: catalog.build_density(raw)), "", REQUIRED),
+    ("dt", FLOAT, "> 0", 1e-3),
+    ("T", FLOAT, "> 0", 0.5),
+    ("times", ("[number] on the dt grid in [0, T]", lambda raw, got: _steps(transport.FlowConfig(got["dt"], got["T"]), raw)),
+     "", Derived("[T/2, T]", lambda got: [got["T"] / 2.0, got["T"]])),
+    ("n_per_axis", INT, ">= 1", Derived("128 if N = 1, else 96", lambda got: 128 if got["N"] == 1 else 96)),
+    ("ladder", ("{M, l}", lambda raw, got: tuple(_read(LADDER, raw).values())), "", Derived("none")),
+    ("test_function", ("test_function", lambda raw, got: catalog.build_test_function(raw, got["T"])), "", {}),
+)
+
+
+def _spde(n_modes, dt, T, reaction):
+    """The fields of an SpdeConfig; an SpdeConfig of the ones read so far checks B_diag."""
+    b_diag = lambda raw, got: spde.SpdeConfig(  # noqa: E731
+        got["n_modes"], got["dt"], 1.0, tuple(np.atleast_1d(_numbers(raw, got)))).B_diag
+    return (
+        ("n_modes", INT, ">= 1", n_modes),
+        ("dt", FLOAT, "> 0", dt),
+        ("T", FLOAT, "> 0", T),
+        ("B_diag", ("number | [number], 1 or n_modes of them", b_diag), "> 0", 1.0),
+        ("yosida_alpha", FLOAT, ">= 0", 0.0),
+        ("reaction", ("reaction", lambda raw, got: catalog.polynomial_reaction(raw)), "", reaction),
+        ("quad_nodes", RETIRED, "", "the grid is sized from n_modes and the reaction degree"),
+    )
+
+
+PARAMS = {
+    "transport-solve": PROBLEM + (
+        ("eval_per_axis", INT, ">= 1", 21),
+        ("eval_radius", FLOAT, "> 0", Derived("support radius")),
+    ),
+    "verify-suite": (
+        ("problems", ("1d | 2d | all | [problem]", _problems), "", "1d"),
+        ("n_time", INT, ">= 1", 20),
+        ("uniqueness", BOOL, "", False),
+        ("uniqueness_tol", FLOAT, "> 0", 1e-2),
+    ),
+    "ibp-check": (
+        ("measure", MEASURE, "", GIBBS_4),
+        ("count", INT, ">= 2", 100000),
+        ("pairs", ("[[cylinder, index | [number]]]", lambda raw, got: [
+            _at(f"[{i}]", _pair, entry, got["measure"].n_modes) for i, entry in enumerate(raw)]), "", catalog.IBP_PAIRS),
+    ),
+    "gibbs-sample": (
+        ("measure", MEASURE, "", GIBBS_4),
+        ("count", INT, ">= 2", 2000),
+    ),
+    "spde-invariant": _spde(32, 1e-3, 1.0, {"name": "ou"}) + (
+        ("burn_in", INT, "", Derived("6 relaxation times")),
+        ("count", INT, ">= 4 (two draws per half of the chain)", 2000),
+        ("thinning", INT, ">= 1", 5),
+    ),
+    "commutator-curve": _spde(4, 2e-3, Derived("max(eps_grid)"), {"name": "cubic", "c1": -1.0}) + (
+        ("eps_grid", ("[number] on the dt grid in [0, 1]",
+                      lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
+        ("u_args", OBJECT, "", {}),
+        ("u", ("cylinder", lambda raw, got: catalog.build_cylinder(raw, **got["u_args"])), "", "mode1_soft"),
+        ("field", ("field", lambda raw, got: catalog.build_field(raw)), "", {"name": "constant", "coeffs": [0.1]}),
+        ("n_mc", INT, ">= 1", 2000),
+        ("n_x", INT, ">= 4 (two base points per half of the chain)", 200),
+        ("thinning", INT, ">= 1", Derived("1 relaxation time")),
+    ),
+    "bdg-check": (
+        ("p", FLOAT, ">= 4", 4),
+        ("phi", NUMBERS, "", 1.0),
+        ("t", FLOAT, "> 0", 1.0),
+        ("n_mc", INT, ">= 2", 20000),
+        ("n_steps", INT, ">= 1", 512),
+        ("doubling", BOOL, "", True),
+    ),
+    "entropy-audit": PROBLEM + (
+        ("domain_radius", FLOAT, "> 0", Derived("support radius + 1")),
+        ("tail_samples", INT, ">= 0", 1),
+        ("cf_per_axis", INT, ">= 1", 96),
+        ("delta", FLOAT, "> 0", Derived("fields.delta_recipe")),
+    ),
+}
+
+TOP = (
+    ("kind", ("kind", lambda raw, got: _expect(raw in PARAMS, f"one of {', '.join(PARAMS)}", raw)), "", REQUIRED),
+    ("params", OBJECT, "", {}),
+    ("seed", INT, "", 0),
+    ("workers", INT, ">= 1", 1),
+    ("output", STR, "", Derived("runs/<kind>", lambda got: os.path.join("runs", got["kind"]))),
+)
+
+# the tables as list-catalog prints them
+TABLES = (("config", TOP), *((f"{kind} params", table) for kind, table in PARAMS.items()),
+          ("problems[]", PROBLEM), ("ladder", LADDER))
+
+
+def _tables_text():
+    return catalog.columns_text([
+        (name, [(key, t[0], bound or "-", f"ignored: {d}" if t is RETIRED else "required" if d is REQUIRED
+                 else d.text if isinstance(d, Derived) else json.dumps(d)) for key, t, bound, d in table])
+        for name, table in TABLES
+    ])
 
 
 def _fmt(v):
@@ -107,8 +271,7 @@ def _write_csv(outdir, name, header, rows):
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     return name
 
 
@@ -116,37 +279,32 @@ def _write_csv(outdir, name, header, rows):
 # runners; each returns dict(verdicts=..., warnings=..., details=..., outputs=...)
 
 
+def _blame(path, errors, fn, *args, **kwargs):
+    """fn(*args, **kwargs) of the numerics, with the errors that only they can
+    detect in a config value reported as a ConfigError at its path."""
+    try:
+        return fn(*args, **kwargs)
+    except errors as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+SAMPLER_ERRORS = (measures.SamplerDegenerateError, measures.NotThinnableError)
+
+
+def _checked(reps):
+    """The verdicts and details of (key, check report) pairs."""
+    return {k: "pass" if r.passed else "fail" for k, r in reps}, {k: r.to_dict() for k, r in reps}
+
+
 def run_ibp_check(params, seed, workers, outdir):
-    m = _validated(
-        "params.measure",
-        catalog.build_measure,
-        params.get("measure", {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}),
-    )
-    count = _validated("params.count", int, params.get("count", 100000))
-    if count < 2:
-        raise ConfigError("params.count: need at least 2 samples")
-    pair_specs = params.get("pairs")
-    if pair_specs is None:
-        pair_specs = [[name, h if isinstance(h, int) else list(h)] for name, h in catalog.IBP_PAIRS]
+    m, count = params["measure"], params["count"]
 
     def one(item):
-        i, (uname, h) = item
-        u = _validated(f"params.pairs[{i}]", catalog.build_cylinder, uname)
-        if isinstance(h, (int, np.integer)):
-            if not 0 <= int(h) < m.n_modes:
-                raise ConfigError(f"params.pairs[{i}]: direction index {h} outside 0..{m.n_modes - 1}")
-            h_arg = int(h)
-        else:
-            h_arg = np.asarray(h, dtype=float)
-            if h_arg.size > m.n_modes:
-                raise ConfigError(f"params.pairs[{i}]: direction vector longer than n_modes={m.n_modes}")
-        try:
-            rep = measures.ibp_residual(m, u, h_arg, count, stream(seed, "ibp-check", uname, i))
-        except (measures.SamplerDegenerateError, measures.NotThinnableError) as exc:
-            raise ConfigError(f"params.measure: {exc}") from exc
-        return uname, h, rep
+        i, (uname, u, h_arg, h) = item
+        rng = stream(seed, "ibp-check", uname, i)
+        return uname, h, _blame("params.measure", SAMPLER_ERRORS, measures.ibp_residual, m, u, h_arg, count, rng)
 
-    results = map_units(one, list(enumerate(pair_specs)), workers)
+    results = map_units(one, list(enumerate(params["pairs"])), workers)
     verdicts, details, rows = {}, {}, []
     for uname, h, rep in results:
         key = f"ibp[{uname}]"
@@ -158,18 +316,9 @@ def run_ibp_check(params, seed, workers, outdir):
 
 
 def run_gibbs_sample(params, seed, workers, outdir):
-    m = _validated(
-        "params.measure",
-        catalog.build_measure,
-        params.get("measure", {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}),
-    )
-    count = _validated("params.count", int, params.get("count", 2000))
-    if count < 2:
-        raise ConfigError("params.count: need at least 2 samples")
-    try:
-        samples = measures.sample_gibbs(m, count, stream(seed, "gibbs-sample", "chain"))
-    except (measures.SamplerDegenerateError, measures.NotThinnableError) as exc:
-        raise ConfigError(f"params.measure: {exc}") from exc
+    m, count = params["measure"], params["count"]
+    rng = stream(seed, "gibbs-sample", "chain")
+    samples = _blame("params.measure", SAMPLER_ERRORS, measures.sample_gibbs, m, count, rng)
     energy = (samples ** 2).sum(axis=1)
     rho1 = measures.lag1_autocorrelation(energy)
     header = [f"mode_{j + 1}" for j in range(m.n_modes)]
@@ -184,172 +333,83 @@ def run_gibbs_sample(params, seed, workers, outdir):
     return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
 
 
-def _require(params, *keys):
-    for key in keys:
-        if key not in params:
-            raise ConfigError(f"params.{key}: required")
+def _flow(problem):
+    """The FlowConfig and the slice or ladder reference of a problem."""
+    config = transport.FlowConfig(dt_ode=problem["dt"], T=problem["T"])
+    return config, catalog.reference(problem["measure"], problem["N"], problem["ladder"])
 
 
 def run_transport_solve(params, seed, workers, outdir):
-    _require(params, "measure", "N", "field", "rho0")
-    config = _spec("params", catalog.problem_config, params)
-    times = _times("params.times", params.get("times", [config.T / 2.0, config.T]), config)
-    n_eval = _validated("params.eval_per_axis", int, params.get("eval_per_axis", 21))
-    R = _positive("params.eval_radius", params["eval_radius"]) if "eval_radius" in params else None
-    npa = _count("params.n_per_axis", params["n_per_axis"], 1) if "n_per_axis" in params else None
-    m, reference, field, rho0, config, _u = _problem("params", params)
-    probe = transport.TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=int(params["N"]))
-    R = probe.support_radius if R is None else R
-    axes = [np.linspace(-R, R, n_eval)] * probe.N
+    config, reference = _flow(params)
+    rho0, field, N, times = params["rho0"], params["field"], params["N"], params["times"]
+    probe = transport.TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=N)
+    R = probe.support_radius if params["eval_radius"] is None else params["eval_radius"]
+    axes = [np.linspace(-R, R, params["eval_per_axis"])] * N
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    sol = transport.solve(rho0, field, reference, config, time_grid=[0.0] + times, eval_points=pts, N=probe.N)
-    out_density = "density.csv"
-    sol.write_csv(os.path.join(outdir, out_density))
-    npa = npa or (128 if probe.N == 1 else 96)
-    verdicts, details, rows = {}, {}, []
-    for t in times:
-        rep = verify.mass_conservation(sol, t, n_per_axis=npa)
-        verdicts[rep.name] = "pass" if rep.passed else "fail"
-        details[rep.name] = rep.to_dict()
-        rows.append([_fmt(t), _fmt(rep.residual), _fmt(rep.tolerance), str(rep.passed)])
+    sol = transport.solve(rho0, field, reference, config, time_grid=[0.0] + times, eval_points=pts, N=N)
+    sol.write_csv(os.path.join(outdir, "density.csv"))
+    reps = [verify.mass_conservation(sol, t, n_per_axis=params["n_per_axis"]) for t in times]
+    rows = [[_fmt(t), _fmt(rep.residual), _fmt(rep.tolerance), str(rep.passed)] for t, rep in zip(times, reps)]
     out_mass = _write_csv(outdir, "mass.csv", ["t", "relative_drift", "tolerance", "passed"], rows)
-    return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out_density, out_mass]}
+    verdicts, details = _checked([(rep.name, rep) for rep in reps])
+    return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": ["density.csv", out_mass]}
 
 
 def run_verify_suite(params, seed, workers, outdir):
-    pset = params.get("problems", "1d")
-    specs = _validated("params.problems", catalog.default_problems if isinstance(pset, str) else list, pset)
-    n_time = _validated("params.n_time", int, params.get("n_time", 20))
-    tol = _validated("params.uniqueness_tol", float, params.get("uniqueness_tol", 1e-2))
-
-    def checked(i, spec):
-        """(spec, its mass-check times, its n_per_axis or None), read before any numerics run."""
-        _validated(f"params.problems[{i}]", catalog.spec_block, spec)
-        path = f"params.problems[{spec.get('id', 'problem')}]"
-        config = _spec(path, catalog.problem_config, spec)
-        times = _times(f"{path}.times", spec.get("times", [config.T]), config)
-        npa = _count(f"{path}.n_per_axis", spec["n_per_axis"], 1) if "n_per_axis" in spec else None
-        return spec, times, npa
-
-    def one(unit):
-        spec, times, npa = unit
-        pid = spec.get("id", "problem")
-        m, reference, field, rho0, config, u = _problem(f"params.problems[{pid}]", spec)
+    def one(problem):
+        config, reference = _flow(problem)
+        rho0, field, times, npa = (problem[k] for k in ("rho0", "field", "times", "n_per_axis"))
         sol = transport.solve(rho0, field, reference, config)
-        npa = npa or (128 if sol.N == 1 else 96)
-        reps = [verify.weak_residual(sol, u, n_time=n_time, n_per_axis=npa)]
-        for t in times:
-            reps.append(verify.mass_conservation(sol, t, n_per_axis=npa))
-        if params.get("uniqueness"):
+        reps = [verify.weak_residual(sol, problem["test_function"], n_time=params["n_time"], n_per_axis=npa)]
+        reps += [verify.mass_conservation(sol, t, n_per_axis=npa) for t in times]
+        if params["uniqueness"]:
             slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
             refs = [slc, measures.ladder(slc, 8, 16)]
-            reps.append(verify.uniqueness_probe(rho0, field, refs, config, times, tol=tol, seed=seed))
-        return pid, reps
+            reps.append(verify.uniqueness_probe(rho0, field, refs, config, times, tol=params["uniqueness_tol"], seed=seed))
+        return problem["id"], reps
 
-    results = map_units(one, [checked(i, spec) for i, spec in enumerate(specs)], workers)
-    verdicts, details, rows = {}, {}, []
-    for pid, reps in results:
-        for rep in reps:
-            key = f"{pid}:{rep.name}"
-            verdicts[key] = "pass" if rep.passed else "fail"
-            details[key] = rep.to_dict()
-            rows.append([pid, rep.name, _fmt(rep.residual), _fmt(rep.tolerance), str(rep.passed)])
+    results = map_units(one, params["problems"], workers)
+    verdicts, details = _checked([(f"{pid}:{rep.name}", rep) for pid, reps in results for rep in reps])
+    rows = [[pid, r.name, _fmt(r.residual), _fmt(r.tolerance), str(r.passed)] for pid, reps in results for r in reps]
     out = _write_csv(outdir, "checks.csv", ["problem", "check", "residual", "tolerance", "passed"], rows)
     return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
 
 
 def run_entropy_audit(params, seed, workers, outdir):
-    _require(params, "measure", "N", "field", "rho0")
-    config = _spec("params", catalog.problem_config, params)
-    times = _times("params.times", params.get("times", [config.T / 2.0, config.T]), config)
-    domain_radius = _positive("params.domain_radius", params["domain_radius"]) if "domain_radius" in params else None
-    tail_samples = _count("params.tail_samples", params.get("tail_samples", 1), 0)
-    cf_per_axis = _count("params.cf_per_axis", params.get("cf_per_axis", 96), 1)
-    npa = _count("params.n_per_axis", params["n_per_axis"], 1) if "n_per_axis" in params else None
-    m, reference, field, rho0, config, _u = _problem("params", params)
-    delta = params.get("delta")
+    config, reference = _flow(params)
+    m, field, times = params["measure"], params["field"], params["times"]
+    delta = params["delta"]
     if delta is None:
-        try:
-            delta = fields_mod.delta_recipe(field, m)
-        except fields_mod.UnboundedFieldError as exc:
-            raise ConfigError(f"params.field: {exc}") from exc
-    delta = _positive("params.delta", delta)
-    sol = transport.solve(rho0, field, reference, config, N=int(params["N"]))
+        delta = _blame("params.field", fields_mod.UnboundedFieldError, fields_mod.delta_recipe, field, m)
+    sol = transport.solve(params["rho0"], field, reference, config, N=params["N"])
     slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
-    try:
-        cf = fields_mod.cf_delta(
-            field, slc.disintegration, delta, config.T,
-            tail_samples=tail_samples,
-            seed=seed, domain_radius=sol.support_radius + 1.0 if domain_radius is None else domain_radius,
-            n_per_axis=cf_per_axis,
-        )
-    except fields_mod.DeltaTooLargeError as exc:
-        raise ConfigError(f"params.delta: {exc}") from exc
-    npa = npa or (128 if sol.N == 1 else 96)
-    verdicts, details, rows = {}, {}, []
-    for t in times:
-        rep = verify.entropy_bound_check(sol, t, delta, cf.estimate, n_per_axis=npa)
-        verdicts[rep.name] = "pass" if rep.passed else "fail"
-        details[rep.name] = rep.to_dict()
-        md = rep.metadata
-        rows.append(
-            [_fmt(t), _fmt(md["left"]), _fmt(md["right"]), _fmt(md["initial_term"]),
-             _fmt(md["cf_term"]), _fmt(md["log_delta_term"]), _fmt(md["clip_volume_term"]),
-             _fmt(md["psi_total_term"])]
-        )
-    details["cf"] = {
-        "estimate": cf.estimate,
-        "delta": cf.delta,
-        "domain_radius": cf.domain_radius,
-        "tail_count": cf.tail_count,
-        "max_at_grid_edge": cf.max_at_grid_edge,
-        "per_pair": {f"M={M},l={l}": v for (M, l), v in sorted(cf.per_pair.items())},
-    }
-    warnings = []
-    if cf.max_at_grid_edge:
-        warnings.append("cf grid maximum attained at the edge of the (M,l) grid")
-    out = _write_csv(
-        outdir, "entropy.csv",
-        ["t", "left", "right", "initial_term", "cf_term", "log_delta_term", "clip_volume_term", "psi_total_term"],
-        rows,
+    radius = sol.support_radius + 1.0 if params["domain_radius"] is None else params["domain_radius"]
+    cf = _blame(
+        "params.delta", fields_mod.DeltaTooLargeError, fields_mod.cf_delta, field, slc.disintegration, delta, config.T,
+        tail_samples=params["tail_samples"], seed=seed, domain_radius=radius, n_per_axis=params["cf_per_axis"],
     )
+    reps = [verify.entropy_bound_check(sol, t, delta, cf.estimate, n_per_axis=params["n_per_axis"]) for t in times]
+    verdicts, details = _checked([(rep.name, rep) for rep in reps])
+    details["cf"] = {k: getattr(cf, k) for k in ("estimate", "delta", "domain_radius", "tail_count", "max_at_grid_edge")}
+    details["cf"]["per_pair"] = {f"M={M},l={l}": v for (M, l), v in sorted(cf.per_pair.items())}
+    warnings = ["cf grid maximum attained at the edge of the (M,l) grid"] if cf.max_at_grid_edge else []
+    terms = ["left", "right", "initial_term", "cf_term", "log_delta_term", "clip_volume_term", "psi_total_term"]
+    rows = [[_fmt(t)] + [_fmt(rep.metadata[term]) for term in terms] for t, rep in zip(times, reps)]
+    out = _write_csv(outdir, "entropy.csv", ["t"] + terms, rows)
     return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}
 
 
-def _spde_config(params, defaults):
-    """The SpdeConfig of params over defaults, and the report warnings it needs."""
-    merged = dict(defaults)
-    merged.update({k: params[k] for k in ("n_modes", "dt", "T", "B_diag", "yosida_alpha") if k in params})
-    coeffs = _validated("params.reaction", catalog.polynomial_reaction, params.get("reaction", merged.pop("reaction", None)))
-    b = merged.get("B_diag", 1.0)
-    b_tuple = tuple(np.atleast_1d(np.asarray(b, dtype=float)))
-    config = _validated(
-        "params",
-        spde.SpdeConfig,
-        n_modes=int(merged["n_modes"]),
-        dt=float(merged["dt"]),
-        T=float(merged["T"]),
-        B_diag=b_tuple,
-        p_coeffs=coeffs,
-        yosida_alpha=float(merged.get("yosida_alpha", 0.0)),
-    )
-    warnings = []
-    if "quad_nodes" in params:
-        warnings.append("params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree")
-    return config, warnings
+def _spde_setup(params, T):
+    return spde.SpdeConfig(params["n_modes"], params["dt"], T, params["B_diag"], params["reaction"], params["yosida_alpha"])
 
 
 def run_spde_invariant(params, seed, workers, outdir):
-    config, warnings = _spde_config(params, {"n_modes": 32, "dt": 1e-3, "T": 1.0, "reaction": {"name": "ou"}})
-    burn_in = _validated("params.burn_in", int, params.get("burn_in", spde.relaxation_steps(config, 6.0)))
-    count = _validated("params.count", int, params.get("count", 2000))
-    if count < 4:
-        raise ConfigError("params.count: must be at least 4 (two draws per half of the chain)")
-    thinning = _count("params.thinning", params.get("thinning", 5), 1)
-    try:
-        samples, rep = spde.sample_invariant(config, burn_in, count, thinning, stream(seed, "spde-invariant", "chain"))
-    except spde.BurnInError as exc:
-        raise ConfigError(f"params.burn_in: {exc}") from exc
+    config = _spde_setup(params, params["T"])
+    burn_in = spde.relaxation_steps(config, 6.0) if params["burn_in"] is None else params["burn_in"]
+    samples, rep = _blame(
+        "params.burn_in", spde.BurnInError, spde.sample_invariant,
+        config, burn_in, params["count"], params["thinning"], stream(seed, "spde-invariant", "chain"),
+    )
     header = [f"mode_{j + 1}" for j in range(config.n_modes)]
     out = _write_csv(outdir, "samples.csv", header, [[_fmt(v) for v in row] for row in samples])
     verdicts = {"stationary": "pass" if rep.stationary else "fail"}
@@ -364,33 +424,20 @@ def run_spde_invariant(params, seed, workers, outdir):
         details["l2_expected_ou"] = expected
         ok = abs(rep.l2_moment - expected) <= 4.0 * rep.l2_stderr
         verdicts["ou-second-moment"] = "pass" if ok else "fail"
-    return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}
+    return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
 
 
 def run_commutator_curve(params, seed, workers, outdir):
-    eps_grid = [float(e) for e in params.get("eps_grid", [0.5, 0.2, 0.1, 0.05, 0.02])]
-    if not eps_grid or any(not 0 < e <= 1 for e in eps_grid):
-        raise ConfigError("params.eps_grid: entries must lie in (0, 1]")
-    config, warnings = _spde_config(
-        params,
-        {"n_modes": 4, "dt": 2e-3, "T": max(eps_grid), "reaction": {"name": "cubic", "c1": -1.0}},
+    eps_grid = params["eps_grid"]
+    config = _spde_setup(params, max(eps_grid) if params["T"] is None else params["T"])
+    rep = spde.commutator_decay_curve(
+        config, params["u"], params["field"], eps_grid, params["n_mc"], params["n_x"], seed,
+        thinning=params["thinning"], workers=workers,
     )
-    for e in eps_grid:
-        _validated("params.eps_grid", config.n_steps, e)
-    u_args = _validated("params.u_args", catalog.spec_block, params.get("u_args", {}))
-    u = _validated("params.u", catalog.build_cylinder, params.get("u", "mode1_soft"), **u_args)
-    F = _validated("params.field", catalog.build_field, params.get("field", {"name": "constant", "coeffs": [0.1]}))
-    n_mc = _validated("params.n_mc", int, params.get("n_mc", 2000))
-    n_x = _validated("params.n_x", int, params.get("n_x", 200))
-    if n_x < 4:
-        raise ConfigError("params.n_x: must be at least 4 (two base points per half of the chain)")
-    thinning = params.get("thinning")
-    if thinning is not None:
-        thinning = _count("params.thinning", thinning, 1)
-    rep = spde.commutator_decay_curve(config, u, F, eps_grid, n_mc, n_x, seed, thinning=thinning, workers=workers)
     rows = [[_fmt(c.eps), _fmt(c.value), _fmt(c.stderr), str(c.n_samples)] for c in rep.estimates]
     out = _write_csv(outdir, "commutator_curve.csv", ["eps", "value", "stderr", "n_samples"], rows)
     verdicts = {"decay": "pass" if rep.trend_established else "warn"}
+    warnings = []
     if not rep.trend_established:
         warnings.append("decay trend not established at this sampling budget (inconclusive, not a failure)")
     if not rep.stationary:
@@ -410,22 +457,9 @@ def run_commutator_curve(params, seed, workers, outdir):
 
 
 def run_bdg_check(params, seed, workers, outdir):
-    p = _validated("params.p", float, params.get("p", 4))
-    if not p >= 4:
-        raise ConfigError(f"params.p: moment order must be >= 4, got {p}")
-    phi = _validated("params.phi", np.asarray, params.get("phi", 1.0), dtype=float)
-    if phi.ndim > 1 or phi.size == 0:
-        raise ConfigError("params.phi: must be a number or a nonempty list of numbers")
-    t = _positive("params.t", params.get("t", 1.0))
-    n_mc = _validated("params.n_mc", int, params.get("n_mc", 20000))
-    if n_mc < 2:
-        raise ConfigError("params.n_mc: need at least 2 samples")
-    n_steps = _count("params.n_steps", params.get("n_steps", 512), 1)
-    rep1 = spde.bdg_check(p, phi, t, n_mc, stream(seed, "bdg-check", "mc", 1), n_steps)
-    reps = [(n_mc, rep1)]
-    if params.get("doubling", True):
-        rep2 = spde.bdg_check(p, phi, t, 2 * n_mc, stream(seed, "bdg-check", "mc", 2), n_steps)
-        reps.append((2 * n_mc, rep2))
+    p, phi, t, n_mc, n_steps = (params[k] for k in ("p", "phi", "t", "n_mc", "n_steps"))
+    runs = [n_mc, 2 * n_mc] if params["doubling"] else [n_mc]
+    reps = [(n, spde.bdg_check(p, phi, t, n, stream(seed, "bdg-check", "mc", k), n_steps)) for k, n in enumerate(runs, 1)]
     rows = [
         [str(n), _fmt(r.ratio), _fmt(r.bound), _fmt(r.numerator), _fmt(r.numerator_stderr), _fmt(r.denominator)]
         for n, r in reps
@@ -453,16 +487,8 @@ def run_bdg_check(params, seed, workers, outdir):
     return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}
 
 
-KIND_RUNNERS = {
-    "transport-solve": run_transport_solve,
-    "verify-suite": run_verify_suite,
-    "ibp-check": run_ibp_check,
-    "gibbs-sample": run_gibbs_sample,
-    "spde-invariant": run_spde_invariant,
-    "commutator-curve": run_commutator_curve,
-    "bdg-check": run_bdg_check,
-    "entropy-audit": run_entropy_audit,
-}
+# the runner of each kind of PARAMS: run_<kind with "_" for "-">
+KIND_RUNNERS = {kind: globals()["run_" + kind.replace("-", "_")] for kind in PARAMS}
 
 
 # ---------------------------------------------------------------------------
@@ -470,75 +496,50 @@ KIND_RUNNERS = {
 
 
 def load_config(path):
+    """The JSON object of the config file at path."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+        raise ConfigError("config", str(exc)) from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: not valid JSON ({exc})") from exc
+        raise ConfigError("config", f"not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config: top level must be an object")
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {kind!r}")
-    if "params" in cfg and not isinstance(cfg["params"], dict):
-        raise ConfigError("params: must be an object")
+        raise ConfigError("config", "top level must be an object")
     return cfg
 
 
 def run_experiment(cfg, outdir, seed, workers):
     kind = cfg["kind"]
-    params = cfg.get("params", {})
+    params, warnings = _read_params(kind, cfg.get("params", {}))
     os.makedirs(outdir, exist_ok=True)
-    effective = dict(cfg)
-    effective["seed"] = seed
-    canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
-    config_hash = hashlib.sha256(canonical.encode("utf8")).hexdigest()
+    canonical = json.dumps({**cfg, "seed": seed}, sort_keys=True, separators=(",", ":"))
 
     t0 = time.perf_counter()
-    violation = None
     try:
         result = KIND_RUNNERS[kind](params, seed, workers, outdir)
+        exit_code = 1 if "fail" in result["verdicts"].values() else 0
     except verify.TheoremViolationError as exc:
-        violation = str(exc)
-        result = {
-            "verdicts": {"theorem": "violation"},
-            "warnings": [],
-            "details": {"violation": violation},
-            "outputs": [],
-        }
+        result = {"verdicts": {"theorem": "violation"}, "warnings": [], "details": {"violation": str(exc)}, "outputs": []}
+        exit_code = 3
     wall = time.perf_counter() - t0
+    verdicts, warnings = result["verdicts"], warnings + result["warnings"]
 
-    report = {
-        "kind": kind,
-        "seed": seed,
-        "verdicts": result["verdicts"],
-        "warnings": result["warnings"],
-        "details": _jsonable(result["details"]),
-    }
+    report = {"kind": kind, "seed": seed, "verdicts": verdicts, "warnings": warnings, "details": _jsonable(result["details"])}
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    outputs = sorted(set(result["outputs"] + ["report.json"]))
-    if violation is not None:
-        exit_code = 3
-    elif any(v == "fail" for v in result["verdicts"].values()):
-        exit_code = 1
-    else:
-        exit_code = 0
     manifest = {
         "kind": kind,
         "seed": seed,
         "workers": workers,
-        "config_hash": config_hash,
+        "config_hash": hashlib.sha256(canonical.encode("utf8")).hexdigest(),
         "artifact_version": ARTIFACT_VERSION,
         "wall_clock_seconds": wall,
-        "verdicts": result["verdicts"],
-        "warnings": result["warnings"],
-        "has_warnings": bool(result["warnings"]),
-        "outputs": outputs + ["manifest.json"],
+        "verdicts": verdicts,
+        "warnings": warnings,
+        "has_warnings": bool(warnings),
+        "outputs": sorted(set(result["outputs"] + ["report.json"])) + ["manifest.json"],
         "exit_code": exit_code,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
@@ -548,17 +549,14 @@ def run_experiment(cfg, outdir, seed, workers):
 
 
 def _parser():
-    parser = argparse.ArgumentParser(
-        prog="refflow",
-        description="continuity-equation laboratory: solve, sample and check",
-    )
+    parser = argparse.ArgumentParser(prog="refflow", description="continuity-equation laboratory: solve, sample and check")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a JSON experiment config")
     run_p.add_argument("config", help="path to the config file")
     run_p.add_argument("--workers", type=int, default=None, help="worker threads (default: config or 1)")
     run_p.add_argument("--output", default=None, help="output directory (default: config or runs/<kind>)")
     run_p.add_argument("--seed", type=int, default=None, help="root seed override")
-    sub.add_parser("list-catalog", help="print the registered building blocks")
+    sub.add_parser("list-catalog", help="print the registered building blocks and the parameter tables")
     return parser
 
 
@@ -566,15 +564,14 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     if args.command == "list-catalog":
         print(catalog.catalog_text())
+        print(_tables_text())
         return 0
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
-        if workers < 1:
-            raise ConfigError("workers: must be at least 1")
-        outdir = args.output if args.output is not None else cfg.get("output", os.path.join("runs", cfg["kind"]))
-        manifest = run_experiment(cfg, outdir, seed, workers)
+        given = {k: v for k, v in vars(args).items() if k in ("seed", "workers", "output") and v is not None}
+        top = _read(TOP, {**cfg, **given})
+        outdir = top["output"]
+        manifest = run_experiment(cfg, outdir, top["seed"], top["workers"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -201,7 +201,8 @@ def test_theorem_violation_exits_three(tmp_path, monkeypatch):
         raise verify.TheoremViolationError("entropy bound violated at t=0.5")
 
     monkeypatch.setitem(cli.KIND_RUNNERS, "entropy-audit", boom)
-    cfg = write_config(tmp_path, {"kind": "entropy-audit"})
+    # params are read before any runner runs, so they must be valid
+    cfg = write_config(tmp_path, {"kind": "entropy-audit", "params": problem_params()})
     outdir = tmp_path / "out"
     assert cli.main(["run", cfg, "--output", str(outdir)]) == 3
     manifest = json.loads((outdir / "manifest.json").read_text())
@@ -309,14 +310,23 @@ def test_nonstationary_chain_is_a_verdict_not_a_config_error(tmp_path, capsys):
 
 def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
     assert cli.main(["list-catalog"]) == 0
+    out = capsys.readouterr().out
     listed = {}
-    for line in capsys.readouterr().out.splitlines():
+    for line in out.splitlines():
         if line.startswith(" "):
             listed[section].append(line.split()[0])
         else:
             section = line.rstrip(":")
             listed[section] = []
-    assert listed == {name: [e.label for e in registry.values()] for name, registry in catalog.SECTIONS}
+    assert listed == {
+        **{name: [e.label for e in registry.values()] for name, registry in catalog.SECTIONS},
+        **{name: [entry[0] for entry in table] for name, table in cli.TABLES},
+    }
+    assert {f"{kind} params" for kind in cli.KIND_RUNNERS} <= set(listed)
+    # each params row gives key, type, bound and default
+    for row in (r"doubling\s+bool\s+-\s+true", r"count\s+int\s+>= 2\s+100000", r"measure\s+measure\s+-\s+required",
+                r"quad_nodes\s+retired\s+-\s+ignored: the grid is sized", r"times\s+\[number\].*\s+\[T/2, T\]"):
+        assert re.search(rf"^  {row}", out, re.M), row
     builders = {
         "measures": lambda name: catalog.build_measure({"name": name}),
         "fields": lambda name: catalog.build_field({"name": name}),
@@ -327,6 +337,8 @@ def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
         "observables": catalog.build_cylinder,
     }
     for section, labels in listed.items():
+        if section not in builders:
+            continue
         for label in labels:
             builders[section](label.split("(")[0])
 
@@ -420,12 +432,48 @@ def verify_problem(**change):
         ("verify-suite", verify_problem(n_per_axis="fine"), "params.problems[p].n_per_axis"),
         ("verify-suite", verify_problem(times=0.25), "params.problems[p].times"),
         ("verify-suite", {"uniqueness": True, "uniqueness_tol": "tight"}, "params.uniqueness_tol"),
+        ("spde-invariant", {"n_modes": "four"}, "params.n_modes"),
+        ("spde-invariant", {"dt": "x"}, "params.dt"),
+        ("spde-invariant", {"B_diag": "wide"}, "params.B_diag"),
+        ("commutator-curve", {"eps_grid": ["x"]}, "params.eps_grid"),
+        ("commutator-curve", {"eps_grid": 0.5}, "params.eps_grid"),
+        ("transport-solve", {"seed": "abc"}, "seed"),
+        ("transport-solve", {"workers": "two"}, "workers"),
+        ("ibp-check", {"pairs": ["cos_m1"]}, "params.pairs[0]"),
+        ("ibp-check", {"pairs": [["cos_m1", [0.5, "a"]]]}, "params.pairs[0]"),
+        ("bdg-check", {"doubling": "no"}, "params.doubling"),
+        # unknown keys, in params and at the top level
+        ("gibbs-sample", {"cuont": 10}, "params.cuont"),
+        ("bdg-check", {"n_mcc": 10}, "params.n_mcc"),
+        ("bdg-check", {"sede": 1}, "sede"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):
     # a value checked only after the numerics start would meet this fault first
     monkeypatch.setattr(measures, "normalizing_constant", _fault)
-    params = {} if kind == "verify-suite" else problem_params()
-    cfg = write_config(tmp_path, {"kind": kind, "params": {**params, **change}})
+    params = problem_params() if kind in ("transport-solve", "entropy-audit") else {}
+    if path.startswith("params"):
+        cfg = write_config(tmp_path, {"kind": kind, "params": {**params, **change}})
+    else:
+        cfg = write_config(tmp_path, {"kind": kind, "params": params, **change})
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_every_shipped_config_passes_the_tables():
+    root = pathlib.Path(__file__).parents[1]
+    configs = {str(p.relative_to(root)): json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+    for p in sorted((root / "perfbench" / "workloads").glob("*.json")):
+        configs[str(p.relative_to(root))] = json.loads(p.read_text())["config"]
+    warned = {}
+    for name, cfg in configs.items():
+        top = cli._read(cli.TOP, cfg)
+        _, warnings = cli._read_params(top["kind"], top["params"])
+        if warnings:
+            warned[name] = warnings
+    assert len(configs) == 11
+    assert warned == {
+        "perfbench/workloads/commutator.json": [
+            "params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree"
+        ]
+    }
