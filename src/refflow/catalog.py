@@ -17,10 +17,22 @@ from . import measures, transport, verify
 from .cylinders import Cylinder
 
 
+class ConfigError(ValueError):
+    """Invalid config content; `path` is the offending field's path in the config."""
+
+    def __init__(self, path, msg):
+        super().__init__(f"{path}: {msg}")
+        self.path, self.msg = path, msg
+
+
 class Entry(NamedTuple):
-    label: str  # the name, with its parameters in parentheses
+    label: str  # the name, with every key its builder reads in parentheses
     description: str
     build: object
+
+    @property
+    def keys(self):
+        return tuple(key for key in self.label.partition("(")[2].rstrip(")").split(",") if key)
 
 
 def spec_block(spec):
@@ -28,6 +40,15 @@ def spec_block(spec):
     TypeError, which the config readers report under the block's path."""
     if not isinstance(spec, dict):
         raise TypeError(f"must be a JSON object, got {spec!r}")
+    return spec
+
+
+def known_keys(spec, accepted):
+    """spec, checked to hold no key outside accepted; an unknown key raises a
+    ConfigError at that key, listing the accepted ones."""
+    for key in spec:
+        if key not in accepted:
+            raise ConfigError(key, f"unknown key; accepted: {', '.join(accepted) or 'none'}")
     return spec
 
 
@@ -40,6 +61,15 @@ def _lookup(registry, section, name):
         return registry[name]
     except (KeyError, TypeError):
         raise ValueError(f"unknown {section} {name!r}") from None
+
+
+def _entry(registry, section, spec, default, *common):
+    """The entry of the block spec, named by its "name" key or default; the
+    block holds no key but "name", the keys common to the section and the
+    keys the entry reads."""
+    entry = _lookup(registry, section, spec_block(spec).get("name", default))
+    known_keys(spec, tuple(dict.fromkeys(("name", *common, *entry.keys))))
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +92,8 @@ MEASURES = _registry(
 
 
 def build_measure(spec):
-    spec_block(spec)
-    n_modes = int(spec.get("n_modes", 1))
-    return _lookup(MEASURES, "measure", spec.get("name", "gaussian")).build(spec, n_modes)
+    entry = _entry(MEASURES, "measure", spec, "gaussian", "n_modes")
+    return entry.build(spec, int(spec.get("n_modes", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +152,8 @@ REACTIONS = _registry(
 
 def polynomial_reaction(spec):
     """SPDE reaction coefficients (ascending powers)."""
-    spec = spec_block(spec or {})
-    return _lookup(REACTIONS, "reaction", spec.get("name", "ou")).build(spec)
+    spec = spec or {}
+    return _entry(REACTIONS, "reaction", spec, "ou").build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +174,7 @@ def _swirl(spec, n_modes):
         bound=abs(s),
         name="swirl_2",
     )
-    return fields_mod.CylindricalField(components=(c1, c2), smoothness=2, name="swirl")
+    return fields_mod.component_field((c1, c2), smoothness=2, name="swirl")
 
 
 def _nemytskii(reaction):
@@ -171,15 +200,14 @@ FIELDS = _registry(
     ),
     Entry("swirl(s)", "divergence-free bounded rotation (s tanh(x2), -s tanh(x1))", _swirl),
     *(
-        Entry(f"nemytskii:{name}", f"(-A)^{{-1}} composed with {r.description}", _nemytskii(r.build))
+        Entry(f"nemytskii:{name}(n_modes,level)", f"(-A)^{{-1}} composed with {r.description}", _nemytskii(r.build))
         for name, r in SCALAR_REACTIONS.items()
     ),
 )
 
 
 def build_field(spec, n_modes=None):
-    spec_block(spec)
-    return _lookup(FIELDS, "field", spec.get("name", "constant")).build(spec, n_modes)
+    return _entry(FIELDS, "field", spec, "constant").build(spec, n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +228,7 @@ DENSITIES = _registry(
 
 
 def build_density(spec):
-    spec_block(spec)
-    return _lookup(DENSITIES, "density", spec.get("name", "bump")).build(spec)
+    return _entry(DENSITIES, "density", spec, "bump").build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +337,10 @@ OBSERVABLES = _registry(
 
 
 def build_cylinder(name, **kw):
-    """A cylinder by name; an observable takes its parameters as keywords."""
-    if name in CYLINDERS:
-        return CYLINDERS[name].build()
-    return _lookup(OBSERVABLES, "cylinder", name).build(**kw)
+    """A cylinder by name; an observable takes its parameters as keywords,
+    and a keyword that the entry does not read raises a ConfigError."""
+    entry = _lookup({**CYLINDERS, **OBSERVABLES}, "cylinder", name)
+    return entry.build(**known_keys(kw, entry.keys))
 
 
 # the six (u, h) pairs exercised by the log-derivative duality check;
@@ -356,7 +383,7 @@ def build_time_factor(name, T):
 
 
 def build_test_function(spec, T):
-    spec_block(spec)
+    known_keys(spec_block(spec), ("g", "f"))
     g, gp = build_time_factor(spec.get("g", "linear_ramp"), T)
     f = build_cylinder(spec.get("f", "cos_m1"))
     return verify.TestFunction(g=g, g_prime=gp, f=f, T=T, name=f"{spec.get('g','linear_ramp')}*{f.name}")

@@ -16,6 +16,7 @@ not a failure), 1 at least one check failed, 2 config validation error,
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import operator
@@ -30,16 +31,9 @@ from . import __version__ as ARTIFACT_VERSION
 from . import catalog
 from . import fields as fields_mod
 from . import measures, spde, transport, verify
+from .catalog import ConfigError
 from .rng import map_units, stream
 from .verify import _jsonable
-
-
-class ConfigError(ValueError):
-    """Invalid config content; `path` is the offending field's path in the config."""
-
-    def __init__(self, path, msg):
-        super().__init__(f"{path}: {msg}")
-        self.path, self.msg = path, msg
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +86,7 @@ def _read(table, raw):
             op, low = bound.split()[:2] if bound else (None, None)
             if op and not all(COMPARE[op](v, float(low)) for v in np.ravel(got[key])):
                 raise ConfigError(key, f"must be {bound}, got {value!r}")
-    keys = [entry[0] for entry in table]
-    for key in raw:
-        if key not in keys:
-            raise ConfigError(key, f"unknown key; accepted: {', '.join(keys)}")
+    catalog.known_keys(raw, [entry[0] for entry in table])
     return got
 
 
@@ -110,6 +101,14 @@ def _expect(ok, what, value):
     if not ok:
         raise TypeError(f"must be {what}, got {value!r}")
     return value
+
+
+def _kept(check):
+    """A coerce that keeps the raw value, once check(raw, got) has passed."""
+    def coerce(raw, got):
+        check(raw, got)
+        return raw
+    return coerce
 
 
 def _numbers(raw, got):
@@ -219,8 +218,8 @@ PARAMS = {
     "commutator-curve": _spde(4, 2e-3, Derived("max(eps_grid)"), {"name": "cubic", "c1": -1.0}) + (
         ("eps_grid", ("[number] on the dt grid in [0, 1]",
                       lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
-        ("u_args", OBJECT, "", {}),
-        ("u", ("cylinder", lambda raw, got: catalog.build_cylinder(raw, **got["u_args"])), "", "mode1_soft"),
+        ("u", ("cylinder", _kept(lambda raw, got: catalog.build_cylinder(raw))), "", "mode1_soft"),
+        ("u_args", ("object", _kept(lambda raw, got: catalog.build_cylinder(got["u"], **catalog.spec_block(raw)))), "", {}),
         ("field", ("field", lambda raw, got: catalog.build_field(raw)), "", {"name": "constant", "coeffs": [0.1]}),
         ("n_mc", INT, ">= 1", 2000),
         ("n_x", INT, ">= 4 (two base points per half of the chain)", 200),
@@ -431,7 +430,7 @@ def run_commutator_curve(params, seed, workers, outdir):
     eps_grid = params["eps_grid"]
     config = _spde_setup(params, max(eps_grid) if params["T"] is None else params["T"])
     rep = spde.commutator_decay_curve(
-        config, params["u"], params["field"], eps_grid, params["n_mc"], params["n_x"], seed,
+        config, catalog.build_cylinder(params["u"], **params["u_args"]), params["field"], eps_grid, params["n_mc"], params["n_x"], seed,
         thinning=params["thinning"], workers=workers,
     )
     rows = [[_fmt(c.eps), _fmt(c.value), _fmt(c.stderr), str(c.n_samples)] for c in rep.estimates]
@@ -560,7 +559,26 @@ def _parser():
     return parser
 
 
+# glibc malloc's thresholds, fixed for the whole run. Left dynamic, the trim
+# threshold follows the largest freed mmapped chunk, and a run either keeps
+# its heap top or trims and regrows it around every ladder call: about 6k or
+# 118k minor page faults, by the lottery of its allocation history.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_THRESHOLDS = ((M_MMAP_THRESHOLD, 1 << 20), (M_TRIM_THRESHOLD, 8 << 20))
+
+
+def _fix_heap():
+    """Set HEAP_THRESHOLDS through mallopt; nothing where the C library has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    for param, value in HEAP_THRESHOLDS:
+        mallopt(param, value)
+
+
 def main(argv=None):
+    _fix_heap()
     args = _parser().parse_args(argv)
     if args.command == "list-catalog":
         print(catalog.catalog_text())

@@ -2,7 +2,8 @@
 
 Two field families: CylindricalField (finitely many components, each a smooth
 function of the first few coordinates) and NemytskiiField (a bounded scalar
-reaction composed pointwise, then smoothed by (-A)^{-1}). The operators
+reaction composed pointwise, then smoothed by (-A)^{-1}). Either gives all its
+component rows, and div F with them, from one evaluation. The operators
 divergence and dstar implement div F and D*F = -div F - sum_i f_i beta_{e_i},
 where beta comes either from the measure (exact) or from a ladder density's
 log-gradient; dstar_rows evaluates D*F under several betas at once, together
@@ -62,11 +63,23 @@ class FieldComponent:
         return np.asarray(self.grad_fn(t, np.atleast_2d(X)), dtype=float)
 
 
+def _checked_time(t, horizon):
+    # small slack so integrator stage times at the interval ends pass
+    if t < -1e-9 or t > horizon + 1e-9:
+        raise TimeDomainError(f"t={t} outside [0, {horizon}]")
+
+
 @dataclass(frozen=True)
 class CylindricalField:
-    """F(t,x) = sum_{i<=k} f_i(t, x_1..x_k) e_i with k = n_components."""
+    """F(t,x) = sum_{i<=k} f_i(t, x_1..x_k) e_i with k = len(bounds).
 
-    components: tuple
+    One call of evaluate(t, X, div) gives every component: the rows f_i(t, X)
+    as one (npts, k) array and, when div is true, div F = sum_i df_i/dx_i from
+    the same evaluation (else None). bounds are the declared sup |f_i|.
+    """
+
+    evaluate: object
+    bounds: tuple
     smoothness: int = 2  # 0, 1 or 2: continuous, C1, C2
     horizon: float = math.inf
     time_dependent: bool = False
@@ -74,37 +87,70 @@ class CylindricalField:
 
     @property
     def n_components(self):
-        return len(self.components)
+        return len(self.bounds)
 
     @property
     def h_bound(self):
         """Declared sup of |F(t,x)|_H from the per-component bounds."""
-        return float(np.sqrt(sum(c.bound ** 2 for c in self.components)))
-
-    def _check_t(self, t):
-        # small slack so integrator stage times at the interval ends pass
-        if t < -1e-9 or t > self.horizon + 1e-9:
-            raise TimeDomainError(f"t={t} outside [0, {self.horizon}]")
+        return float(np.sqrt(sum(b ** 2 for b in self.bounds)))
 
     def value(self, t, X):
         """Component rows (npts, n_components): f_i(t, x_1..x_k)."""
-        self._check_t(t)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([c.value(t, X) for c in self.components], axis=-1)
+        _checked_time(t, self.horizon)
+        return self.evaluate(t, np.atleast_2d(np.asarray(X, dtype=float)), False)[0]
+
+    def value_and_divergence(self, t, X):
+        """The component rows and div F, from one evaluation."""
+        _checked_time(t, self.horizon)
+        if self.smoothness < 1:
+            raise NotDifferentiableError(f"field {self.name or '?'} is only C0")
+        return self.evaluate(t, np.atleast_2d(np.asarray(X, dtype=float)), True)
+
+
+@dataclass(frozen=True)
+class ComponentRows:
+    """The evaluate of a CylindricalField given as separate component
+    functions (FieldComponent): the rows column by column, and div F from each
+    component's analytic gradient or, without one, a central difference in
+    its own coordinate."""
+
+    components: tuple
+
+    def __call__(self, t, X, div):
+        rows = np.empty((X.shape[0], len(self.components)))
+        for i, comp in enumerate(self.components):
+            rows[:, i] = comp.value(t, X)
+        if not div:
+            return rows, None
+        out = np.zeros(X.shape[0])
+        for i, comp in enumerate(self.components):
+            g = comp.grad(t, X)
+            if g is not None:
+                out += g[:, i]
+                continue
+            h = FD_STEP_BASE * (1.0 + np.abs(X[:, i]))
+            Xp = X.copy()
+            Xp[:, i] += h
+            Xm = X.copy()
+            Xm[:, i] -= h
+            out += (comp.value(t, Xp) - comp.value(t, Xm)) / (2.0 * h)
+        return rows, out
+
+
+def component_field(components, **kwargs):
+    """The CylindricalField of the component functions `components`; kwargs
+    are CylindricalField's smoothness, horizon, time_dependent and name."""
+    components = tuple(components)
+    return CylindricalField(ComponentRows(components), tuple(c.bound for c in components), **kwargs)
 
 
 def constant_field(coeffs, name="constant"):
     coeffs = np.asarray(coeffs, dtype=float)
-    comps = tuple(
-        FieldComponent(
-            value_fn=lambda t, X, c=c: np.full(X.shape[0], c),
-            grad_fn=lambda t, X, k=len(coeffs): np.zeros((X.shape[0], k)),
-            bound=abs(float(c)),
-            name=f"const_{i+1}",
-        )
-        for i, c in enumerate(coeffs)
-    )
-    return CylindricalField(components=comps, smoothness=2, name=name)
+
+    def evaluate(t, X, div):
+        return np.tile(coeffs, (X.shape[0], 1)), (np.zeros(X.shape[0]) if div else None)
+
+    return CylindricalField(evaluate, tuple(abs(float(c)) for c in coeffs), smoothness=2, name=name)
 
 
 @dataclass(frozen=True)
@@ -144,22 +190,33 @@ class NemytskiiField:
 
     def value(self, t, X):
         """All n_modes coefficient components of (-A)^{-1} f(t, x(.))."""
-        if t < -1e-9 or t > self.horizon + 1e-9:
-            raise TimeDomainError(f"t={t} outside [0, {self.horizon}]")
+        return self._evaluate(t, X, False)[0]
+
+    def value_and_divergence(self, t, X):
+        """The components and div F, from one synthesis of x(.)."""
+        return self._evaluate(t, X, True)
+
+    def _evaluate(self, t, X, div):
+        _checked_time(t, self.horizon)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         E = basis_matrix(self.n_modes, self.grid)
         U = X @ E
-        vals = self.reaction(t, U)
         inv = 1.0 / eigenvalue(np.arange(1, self.n_modes + 1))
-        return ((vals * self.grid.weights) @ E.T) * inv
+        vals = ((self.reaction(t, U) * self.grid.weights) @ E.T) * inv
+        if not div:
+            return vals, None
+        # sum_i alpha_i^{-1} int e_i^2 f'(t, x(xi)) dxi
+        kernel = (E * E * inv[:, None]).sum(axis=0)
+        return vals, (self.reaction.d(t, U) * kernel) @ self.grid.weights
 
 
 def galerkin(nem, level):
     """Project a NemytskiiField to its first `level` modes on both sides.
 
     Component i (i <= level) is alpha_i^{-1} int e_i f(t, (P_level x)(xi)) dxi,
-    a smooth cylinder in the first `level` coordinates; gradients come from
-    the same quadrature with the reaction derivative.
+    a smooth cylinder in the first `level` coordinates. One evaluation
+    synthesizes the grid values once and calls the reaction once for all
+    components, and its derivative once for div F.
     """
     if level > nem.n_modes:
         raise ValueError(f"galerkin level {level} exceeds n_modes {nem.n_modes}")
@@ -170,21 +227,26 @@ def galerkin(nem, level):
     # |f_i| <= bound * int |e_i| / alpha_i; int_0^1 |sqrt2 sin(i pi xi)| = 2 sqrt2 / pi
     comp_bounds = reaction.bound * (2.0 * math.sqrt(2.0) / math.pi) * inv_alpha
 
-    def make(i):
-        def value_fn(t, X):
-            U = X[:, :level] @ E
-            return ((reaction(t, U) * w) @ E[i]) * inv_alpha[i]
+    def evaluate(t, X, div):
+        # a one-coordinate state as a broadcast: each grid value is a single
+        # product, so it equals the BLAS product bit for bit, without the call
+        U = X[:, :1] * E[0] if level == 1 else X[:, :level] @ E
+        fw = reaction(t, U) * w
+        rows = np.empty((X.shape[0], level))
+        for i in range(level):
+            rows[:, i] = (fw @ E[i]) * inv_alpha[i]
+        if not div:
+            return rows, None
+        # d f_i / d x_i, column i of component i's gradient (fp e_i w) @ E^T / alpha_i
+        fp = reaction.d(t, U)
+        out = np.zeros(X.shape[0])
+        for i in range(level):
+            out += ((fp * E[i] * w) @ E.T)[:, i] * inv_alpha[i]
+        return rows, out
 
-        def grad_fn(t, X):
-            U = X[:, :level] @ E
-            fp = reaction.d(t, U)
-            return ((fp * E[i] * w) @ E.T) * inv_alpha[i]
-
-        return FieldComponent(value_fn=value_fn, grad_fn=grad_fn, bound=float(comp_bounds[i]), name=f"{reaction.name}_g{i+1}")
-
-    comps = tuple(make(i) for i in range(level))
     return CylindricalField(
-        components=comps,
+        evaluate,
+        tuple(float(b) for b in comp_bounds),
         smoothness=2,
         horizon=nem.horizon,
         time_dependent=reaction.time_dependent,
@@ -193,31 +255,9 @@ def galerkin(nem, level):
 
 
 def divergence(field, t, X):
-    """sum_i d f_i / d x_i, analytic when gradients exist, else central FD."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(field, NemytskiiField):
-        # sum_i alpha_i^{-1} int e_i^2 f'(t, x(xi)) dxi
-        E = basis_matrix(field.n_modes, field.grid)
-        inv = 1.0 / eigenvalue(np.arange(1, field.n_modes + 1))
-        kernel = (E * E * inv[:, None]).sum(axis=0)
-        U = X @ E
-        return (field.reaction.d(t, U) * kernel) @ field.grid.weights
-    if field.smoothness < 1:
-        raise NotDifferentiableError(f"field {field.name or '?'} is only C0")
-    k = field.n_components
-    out = np.zeros(X.shape[0])
-    for i, comp in enumerate(field.components):
-        g = comp.grad(t, X)
-        if g is not None:
-            out += g[:, i]
-            continue
-        h = FD_STEP_BASE * (1.0 + np.abs(X[:, i]))
-        Xp = X.copy()
-        Xp[:, i] += h
-        Xm = X.copy()
-        Xm[:, i] -= h
-        out += (comp.value(t, Xp) - comp.value(t, Xm)) / (2.0 * h)
-    return out
+    """sum_i d f_i / d x_i: analytic, or by central differences for the
+    components of a ComponentRows field that have no gradient."""
+    return field.value_and_divergence(t, X)[1]
 
 
 def dstar(field, beta_oracle, t, X):
@@ -232,12 +272,12 @@ def dstar(field, beta_oracle, t, X):
 
 def dstar_rows(field, beta_oracles, t, X):
     """The field rows F(t, X) and D*F(t, X) under each log-gradient oracle,
-    with F and div F evaluated once for all oracles; dstar is the one-oracle
-    case."""
+    with F and div F from one evaluation of the field for all oracles; dstar
+    is the one-oracle case."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    vals = field.value(t, X)
+    vals, div = field.value_and_divergence(t, X)
     k = vals.shape[1]
-    neg_div = -divergence(field, t, X)
+    neg_div = -div
     return vals, [neg_div - (vals * np.asarray(beta(X), dtype=float)[:, :k]).sum(axis=1) for beta in beta_oracles]
 
 
@@ -311,7 +351,7 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
 def delta_recipe(field, measure, count=2000, seed=0):
     """delta = min_i c_i / (N (||f_i||_inf + 1)) over the active components."""
     k = field.n_components
-    bounds = np.array([comp.bound for comp in field.components])
+    bounds = np.array(field.bounds)
     if not np.all(np.isfinite(bounds)):
         raise UnboundedFieldError("delta recipe needs finite declared component bounds")
     c = measures.integrability_constants(measure, count=count, seed=seed)
@@ -379,9 +419,7 @@ def cf_delta(
                 vals, lg = lad.value_and_log_gradient(X)
 
                 def space_integral(t):
-                    f_vals = field.value(t, X)
-                    k = f_vals.shape[1]
-                    ds = -divergence(field, t, X) - (f_vals * lg[:, :k]).sum(axis=1)
+                    ds = dstar(field, lambda _: lg, t, X)
                     pos = np.clip(ds, 0.0, None)
                     if delta * pos.max() > 700.0:
                         try:

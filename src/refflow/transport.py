@@ -372,9 +372,8 @@ def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
         Xm = X.copy()
         Xm[:, i] -= h_x
         grad[:, i] = (feynman_kac(solution, t, Xp) - feynman_kac(solution, t, Xm)) / (2.0 * h_x)
-    f_vals = solution.field.value(t, X)
+    f_vals, (ds,) = fields_mod.dstar_rows(solution.field, (solution.beta_oracle,), t, X)
     k = f_vals.shape[1]
     advect = (f_vals * grad[:, :k]).sum(axis=1)
-    ds = fields_mod.dstar(solution.field, solution.beta_oracle, t, X)
     res = dt_rho + advect - ds * rho
     return res if res.size > 1 else float(res[0])

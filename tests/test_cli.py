@@ -1,6 +1,10 @@
+import ctypes
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -446,6 +450,13 @@ def verify_problem(**change):
         ("gibbs-sample", {"cuont": 10}, "params.cuont"),
         ("bdg-check", {"n_mcc": 10}, "params.n_mcc"),
         ("bdg-check", {"sede": 1}, "sede"),
+        # unknown keys inside registry blocks, and parameters of a plain cylinder
+        ("gibbs-sample", {"measure": {"name": "gibbs", "n_modes": 2, "alpah": 2.0}}, "params.measure.alpah"),
+        ("transport-solve", {"field": {"name": "constant", "coefs": [0.1]}}, "params.field.coefs"),
+        ("transport-solve", {"rho0": {"name": "bump", "centres": [0.0], "radii": [0.5]}}, "params.rho0.centres"),
+        ("verify-suite", verify_problem(test_function={"g": "linear_ramp", "h": "cos_m1"}), "params.problems[p].test_function.h"),
+        ("commutator-curve", {"u": "cos_m1", "u_args": {"c": 5.0}}, "params.u_args.c"),
+        ("commutator-curve", {"u_args": {"k": 2}}, "params.u_args.k"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):
@@ -477,3 +488,26 @@ def test_every_shipped_config_passes_the_tables():
             "params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree"
         ]
     }
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_verify_1d_runs_in_one_heap_mode(tmp_path):
+    # With glibc's dynamic thresholds a verify-1d run either kept its heap
+    # top (about 6k minor page faults) or trimmed and regrew it around every
+    # ladder call (118k or more), depending on its allocation history down to
+    # the length of its output path. cli.main fixes the thresholds.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(refflow.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    for length in (1, 20, 60):
+        out = tmp_path / ("o" * length)
+        cmd = [sys.executable, "-m", "refflow.cli", "run", str(CONFIGS / "verify_suite_1d.json"), "--output", str(out)]
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert usage.ru_minflt < 30000, (length, usage.ru_minflt)

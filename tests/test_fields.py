@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from refflow import catalog, fields, measures
+from refflow.spectral import Grid, basis_matrix
 from refflow.fields import (
-    CylindricalField,
     DeltaTooLargeError,
     FieldComponent,
     NemytskiiField,
@@ -12,6 +14,7 @@ from refflow.fields import (
     TimeDomainError,
     cf_delta,
     claims_probe,
+    component_field,
     constant_field,
     delta_recipe,
     divergence,
@@ -19,7 +22,7 @@ from refflow.fields import (
     dstar_rows,
     galerkin,
 )
-from reference import dstar_product_rule_check, linear_field
+from reference import component_rows, constant_components, dstar_product_rule_check, galerkin_components, linear_field
 
 
 def one_reaction():
@@ -50,10 +53,7 @@ def test_constant_field_dstar_matches_gaussian_formula():
 
 
 def test_horizon_enforced():
-    f = CylindricalField(
-        components=(FieldComponent(value_fn=lambda t, X: X[:, 0], bound=1.0),),
-        horizon=1.0,
-    )
+    f = component_field((FieldComponent(value_fn=lambda t, X: X[:, 0], bound=1.0),), horizon=1.0)
     f.value(1.0, np.zeros((1, 1)))  # endpoint ok
     with pytest.raises(TimeDomainError):
         f.value(2.0, np.zeros((1, 1)))
@@ -112,11 +112,8 @@ def test_galerkin_gradients_match_finite_differences():
     gal = galerkin(nem, 2)
     X = np.random.default_rng(5).normal(scale=0.4, size=(25, 4))
     analytic = divergence(gal, 0.0, X)
-    stripped = CylindricalField(
-        components=tuple(
-            FieldComponent(value_fn=c.value_fn, grad_fn=None, bound=c.bound, name=c.name)
-            for c in gal.components
-        ),
+    stripped = component_field(
+        (FieldComponent(value_fn=c.value_fn, name=c.name) for c in galerkin_components(nem, 2)),
         smoothness=1,
     )
     assert np.max(np.abs(analytic - divergence(stripped, 0.0, X))) < 1e-9
@@ -129,10 +126,7 @@ def test_galerkin_level_validation():
 
 
 def test_divergence_rejects_c0_fields():
-    rough = CylindricalField(
-        components=(FieldComponent(value_fn=lambda t, X: np.abs(X[:, 0]), bound=np.inf),),
-        smoothness=0,
-    )
+    rough = component_field((FieldComponent(value_fn=lambda t, X: np.abs(X[:, 0]), bound=np.inf),), smoothness=0)
     with pytest.raises(NotDifferentiableError):
         divergence(rough, 0.0, np.zeros((2, 1)))
 
@@ -145,22 +139,25 @@ def test_swirl_is_divergence_free():
 
 @pytest.mark.parametrize("field_spec", [{"name": "swirl", "s": 0.2}, {"name": "constant", "coeffs": [0.1, -0.2]}])
 def test_product_rule_two_routes_agree(field_spec):
+    # the constant field fills its rows directly; its per-component formula stands in for it
+    if field_spec["name"] == "constant":
+        components = constant_components(field_spec["coeffs"])
+    else:
+        components = catalog.build_field(field_spec).evaluate.components
     m = measures.GaussianMeasure(n_modes=4)
     slc = measures.psi_squared(m, 4).bind()
-    f = catalog.build_field(field_spec)
     phi = catalog.build_cylinder("rational_m12")
     X = np.random.default_rng(7).normal(scale=0.3, size=(80, 4))
-    assert dstar_product_rule_check(f, phi, slc.beta, X) < 1e-12
+    assert dstar_product_rule_check(components, phi, slc.beta, X) < 1e-12
 
 
 def test_product_rule_on_gibbs_slice():
     m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=4), alpha=1.0, p=4.0)
     slc = measures.psi_squared(m, 4).bind()
     nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
-    gal = galerkin(nem, 2)
     phi = catalog.build_cylinder("gauss_m123")
     X = np.random.default_rng(8).normal(scale=0.3, size=(60, 4))
-    assert dstar_product_rule_check(gal, phi, slc.beta, X) < 1e-12
+    assert dstar_product_rule_check(galerkin_components(nem, 2), phi, slc.beta, X) < 1e-12
 
 
 def test_dstar_rows_is_dstar_under_each_oracle():
@@ -175,6 +172,58 @@ def test_dstar_rows_is_dstar_under_each_oracle():
         assert np.array_equal(row, -divergence(gal, 0.0, X) - (F * beta(X)[:, :1]).sum(axis=1))
         assert np.array_equal(row, dstar(gal, beta, 0.0, X))
     assert np.any(rows[0] != rows[1])
+
+
+ROW_COUNTS = (1, 7, 256, 1000)
+
+
+def _one_evaluation_cases():
+    """(field, its per-component formula) for Galerkin levels 1-3 and a constant field, on 3 modes."""
+    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 3})
+    coeffs = [0.1, -0.4, 0.25]
+    return [(galerkin(nem, level), galerkin_components(nem, level)) for level in (1, 2, 3)] + [
+        (constant_field(coeffs), constant_components(coeffs))
+    ]
+
+
+ONE_EVALUATION_IDS = ["galerkin1", "galerkin2", "galerkin3", "constant"]
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("case", _one_evaluation_cases(), ids=ONE_EVALUATION_IDS)
+def test_one_evaluation_is_the_per_component_formula(case, rows):
+    field, components = case
+    X = np.random.default_rng(rows).normal(scale=0.6, size=(rows, 3))
+    want_rows, want_div = component_rows(components, 0.25, X)
+    assert np.array_equal(field.value(0.25, X), want_rows)
+    got_rows, got_div = field.value_and_divergence(0.25, X)
+    assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_div, want_div)
+    assert np.array_equal(divergence(field, 0.25, X), want_div)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("case", _one_evaluation_cases(), ids=ONE_EVALUATION_IDS)
+def test_dstar_rows_is_the_per_component_formula_under_two_oracles(case, rows):
+    field, components = case
+    gauss = measures.GaussianMeasure(n_modes=3)
+    gibbs = measures.GibbsMeasure(base=gauss, alpha=1.0, p=4.0)
+    oracles = tuple(measures.psi_squared(m, 3).bind().beta for m in (gibbs, gauss))
+    X = np.random.default_rng(rows + 1).normal(scale=0.6, size=(rows, 3))
+    want_rows, want_div = component_rows(components, 0.0, X)
+    F, got = dstar_rows(field, oracles, 0.0, X)
+    assert np.array_equal(F, want_rows)
+    k = want_rows.shape[1]
+    for beta, row in zip(oracles, got):
+        assert np.array_equal(row, -want_div - (want_rows * beta(X)[:, :k]).sum(axis=1))
+    assert np.any(got[0] != got[1])
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS + (8448,))
+def test_rank_one_synthesis_broadcast_is_the_blas_product(rows):
+    E = basis_matrix(1, Grid.gauss_legendre(measures.SLICE_GRID_NODES))
+    X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 2))
+    assert np.array_equal(X[:, :1] * E[0], X[:, :1] @ E)
 
 
 def test_claims_probe_bounded_and_stable():
@@ -225,7 +274,7 @@ def test_cf_delta_time_flag_only_changes_quadrature():
     m = measures.GaussianMeasure(n_modes=1)
     dis = measures.psi_squared(m, 1)
     f = constant_field([0.1])
-    flagged = CylindricalField(components=f.components, smoothness=2, time_dependent=True)
+    flagged = dataclasses.replace(f, time_dependent=True)
     a = cf_delta(f, dis, delta=0.05, T=0.8)
     b = cf_delta(flagged, dis, delta=0.05, T=0.8)
     assert a.estimate == pytest.approx(b.estimate, rel=1e-12)

@@ -313,8 +313,8 @@ def test_sweep_matches_per_time_integration(pid, ladder, integrator):
         assert np.array_equal(feynman_kac(fresh, t, X), row)
 
 
-GROWING = fields.CylindricalField(
-    components=(
+GROWING = fields.component_field(
+    (
         fields.FieldComponent(
             value_fn=lambda t, X: 0.1 * (1.0 + 5.0 * t) * np.ones(X.shape[0]),
             grad_fn=lambda t, X: np.zeros((X.shape[0], 1)),
@@ -383,21 +383,23 @@ def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
     sol = _catalog_solution(pid, "RK4", ladder=ladder)
     X = _points(sol)[::7]
     h = 2 * sol.config.dt_ode
-    # the sweep evaluates the field through CylindricalField.value, not dstar
+    # every field evaluation goes through CylindricalField.value (the RK
+    # stages) or CylindricalField.value_and_divergence (D*F), not dstar
     assert isinstance(sol.field, fields.CylindricalField)
-    value = fields.CylindricalField.value
     calls = []
-    monkeypatch.setattr(fields.CylindricalField, "value", lambda *a: calls.append(1) or value(*a))
+    for name in ("value", "value_and_divergence"):
+        method = getattr(fields.CylindricalField, name)
+        monkeypatch.setattr(fields.CylindricalField, name, lambda *a, m=method: calls.append(1) or m(*a))
     want = _pde_residual_old_order(sol, 0.02, X, h, 1e-4)
     old_calls = len(calls)
     calls.clear()
     assert np.array_equal(pde_residual(sol, 0.02, X, h_t=h, h_x=1e-4), want)
     # t - h_t, t and t + h_t share one sweep instead of taking three. A fresh
     # RK4 sweep of n steps evaluates F 1 + 4n times and a continuation of n
-    # steps 4n times; pde_residual evaluates F once itself and once in dstar.
+    # steps 4n times; pde_residual evaluates F and D*F once, together.
     fresh = lambda t: 1 + 4 * sol.config.n_steps(t)
     per_axis = 2 * fresh(0.02)
-    assert len(calls) == fresh(0.02 - h) + 2 * 4 * sol.config.n_steps(h) + X.shape[1] * per_axis + 2
+    assert len(calls) == fresh(0.02 - h) + 2 * 4 * sol.config.n_steps(h) + X.shape[1] * per_axis + 1
     # the old order swept afresh at t - h_t and at t as well
     assert len(calls) < old_calls - 4 * sol.config.n_steps(0.02)
 
