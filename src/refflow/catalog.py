@@ -181,8 +181,7 @@ def _nemytskii(reaction):
     def build(spec, n_modes):
         nm = int(spec.get("n_modes", n_modes or 1))
         nem = fields_mod.NemytskiiField(reaction=reaction(), n_modes=nm)
-        level = spec.get("level")
-        return fields_mod.galerkin(nem, int(level)) if level else nem
+        return fields_mod.galerkin(nem, int(spec.get("level", nm)))
 
     return build
 

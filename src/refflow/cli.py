@@ -433,7 +433,8 @@ def run_commutator_curve(params, seed, workers, outdir):
         config, catalog.build_cylinder(params["u"], **params["u_args"]), params["field"], eps_grid, params["n_mc"], params["n_x"], seed,
         thinning=params["thinning"], workers=workers,
     )
-    rows = [[_fmt(c.eps), _fmt(c.value), _fmt(c.stderr), str(c.n_samples)] for c in rep.estimates]
+    n_samples = params["n_x"] * params["n_mc"]
+    rows = [[_fmt(eps), _fmt(e.estimate), _fmt(e.stderr), str(n_samples)] for eps, e in rep.estimates]
     out = _write_csv(outdir, "commutator_curve.csv", ["eps", "value", "stderr", "n_samples"], rows)
     verdicts = {"decay": "pass" if rep.trend_established else "warn"}
     warnings = []
@@ -446,8 +447,7 @@ def run_commutator_curve(params, seed, workers, outdir):
         )
     details = {
         "estimates": [
-            {"eps": c.eps, "value": c.value, "stderr": c.stderr, "n_samples": c.n_samples}
-            for c in rep.estimates
+            {"eps": eps, "value": e.estimate, "stderr": e.stderr, "n_samples": n_samples} for eps, e in rep.estimates
         ],
         "drop": rep.drop, "drop_stderr": rep.drop_stderr,
         "trend_established": rep.trend_established,

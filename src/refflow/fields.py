@@ -1,9 +1,11 @@
 """Drift fields on the truncated space and their adjoint-divergence operators.
 
-Two field families: CylindricalField (finitely many components, each a smooth
-function of the first few coordinates) and NemytskiiField (a bounded scalar
-reaction composed pointwise, then smoothed by (-A)^{-1}). Either gives all its
-component rows, and div F with them, from one evaluation. The operators
+A drift field is a CylindricalField: finitely many components, each a smooth
+function of the first few coordinates, all of them, and div F with them, from
+one evaluation. A NemytskiiField (a bounded scalar reaction composed
+pointwise, then smoothed by (-A)^{-1}) holds only its data; it is always
+evaluated as its Galerkin projection galerkin(nem, level), which at level
+n_modes is the whole field on the n_modes-mode space. The operators
 divergence and dstar implement div F and D*F = -div F - sum_i f_i beta_{e_i},
 where beta comes either from the measure (exact) or from a ladder density's
 log-gradient; dstar_rows evaluates D*F under several betas at once, together
@@ -172,54 +174,26 @@ class Reaction:
 
 @dataclass(frozen=True)
 class NemytskiiField:
-    """F(t,x) = (-A)^{-1} applied to the pointwise reaction f(t, x(xi))."""
+    """The data of F(t,x) = (-A)^{-1} applied to the pointwise reaction
+    f(t, x(xi)) on n_modes modes; galerkin evaluates it."""
 
     reaction: Reaction
     n_modes: int
     grid: Grid = dc_field(default_factory=lambda: Grid.gauss_legendre(measures.SLICE_GRID_NODES))
     horizon: float = math.inf
 
-    @property
-    def time_dependent(self):
-        return self.reaction.time_dependent
-
-    @property
-    def h_bound(self):
-        inv = 1.0 / eigenvalue(np.arange(1, self.n_modes + 1))
-        return float(self.reaction.bound * inv.sum())
-
-    def value(self, t, X):
-        """All n_modes coefficient components of (-A)^{-1} f(t, x(.))."""
-        return self._evaluate(t, X, False)[0]
-
-    def value_and_divergence(self, t, X):
-        """The components and div F, from one synthesis of x(.)."""
-        return self._evaluate(t, X, True)
-
-    def _evaluate(self, t, X, div):
-        _checked_time(t, self.horizon)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        E = basis_matrix(self.n_modes, self.grid)
-        U = X @ E
-        inv = 1.0 / eigenvalue(np.arange(1, self.n_modes + 1))
-        vals = ((self.reaction(t, U) * self.grid.weights) @ E.T) * inv
-        if not div:
-            return vals, None
-        # sum_i alpha_i^{-1} int e_i^2 f'(t, x(xi)) dxi
-        kernel = (E * E * inv[:, None]).sum(axis=0)
-        return vals, (self.reaction.d(t, U) * kernel) @ self.grid.weights
-
 
 def galerkin(nem, level):
-    """Project a NemytskiiField to its first `level` modes on both sides.
+    """Project a NemytskiiField to its first `level` modes on both sides, the
+    one evaluation of a Nemytskii field; level n_modes is the whole field.
 
     Component i (i <= level) is alpha_i^{-1} int e_i f(t, (P_level x)(xi)) dxi,
     a smooth cylinder in the first `level` coordinates. One evaluation
     synthesizes the grid values once and calls the reaction once for all
     components, and its derivative once for div F.
     """
-    if level > nem.n_modes:
-        raise ValueError(f"galerkin level {level} exceeds n_modes {nem.n_modes}")
+    if not 1 <= level <= nem.n_modes:
+        raise ValueError(f"galerkin level {level} is not in 1..n_modes={nem.n_modes}")
     E = basis_matrix(level, nem.grid)
     w = nem.grid.weights
     reaction = nem.reaction
@@ -309,22 +283,15 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
 
     penalty(x) = |x|_2^2 + alpha |x|_p^p; samples drawn from the measure.
     Records full-sample and half-sample constants so stability under sample
-    doubling is observable.
+    doubling is observable. The field is galerkin(nem, level), level n_modes
+    by default.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     level = level or nem.n_modes
     X = measures.sample_gibbs(measure, count, seed)
-    E = basis_matrix(level, nem.grid)
-    w = nem.grid.weights
-    inv = 1.0 / eigenvalue(np.arange(1, level + 1))
-
-    U = X[:, :level] @ E
-    kernel = (E * E * inv[:, None]).sum(axis=0)
-    div_part = (nem.reaction.d(0.0, U) * kernel) @ w
-    f_comps = ((nem.reaction(0.0, U) * w) @ E.T) * inv
-    b = measures.beta_components(measure, X)[:, :level]
-    beta_part = (f_comps * b).sum(axis=1)
+    f_comps, div_part = galerkin(nem, level).value_and_divergence(0.0, X)
+    beta_part = (f_comps * measures.beta_components(measure, X)[:, :level]).sum(axis=1)
 
     penalty = (X ** 2).sum(axis=1)
     if getattr(measure, "alpha", 0.0) > 0:
@@ -378,17 +345,17 @@ def cf_delta(
     T,
     tail_samples=1,
     seed=0,
-    ml_grid=ML_GRID,
     domain_radius=None,
     n_per_axis=96,
-    n_time=9,
     ladder_kwargs=None,
 ):
     """Estimate C_F(delta): the exponential cost of the positive part of D*F.
 
-    For each sampled tail y the inner quantity is the (M,l)-grid maximum of
+    For each sampled tail y the inner quantity is the maximum over the
+    ML_GRID pairs (M,l) of
     int_0^T int (e^{delta (D*_{M,l} F)^+} - 1) Psi^2_{M,l} dx dt over the box
-    of the given radius; results are averaged over tails. Autonomous fields
+    of the given radius; results are averaged over tails. Time-dependent
+    fields take the trapezoid rule on 9 time nodes; autonomous fields
     collapse the time integral to a single factor of T.
     """
     if delta <= 0:
@@ -405,7 +372,7 @@ def cf_delta(
     if domain_radius is None:
         domain_radius = float(6.0 / math.sqrt(np.min(m.lam[:N])) + 1.0)
     X, w = measures.tensor_grid(N, domain_radius, n_per_axis)
-    t_nodes = np.linspace(0.0, T, n_time)
+    t_nodes = np.linspace(0.0, T, 9)
     time_dep = getattr(field, "time_dependent", False)
 
     per_pair = {}
@@ -413,8 +380,8 @@ def cf_delta(
     for y in tails:
         slc = disintegration.bind(y if n_tail > 0 else None)
         best = -np.inf
-        for M in ml_grid[0]:
-            for l in ml_grid[1]:
+        for M in ML_GRID[0]:
+            for l in ML_GRID[1]:
                 lad = measures.ladder(slc, M, l, **(ladder_kwargs or {}))
                 vals, lg = lad.value_and_log_gradient(X)
 
@@ -443,7 +410,7 @@ def cf_delta(
         tail_estimates.append(best)
 
     grid_best = max(per_pair, key=per_pair.get)
-    edge = grid_best[0] == ml_grid[0][-1] or grid_best[1] == ml_grid[1][-1]
+    edge = grid_best[0] == ML_GRID[0][-1] or grid_best[1] == ML_GRID[1][-1]
     return CfDeltaReport(
         estimate=float(np.mean(tail_estimates)),
         per_pair=per_pair,

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import as_rng
+from .rng import Estimate, as_rng, estimate
 from .spectral import Grid, basis_matrix, exact_midpoint_grid, synthesize
 
 SLICE_GRID_NODES = 128
@@ -277,12 +277,12 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
 
 
 def normalizing_constant(measure, count=20000, seed=0):
-    """(Z, stderr): importance estimate of E_base exp(-(alpha/p)|x|_p^p)."""
+    """Z as an Estimate: the importance estimate of E_base exp(-(alpha/p)|x|_p^p),
+    or the exact 1 with stderr 0 when alpha = 0."""
     if isinstance(measure, GaussianMeasure) or measure.alpha == 0:
-        return 1.0, 0.0
+        return Estimate(1.0, 0.0, count)
     draws = sample_gaussian(measure.base, count, as_rng(seed, "measures", "zconst"))
-    w = np.exp(-_coupling(measure, draws)[0])
-    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(count))
+    return estimate(np.exp(-_coupling(measure, draws)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,6 @@ class SliceDensity:
     log_pref: float  # log normalization: sum log sqrt(lam/2pi) - log Z
     z_stderr: float = 0.0
     name: str = ""
-    smooth_positive_bounded: bool = True
     disintegration: object = None  # the DisintegrationDensity that bound it
 
     def _log_value_and_beta(self, X, value=True, gradient=True):
@@ -380,10 +379,10 @@ def psi_squared(measure, N, z_count=20000, z_seed=0):
     """
     if N > measure.n_modes:
         raise ValueError(f"N={N} exceeds n_modes={measure.n_modes}")
-    Z, z_se = normalizing_constant(measure, count=z_count, seed=z_seed)
+    Z = normalizing_constant(measure, count=z_count, seed=z_seed)
     lam = measure.lam[:N]
-    log_pref = float(0.5 * np.log(lam / (2.0 * np.pi)).sum() - math.log(Z))
-    return DisintegrationDensity(measure=measure, N=N, log_pref=log_pref, z_stderr=z_se)
+    log_pref = float(0.5 * np.log(lam / (2.0 * np.pi)).sum() - math.log(Z.estimate))
+    return DisintegrationDensity(measure=measure, N=N, log_pref=log_pref, z_stderr=Z.stderr)
 
 
 def mollifier_profile(v_sq):
@@ -434,7 +433,6 @@ class LadderDensity:
     l: int
     offsets: np.ndarray = None  # (K, N)
     conv_weights: np.ndarray = None  # (K,)
-    first_branch: bool = False
 
     def _shifted(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -442,15 +440,11 @@ class LadderDensity:
         return pts.reshape(-1, self.source.N), X.shape[0]
 
     def value(self, X):
-        if self.first_branch:
-            return self.source.value(X)
         flat, npts = self._shifted(X)
         vals = self.source.value(flat).reshape(npts, -1)
         return np.clip(vals, 1.0 / self.M, self.M) @ self.conv_weights
 
     def value_and_log_gradient(self, X):
-        if self.first_branch:
-            return self.source.value(X), self.source.beta(X)
         flat, npts = self._shifted(X)
         vals, betas = self.source.value_and_beta(flat)
         K = self.offsets.shape[0]
@@ -466,33 +460,19 @@ class LadderDensity:
         return self.value_and_log_gradient(X)[1]
 
 
-def ladder(source, M, l, n_quad=33, mc_draws=10000, seed=0, respect_first_branch=False):
-    """Build Psi^2_{M,l} from a SliceDensity.
-
-    With respect_first_branch=True and a source that is C2, strictly positive
-    and bounded, the construction short-circuits and returns the source
-    untouched (the smooth-case branch); otherwise the literal clip-and-mollify
-    object is built, which is what the inequality checks exercise.
-    """
+def ladder(source, M, l, n_quad=33, mc_draws=10000, seed=0):
+    """Build Psi^2_{M,l} from a SliceDensity: the literal clip-and-mollify
+    object, which is what the inequality checks exercise."""
     if M < 1:
         raise ValueError(f"clip level must satisfy M >= 1, got {M}")
     if l < 1:
         raise ValueError(f"mollifier scale must satisfy l >= 1, got {l}")
-    if respect_first_branch and source.smooth_positive_bounded:
-        return source
     offsets, w = _mollifier_offsets(source.N, int(l), n_quad, mc_draws, seed)
     return LadderDensity(source=source, M=float(M), l=int(l), offsets=offsets, conv_weights=w)
 
 
 # ---------------------------------------------------------------------------
 # integration-by-parts and integrability diagnostics
-
-
-def jackknife_stderr(w):
-    w = np.asarray(w, dtype=float)
-    n = len(w)
-    loo = (w.sum() - w) / (n - 1)
-    return float(np.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum()))
 
 
 @dataclass(frozen=True)
@@ -510,7 +490,7 @@ def ibp_residual(measure, u, h, count, seed):
     """Monte-Carlo residual of int d_h u dgamma + int u beta_h dgamma.
 
     u is a Cylinder (value + gradient); h a basis index or coefficient vector.
-    Returns the estimate with a jackknife standard error; the contract is
+    Returns the Monte-Carlo mean with its standard error; the contract is
     |residual| <= 4 stderr.
     """
     X = sample_gibbs(measure, count, seed)
@@ -518,8 +498,8 @@ def ibp_residual(measure, u, h, count, seed):
         d_u = u.partial(int(h), X)
     else:
         d_u = u.directional(np.asarray(h, dtype=float), X)
-    w = d_u + u.value(X) * beta(measure, h, X)
-    return IbpReport(residual=float(w.mean()), stderr=jackknife_stderr(w), count=count)
+    est = estimate(d_u + u.value(X) * beta(measure, h, X))
+    return IbpReport(residual=est.estimate, stderr=est.stderr, count=count)
 
 
 @dataclass(frozen=True)
@@ -538,12 +518,12 @@ def exp_integrability(measure, h, c, count, seed):
         raise ValueError(f"exponential-integrability constant must be positive, got {c}")
     X = sample_gibbs(measure, count, seed)
     v = np.exp(c * np.abs(beta(measure, h, X)))
-    est = float(v.mean())
+    est = estimate(v)
     half = float(v[: count // 2].mean())
-    ratio = est / half if half > 0 else np.inf
+    ratio = est.estimate / half if half > 0 else np.inf
     return ExpIntegrabilityReport(
-        estimate=est,
-        stderr=float(v.std(ddof=1) / math.sqrt(count)),
+        estimate=est.estimate,
+        stderr=est.stderr,
         half_estimate=half,
         diverged=bool(ratio > 2.0 or ratio < 0.5),
         c=float(c),

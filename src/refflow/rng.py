@@ -6,10 +6,15 @@ spawn key, so the stream for a given (experiment kind, module, work-unit
 index) is reproducible and independent of how many workers execute the units.
 map_units returns unit results in unit order, so outputs are bit-identical
 for any worker count.
+
+Every Monte-Carlo mean the package reports comes from `estimate`, as an
+Estimate record: the mean, its standard error and the number of values.
 """
 
+import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,3 +45,23 @@ def map_units(fn, units, workers=1):
         return [fn(u) for u in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
+
+
+class Estimate(NamedTuple):
+    """A Monte-Carlo mean of n values and its standard error."""
+
+    estimate: float
+    stderr: float
+    n: int
+
+    @property
+    def inconclusive(self):
+        """The stderr exceeds half the estimate's magnitude."""
+        return self.stderr > 0.5 * abs(self.estimate)
+
+
+def estimate(values):
+    """The mean of values with the stderr std(ddof=1) / sqrt(n), inf for one value."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    return Estimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf, n)

@@ -18,7 +18,8 @@ steps they keep.
 Also here: derivative flows along frozen paths, semigroup and gradient
 estimators (the probabilistic integration-by-parts weight), the smoothing
 commutator and its decay curve, the V-norm quadratic form, and the
-martingale-moment ratio check. Two functions check claims of the paper
+martingale-moment ratio check. Each Monte-Carlo mean is an rng.Estimate
+(mean, stderr, n). Two functions check claims of the paper
 directly: `commutator_identity_probe` the commutator formula for
 D_x P_t - P_t D_x, and `v_norm` the Dirichlet form of the invariant measure;
 `simulate`, `semigroup`, `bel_gradient`, `derivative_flow` and
@@ -31,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rng import as_rng, map_units
+from .rng import Estimate, as_rng, estimate, map_units
 from .spectral import Grid, basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
 
 
@@ -368,12 +369,13 @@ def simulate(config, x0, seed, n_paths=1, record_every=1, disable_noise=False):
 
 
 def _batch_stderr(series, n_batches=32):
+    """The stderr of the mean of series from n_batches batch means, or from
+    the series itself when a batch would be empty."""
     series = np.asarray(series, dtype=float)
     n = len(series) // n_batches
     if n < 1:
-        return float(series.std(ddof=1) / math.sqrt(len(series)))
-    means = series[: n * n_batches].reshape(n_batches, n).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+        return estimate(series).stderr
+    return estimate(series[: n * n_batches].reshape(n_batches, n).mean(axis=1)).stderr
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,7 @@ def _eta_step(eta, ema, reaction):
     return eta
 
 
-def derivative_flow(config, path_states, h, check_contraction=True):
+def derivative_flow(config, path_states, h):
     """The derivative flow eta = D_x X_t h, whose contraction criterion 8
     checks, along a frozen path: d eta = [A eta + Dp_alpha(X) eta] dt.
 
@@ -470,36 +472,23 @@ def derivative_flow(config, path_states, h, check_contraction=True):
         if reaction is not None:
             reaction.load(states[:, k - 1])
         eta = _eta_step(eta, ema, reaction)
-        if check_contraction:
-            worst = math.sqrt(float((eta ** 2).sum(axis=1).max()))
-            if not worst <= h_norm * (1.0 + 1e-8) + 1e-300:
-                raise SchemeError(f"contraction violated at step {k}: |eta|={worst} > |h|={h_norm}")
+        worst = math.sqrt(float((eta ** 2).sum(axis=1).max()))
+        if not worst <= h_norm * (1.0 + 1e-8) + 1e-300:
+            raise SchemeError(f"contraction violated at step {k}: |eta|={worst} > |h|={h_norm}")
         out[:, k] = eta
     return out
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    estimate: float
-    stderr: float
-    n_mc: int
-    inconclusive: bool = False
-
-
 def semigroup(config, phi, x, t, n_mc, seed):
     """The transition semigroup (P_t phi)(x), checked against OU decay by
-    criterion 8, by Monte Carlo over independent paths from x."""
+    criterion 8, by Monte Carlo over independent paths from x; at t = 0 the
+    exact phi(x) with stderr 0."""
     if config.n_steps(t) == 0:
         v = float(np.asarray(phi(np.atleast_2d(np.asarray(x, dtype=float)))).ravel()[0])
-        return EstimateReport(estimate=v, stderr=0.0, n_mc=n_mc)
+        return Estimate(v, 0.0, n_mc)
     cfg = replace(config, T=t)
     ens = simulate(cfg, np.asarray(x, dtype=float), seed, n_paths=n_mc, record_every=max(1, cfg.n_steps(t)))
-    vals = np.asarray(phi(ens.states[:, -1]), dtype=float)
-    return EstimateReport(
-        estimate=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf,
-        n_mc=n_mc,
-    )
+    return estimate(phi(ens.states[:, -1]))
 
 
 def bel_gradient(config, phi, x, h, t, n_mc, seed):
@@ -508,8 +497,8 @@ def bel_gradient(config, phi, x, h, t, n_mc, seed):
 
     (1/t) E[ phi(X_t) int_0^t <B^{-1} eta(s), dW(s)> ] with the stochastic
     integral accumulated left-point on the simulation grid, sharing the same
-    normal increments as the path. stderr > 50% of |estimate| flags the
-    result inconclusive.
+    normal increments as the path. The Estimate's inconclusive flag says
+    whether stderr exceeds 50% of |estimate|.
     """
     if t <= 0:
         raise ValueError("bel_gradient needs t > 0")
@@ -520,26 +509,11 @@ def bel_gradient(config, phi, x, h, t, n_mc, seed):
     w = np.zeros(n_mc)
     for _, X, _, w in _steps(config, X, n, rng, eta=eta):
         pass
-    vals = np.asarray(phi(X), dtype=float) * w / t
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
-    return EstimateReport(estimate=est, stderr=se, n_mc=n_mc, inconclusive=bool(se > 0.5 * abs(est)))
+    return estimate(np.asarray(phi(X), dtype=float) * w / t)
 
 
 # ---------------------------------------------------------------------------
 # commutator machinery
-
-
-@dataclass(frozen=True)
-class CommutatorEstimate:
-    eps: float
-    value: float
-    stderr: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("L1 estimate cannot be negative")
 
 
 def _commutator_samples(config, u, F, eps_sorted, x, n_mc, rng):
@@ -573,15 +547,12 @@ def commutator(config, u, F, eps, x, n_mc, seed):
     if not (0 < eps <= 1):
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     rng = as_rng(seed, "spde", "commutator")
-    d = _commutator_samples(config, u, F, [eps], np.asarray(x, dtype=float), n_mc, rng)[0]
-    est = float(d.mean())
-    se = float(d.std(ddof=1) / math.sqrt(n_mc))
-    return EstimateReport(estimate=est, stderr=se, n_mc=n_mc, inconclusive=bool(se > 0.5 * abs(est)))
+    return estimate(_commutator_samples(config, u, F, [eps], np.asarray(x, dtype=float), n_mc, rng)[0])
 
 
 @dataclass(frozen=True)
 class DecayCurveReport:
-    estimates: tuple  # CommutatorEstimate, decreasing eps
+    estimates: tuple  # (eps, Estimate over the base points), decreasing eps
     trend_established: bool
     drop: float
     drop_stderr: float
@@ -593,7 +564,9 @@ def commutator_decay_curve(
 ):
     """L1(gamma) commutator norm on an eps grid, outer-sampled from the
     invariant measure; the contract is a decay trend from the largest to the
-    smallest eps, and an unestablished trend is reported (not raised).
+    smallest eps, and an unestablished trend is reported (not raised). Each
+    eps of the grid, repeated ones too, gets the Estimate of the n_x_samples
+    per-point values |mean of its n_mc_per_eps path differences|.
 
     Each base point gets its own substream keyed by its index, so the result
     is identical for any worker count."""
@@ -610,24 +583,13 @@ def commutator_decay_curve(
         return np.abs(d.mean(axis=1))
 
     cols = map_units(one_point, range(n_x_samples), workers)
-    abs_vals = np.stack(cols, axis=1)
-    ests = []
-    for i, e in enumerate(eps_grid):
-        ests.append(
-            CommutatorEstimate(
-                eps=e,
-                value=float(abs_vals[i].mean()),
-                stderr=float(abs_vals[i].std(ddof=1) / math.sqrt(n_x_samples)),
-                n_samples=n_x_samples * n_mc_per_eps,
-            )
-        )
+    ests = [estimate(row) for row in np.stack(cols, axis=1)]
     first = ests[-1]  # largest eps
     last = ests[0]  # smallest eps
-    drop = first.value - last.value
+    drop = first.estimate - last.estimate
     dse = math.sqrt(first.stderr ** 2 + last.stderr ** 2)
-    by_desc = tuple(sorted(ests, key=lambda c: -c.eps))
     return DecayCurveReport(
-        estimates=by_desc,
+        estimates=tuple(zip(eps_grid, ests))[::-1],
         trend_established=bool(drop > 2.0 * dse),
         drop=float(drop),
         drop_stderr=float(dse),
@@ -725,14 +687,7 @@ def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
             phix = np.asarray(phi(X), dtype=float)
             for i in rows:
                 vals[i] = phi0 * (phi0 - phix) / eps_grid[i]
-    per_eps = [
-        EstimateReport(
-            estimate=float(vals[i].mean()),
-            stderr=float(vals[i].std(ddof=1) / math.sqrt(n_mc)),
-            n_mc=n_mc,
-        )
-        for i in range(len(eps_grid))
-    ]
+    per_eps = [estimate(row) for row in vals]
     best = max(range(len(eps_grid)), key=lambda i: per_eps[i].estimate)
     return per_eps[best], {eps_grid[i]: per_eps[i] for i in range(len(eps_grid))}
 
@@ -783,12 +738,12 @@ def bdg_check(p, phi_values, t, n_mc, seed, n_steps=512):
         incr = rng.standard_normal((m, n_steps)) * (phi_values * sq)
         path = np.cumsum(incr, axis=1)
         sup_p[lo : lo + m] = np.max(np.abs(path), axis=1) ** p
-    num = float(sup_p.mean())
+    num = estimate(sup_p)
     return BdgReport(
-        ratio=num / denom,
+        ratio=num.estimate / denom,
         bound=bound,
-        numerator=num,
-        numerator_stderr=float(sup_p.std(ddof=1) / math.sqrt(n_mc)),
+        numerator=num.estimate,
+        numerator_stderr=num.stderr,
         denominator=denom,
         degenerate=False,
         p=float(p),

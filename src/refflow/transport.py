@@ -6,8 +6,8 @@ of the time integral of D*F along the path:
 
     rho(t, x) = rho0(c(0)) * exp( int_0^t D*F(u, c(u)) du ),
 
-where c solves dc/du = F(u, c), c(t) = x. Fixed-step RK4 (or RK2) for the
-flow; the exponent uses the trapezoid rule on the same nodes so both
+where c solves dc/du = F(u, c), c(t) = x. Fixed-step RK4 for the flow; the
+exponent uses the trapezoid rule on the same nodes so both
 discretizations refine together.
 
 One kernel, _sweep_to, takes every backward sweep:
@@ -55,13 +55,10 @@ class RepresentationOverflowError(OverflowError):
 class FlowConfig:
     dt_ode: float = 1e-3
     T: float = 1.0
-    integrator: str = "RK4"
 
     def __post_init__(self):
         if self.dt_ode <= 0 or self.T <= 0:
             raise ValueError("dt_ode and T must be positive")
-        if self.integrator not in ("RK4", "RK2"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
     def n_steps(self, interval):
         """Number of dt_ode steps in `interval`; the interval must divide."""
@@ -88,16 +85,13 @@ def _velocity(vals, Z):
     return out
 
 
-def _step(field, u, Z, h, integrator, F):
-    """One step of size h from (u, Z), given the field rows F = field.value(u, Z)."""
+def _step(field, u, Z, h, F):
+    """One RK4 step of size h from (u, Z), given the field rows F = field.value(u, Z)."""
     k1 = _velocity(F, Z)
     k2 = _velocity(field.value(u + 0.5 * h, Z + 0.5 * h * k1), Z)
-    if integrator == "RK2":
-        nxt = Z + h * k2
-    else:
-        k3 = _velocity(field.value(u + 0.5 * h, Z + 0.5 * h * k2), Z)
-        k4 = _velocity(field.value(u + h, Z + h * k3), Z)
-        nxt = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k3 = _velocity(field.value(u + 0.5 * h, Z + 0.5 * h * k2), Z)
+    k4 = _velocity(field.value(u + h, Z + h * k3), Z)
+    nxt = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(nxt)):
         raise FieldEvaluationError(f"non-finite state while stepping at u={u}")
     return nxt
@@ -271,7 +265,7 @@ def _sweep_to(solutions, t, X):
         F, gs = fields_mod.dstar_rows(fld, betas, t, Z)
         Rs = [0.5 * g for g in gs]
     for j in range(k + 1, n + 1):
-        Z = _step(fld, t - (j - 1) * dt, Z, -dt, cfg.integrator, F)
+        Z = _step(fld, t - (j - 1) * dt, Z, -dt, F)
         F, gs = fields_mod.dstar_rows(fld, betas, max(t - j * dt, 0.0), Z)
         accs = [R + 0.5 * g for R, g in zip(Rs, gs)]
         Rs = [R + g for R, g in zip(Rs, gs)]

@@ -21,7 +21,7 @@ def flow(field, s, t, x, config):
     h = math.copysign(config.dt_ode, t - s) if n else 0.0
     u = s
     for _ in range(n):
-        Z = transport._step(field, u, Z, h, config.integrator, field.value(u, Z))
+        Z = transport._step(field, u, Z, h, field.value(u, Z))
         u += h
     return Z[0] if squeeze else Z
 

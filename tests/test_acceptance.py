@@ -222,9 +222,9 @@ def test_c09_commutator_decay():
     u = catalog.build_cylinder("mode1_soft")
     F = catalog.build_field({"name": "constant", "coeffs": [0.1]})
     rep = spde.commutator_decay_curve(config, u, F, [0.5, 0.02], 2000, 200, 77)
-    for est in rep.estimates:
-        if not (math.isfinite(est.value) and math.isfinite(est.stderr)):
-            c.check(False, f"eps={est.eps}: estimate not finite")
+    for eps, est in rep.estimates:
+        if not (math.isfinite(est.estimate) and math.isfinite(est.stderr)):
+            c.check(False, f"eps={eps}: estimate not finite")
     if rep.trend_established:
         c.check(rep.drop >= 2.0 * rep.drop_stderr,
                 f"drop={rep.drop:.4f} ({rep.drop / rep.drop_stderr:.0f} sigma) at 200x2000")

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import refflow
 from refflow import catalog, cli, measures, spde, verify
+from refflow import fields as fields_mod
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -345,6 +347,20 @@ def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
             continue
         for label in labels:
             builders[section](label.split("(")[0])
+    # every field, from its defaults and, for a Nemytskii field, with and
+    # without a level, is a whole drift field: components, bounds, rows with
+    # div F, and a delta recipe
+    specs = [{"name": name} for name in catalog.FIELDS]
+    specs += [{"name": name, "n_modes": 3, **level} for name in catalog.FIELDS if name.startswith("nemytskii:")
+              for level in ({}, {"level": 2})]
+    gauss = catalog.build_measure({"name": "gaussian", "n_modes": 4})
+    for spec in specs:
+        field = catalog.build_field(spec)
+        k = field.n_components
+        assert len(field.bounds) == k >= 1 and field.h_bound >= 0.0, spec
+        rows, div = field.value_and_divergence(0.0, np.full((3, 4), 0.3))
+        assert rows.shape == (3, k) and div.shape == (3,), spec
+        assert fields_mod.delta_recipe(field, gauss, count=200) > 0.0, spec
 
 
 CONFIGS = pathlib.Path(__file__).parents[1] / "scripts" / "configs"
@@ -411,6 +427,22 @@ def test_delta_too_large_suggests_a_delta_from_one_pilot_sample(tmp_path, capsys
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert re.search(r"config error: params\.delta: .*suggested delta=0\.\d+", capsys.readouterr().err)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("entropy-audit", {**problem_params(), "field": {"name": "nemytskii:neg_arctan"}}),
+        ("commutator-curve", {"eps_grid": [0.04, 0.02], "n_mc": 20, "n_x": 8,
+                              "field": {"name": "nemytskii:neg_arctan", "n_modes": 4}}),
+    ],
+    ids=["entropy-audit", "commutator-curve"],
+)
+def test_nemytskii_field_without_level_runs_to_its_verdicts(tmp_path, kind, params):
+    cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": params})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verdicts"] and set(report["verdicts"].values()) <= {"pass", "fail", "warn"}
 
 
 def test_unknown_field_names_its_key(tmp_path, capsys):

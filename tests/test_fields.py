@@ -29,6 +29,11 @@ def one_reaction():
     return Reaction(fn=lambda t, r: np.ones_like(r), deriv=lambda t, r: np.zeros_like(r), bound=1.0, name="one")
 
 
+def arctan_field(n_modes):
+    """The catalog's -arctan Nemytskii field on n_modes modes, as data."""
+    return NemytskiiField(reaction=catalog.SCALAR_REACTIONS["neg_arctan"].build(), n_modes=n_modes)
+
+
 def test_constant_field_values_and_bound():
     f = constant_field([0.3, -0.2])
     X = np.random.default_rng(0).normal(size=(7, 5))
@@ -57,33 +62,33 @@ def test_horizon_enforced():
     f.value(1.0, np.zeros((1, 1)))  # endpoint ok
     with pytest.raises(TimeDomainError):
         f.value(2.0, np.zeros((1, 1)))
-    nem = NemytskiiField(reaction=one_reaction(), n_modes=2, horizon=0.5)
+    gal = galerkin(NemytskiiField(reaction=one_reaction(), n_modes=2, horizon=0.5), 2)
+    gal.value(0.5, np.zeros((1, 2)))
     with pytest.raises(TimeDomainError):
-        nem.value(0.75, np.zeros((1, 2)))
+        gal.value(0.75, np.zeros((1, 2)))
+    with pytest.raises(TimeDomainError):
+        gal.value_and_divergence(0.75, np.zeros((1, 2)))
 
 
 def test_nemytskii_unit_reaction_components():
     """f = 1 gives component j equal to 2 sqrt(2) / (j pi)^3 for odd j, 0 for even."""
-    nem = NemytskiiField(reaction=one_reaction(), n_modes=4)
-    vals = nem.value(0.0, np.random.default_rng(2).normal(size=(5, 4)))
+    gal = galerkin(NemytskiiField(reaction=one_reaction(), n_modes=4), 4)
+    vals = gal.value(0.0, np.random.default_rng(2).normal(size=(5, 4)))
     # [DERIVED] mpmath: alpha_j^{-1} int_0^1 e_j
     assert np.all(np.abs(vals[:, 0] - 0.091221114805547177) < 1e-14)
     assert np.all(np.abs(vals[:, 2] - 0.0033785598076128584) < 1e-14)
     assert np.all(np.abs(vals[:, 1]) < 1e-15)
     assert np.all(np.abs(vals[:, 3]) < 1e-15)
-    assert np.all(divergence(nem, 0.0, np.zeros((1, 4))) == 0.0)
-
-
-def test_nemytskii_h_bound_sums_inverse_eigenvalues():
-    nem = NemytskiiField(reaction=one_reaction(), n_modes=3)
-    want = sum(1.0 / (np.pi ** 2 * j ** 2) for j in (1, 2, 3))
-    assert nem.h_bound == pytest.approx(want, rel=1e-12)
+    assert np.all(divergence(gal, 0.0, np.zeros((1, 4))) == 0.0)
 
 
 def test_nemytskii_divergence_matches_finite_differences():
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
+    field = galerkin(arctan_field(4), 4)
     X = np.random.default_rng(3).normal(scale=0.4, size=(30, 4))
-    d = divergence(nem, 0.0, X)
+    # the catalog builds a Nemytskii field without a level as this projection
+    built = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
+    assert np.array_equal(built.value(0.0, X), field.value(0.0, X))
+    d = divergence(field, 0.0, X)
     assert np.all(d <= 0.0)  # f' = -1/(1+r^2) < 0 and the kernel is nonnegative
     eps = 2e-6
     d_fd = np.zeros(X.shape[0])
@@ -92,23 +97,23 @@ def test_nemytskii_divergence_matches_finite_differences():
         Xp[:, i] += eps
         Xm = X.copy()
         Xm[:, i] -= eps
-        d_fd += (nem.value(0.0, Xp)[:, i] - nem.value(0.0, Xm)[:, i]) / (2 * eps)
+        d_fd += (field.value(0.0, Xp)[:, i] - field.value(0.0, Xm)[:, i]) / (2 * eps)
     assert np.max(np.abs(d - d_fd)) < 1e-7
 
 
 def test_galerkin_matches_full_field_on_low_modes():
     """On states supported in the first `level` modes the projection changes nothing."""
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
+    nem = arctan_field(4)
     gal = galerkin(nem, 2)
     assert gal.n_components == 2
     rng = np.random.default_rng(4)
     X = np.zeros((40, 4))
     X[:, :2] = rng.normal(scale=0.4, size=(40, 2))
-    assert np.max(np.abs(gal.value(0.0, X) - nem.value(0.0, X)[:, :2])) < 1e-13
+    assert np.max(np.abs(gal.value(0.0, X) - galerkin(nem, 4).value(0.0, X)[:, :2])) < 1e-13
 
 
 def test_galerkin_gradients_match_finite_differences():
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
+    nem = arctan_field(4)
     gal = galerkin(nem, 2)
     X = np.random.default_rng(5).normal(scale=0.4, size=(25, 4))
     analytic = divergence(gal, 0.0, X)
@@ -121,8 +126,9 @@ def test_galerkin_gradients_match_finite_differences():
 
 def test_galerkin_level_validation():
     nem = NemytskiiField(reaction=one_reaction(), n_modes=2)
-    with pytest.raises(ValueError):
-        galerkin(nem, 3)
+    for level in (0, 3):
+        with pytest.raises(ValueError):
+            galerkin(nem, level)
 
 
 def test_divergence_rejects_c0_fields():
@@ -154,7 +160,7 @@ def test_product_rule_two_routes_agree(field_spec):
 def test_product_rule_on_gibbs_slice():
     m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=4), alpha=1.0, p=4.0)
     slc = measures.psi_squared(m, 4).bind()
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
+    nem = arctan_field(4)
     phi = catalog.build_cylinder("gauss_m123")
     X = np.random.default_rng(8).normal(scale=0.3, size=(60, 4))
     assert dstar_product_rule_check(galerkin_components(nem, 2), phi, slc.beta, X) < 1e-12
@@ -163,7 +169,7 @@ def test_product_rule_on_gibbs_slice():
 def test_dstar_rows_is_dstar_under_each_oracle():
     m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=2), alpha=1.0, p=4.0)
     slc = measures.psi_squared(m, 2).bind()
-    gal = galerkin(catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 2}), 1)
+    gal = galerkin(arctan_field(2), 1)
     oracles = (slc.beta, measures.ladder(slc, 8, 16).log_gradient)
     X = np.random.default_rng(9).normal(scale=0.5, size=(30, 2))
     F, rows = dstar_rows(gal, oracles, 0.0, X)
@@ -179,7 +185,7 @@ ROW_COUNTS = (1, 7, 256, 1000)
 
 def _one_evaluation_cases():
     """(field, its per-component formula) for Galerkin levels 1-3 and a constant field, on 3 modes."""
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 3})
+    nem = arctan_field(3)
     coeffs = [0.1, -0.4, 0.25]
     return [(galerkin(nem, level), galerkin_components(nem, level)) for level in (1, 2, 3)] + [
         (constant_field(coeffs), constant_components(coeffs))
@@ -227,7 +233,7 @@ def test_rank_one_synthesis_broadcast_is_the_blas_product(rows):
 
 
 def test_claims_probe_bounded_and_stable():
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
+    nem = arctan_field(4)
     m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=4), alpha=1.0, p=4.0)
     rep = claims_probe(nem, m, eps=0.1, count=4000, seed=11)
     assert rep.stable
@@ -239,7 +245,7 @@ def test_claims_probe_bounded_and_stable():
 
 
 def test_claims_probe_rejects_nonpositive_eps():
-    nem = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 2})
+    nem = arctan_field(2)
     m = measures.GaussianMeasure(n_modes=2)
     with pytest.raises(ValueError):
         claims_probe(nem, m, eps=0.0, count=100, seed=0)

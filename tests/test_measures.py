@@ -20,7 +20,6 @@ from refflow.measures import (
     exp_integrability,
     ibp_residual,
     integrability_constants,
-    jackknife_stderr,
     jensen_chain,
     ladder,
     lag1_autocorrelation,
@@ -260,12 +259,6 @@ def test_ibp_residual_gaussian():
     assert rep_vec.passed
 
 
-def test_jackknife_matches_plain_stderr():
-    w = np.random.default_rng(2).normal(size=400)
-    # for the sample mean the jackknife reproduces std/sqrt(n) exactly
-    assert jackknife_stderr(w) == pytest.approx(w.std(ddof=1) / math.sqrt(len(w)), rel=1e-10)
-
-
 def test_psi_squared_gaussian_formula():
     m = GaussianMeasure(n_modes=1)
     slc = psi_squared(m, 1).bind(None)
@@ -394,8 +387,6 @@ def test_ladder_validation_and_first_branch():
         ladder(slc, 0.5, 4)
     with pytest.raises(ValueError):
         ladder(slc, 4, 0)
-    same = ladder(slc, 4, 8, respect_first_branch=True)
-    assert same is slc  # smooth positive bounded source short-circuits
     lad = ladder(slc, 4, 8)
     assert isinstance(lad, LadderDensity)
     assert lad is not slc

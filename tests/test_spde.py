@@ -225,11 +225,12 @@ def test_decay_curve_on_cubic_reaction():
     cfg = SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=CUBIC)
     u = catalog.build_cylinder("mode1_soft")
     rep = commutator_decay_curve(cfg, u, constant_field([0.1]), [0.5, 0.2, 0.1, 0.05, 0.02], 200, 10, seed=12)
-    eps_order = [c.eps for c in rep.estimates]
+    eps_order = [eps for eps, _ in rep.estimates]
     assert eps_order == [0.5, 0.2, 0.1, 0.05, 0.02]
+    assert all(est.n == 10 for _, est in rep.estimates)
     assert rep.trend_established
     assert rep.drop > 0
-    assert rep.estimates[0].value > rep.estimates[-1].value
+    assert rep.estimates[0][1].estimate > rep.estimates[-1][1].estimate
 
 
 def test_decay_curve_worker_count_does_not_change_results():
@@ -237,7 +238,7 @@ def test_decay_curve_worker_count_does_not_change_results():
     u = catalog.build_cylinder("mode1_soft")
     a = commutator_decay_curve(cfg, u, constant_field([0.1]), [0.1, 0.02], 50, 6, seed=3, workers=1)
     b = commutator_decay_curve(cfg, u, constant_field([0.1]), [0.1, 0.02], 50, 6, seed=3, workers=4)
-    assert [c.value for c in a.estimates] == [c.value for c in b.estimates]
+    assert a.estimates == b.estimates
 
 
 def test_invariant_sampler_matches_ou_moment():

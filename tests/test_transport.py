@@ -30,8 +30,6 @@ def test_flow_config_validation():
         FlowConfig(dt_ode=0.0)
     with pytest.raises(ValueError):
         FlowConfig(T=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(integrator="euler")
     cfg = FlowConfig(dt_ode=1e-3, T=1.0)
     assert cfg.n_steps(0.1) == 100
     assert cfg.n_steps(0.0) == 0
@@ -260,7 +258,7 @@ def _feynman_kac_reference(solution, t, X):
     acc = 0.5 * fields.dstar(fld, beta, t, Z)
     u = t
     for k in range(1, n + 1):
-        Z = transport._step(fld, u, Z, -cfg.dt_ode, cfg.integrator, fld.value(u, Z))
+        Z = transport._step(fld, u, Z, -cfg.dt_ode, fld.value(u, Z))
         u = t - k * cfg.dt_ode
         g = fields.dstar(fld, beta, max(u, 0.0), Z)
         acc = acc + (0.5 * g if k == n else g)
@@ -273,13 +271,13 @@ def _feynman_kac_reference(solution, t, X):
     return out
 
 
-def _catalog_solution(pid, integrator, ladder=False, field=None):
+def _catalog_solution(pid, ladder=False, field=None):
     spec = {p["id"]: p for p in catalog.default_problems("all")}[pid]
     m, reference, fld, rho0, config, _u = catalog.build_problem(spec)
     if ladder:
         reference = measures.ladder(reference, 8, 16)
     # a short horizon keeps the reference sweeps cheap; dt stays the catalog's
-    config = FlowConfig(dt_ode=config.dt_ode, T=0.04, integrator=integrator)
+    config = FlowConfig(dt_ode=config.dt_ode, T=0.04)
     return TransportSolution(rho0=rho0, field=field or fld, reference=reference, config=config, N=spec["N"])
 
 
@@ -294,10 +292,9 @@ def _points(sol):
 SWEEP_TIMES = [0.04, 0.0, 0.017, 0.003, 0.017, 0.001]
 
 
-@pytest.mark.parametrize("integrator", ["RK4", "RK2"])
 @pytest.mark.parametrize("pid,ladder", [("g1_const", False), ("gibbs1_arctan", True), ("g2_swirl", False)])
-def test_sweep_matches_per_time_integration(pid, ladder, integrator):
-    sol = _catalog_solution(pid, integrator, ladder=ladder)
+def test_sweep_matches_per_time_integration(pid, ladder):
+    sol = _catalog_solution(pid, ladder=ladder)
     X = _points(sol)
     assert not np.all(np.sqrt((X ** 2).sum(axis=1)) <= sol.support_radius)
     want = np.stack([_feynman_kac_reference(sol, t, X) for t in SWEEP_TIMES])
@@ -305,7 +302,7 @@ def test_sweep_matches_per_time_integration(pid, ladder, integrator):
     assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
     # single-time calls continue the last sweep or start afresh, going back in
     # time or switching point sets; the values stay those of a fresh sweep
-    fresh = _catalog_solution(pid, integrator, ladder=ladder)
+    fresh = _catalog_solution(pid, ladder=ladder)
     for t, row in zip(SWEEP_TIMES, want):
         assert np.array_equal(feynman_kac(fresh, t, X), row)
     for t, row in zip(SWEEP_TIMES, want):
@@ -326,14 +323,14 @@ GROWING = fields.component_field(
 
 
 def test_sweep_restarts_for_time_dependent_field():
-    sol = _catalog_solution("g1_const", "RK4", field=GROWING)
+    sol = _catalog_solution("g1_const", field=GROWING)
     X = _points(sol)
     want = np.stack([_feynman_kac_reference(sol, t, X) for t in SWEEP_TIMES])
     assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
 
 
 def test_sweep_checks_every_time():
-    sol = _catalog_solution("g1_const", "RK4")
+    sol = _catalog_solution("g1_const")
     X = _points(sol)
     with pytest.raises(ValueError, match="outside"):
         feynman_kac_many(sol, [0.01, 0.05], X)
@@ -351,7 +348,7 @@ def test_sweep_checks_every_time():
 
 
 def test_sweep_is_not_continued_on_points_changed_in_place():
-    sol = _catalog_solution("g2_swirl", "RK4")
+    sol = _catalog_solution("g2_swirl")
     X = _points(sol)
     feynman_kac(sol, 0.01, X)
     X += 0.05
@@ -380,7 +377,7 @@ def _pde_residual_old_order(solution, t, X, h_t, h_x):
 
 @pytest.mark.parametrize("pid,ladder", [("gibbs1_arctan", True), ("g2_swirl", False)])
 def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
-    sol = _catalog_solution(pid, "RK4", ladder=ladder)
+    sol = _catalog_solution(pid, ladder=ladder)
     X = _points(sol)[::7]
     h = 2 * sol.config.dt_ode
     # every field evaluation goes through CylindricalField.value (the RK
@@ -404,18 +401,17 @@ def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
     assert len(calls) < old_calls - 4 * sol.config.n_steps(0.02)
 
 
-def _slice_and_ladder(pid, integrator, field=None):
+def _slice_and_ladder(pid, field=None):
     """Solutions of one catalog problem under its exact slice and under the
     ladder Psi^2_{8,16} of that slice."""
-    exact = _catalog_solution(pid, integrator, field=field)
+    exact = _catalog_solution(pid, field=field)
     ladder = measures.ladder(exact.reference, 8, 16)
     return [exact, TransportSolution(rho0=exact.rho0, field=exact.field, reference=ladder, config=exact.config, N=exact.N)]
 
 
-@pytest.mark.parametrize("integrator", ["RK4", "RK2"])
 @pytest.mark.parametrize("pid,field", [("g1_const", None), ("gibbs1_arctan", None), ("g2_swirl", None), ("g1_const", GROWING)])
-def test_shared_sweep_matches_each_reference(pid, field, integrator):
-    sols = _slice_and_ladder(pid, integrator, field=field)
+def test_shared_sweep_matches_each_reference(pid, field):
+    sols = _slice_and_ladder(pid, field=field)
     X = _points(sols[0])
     assert not np.all(np.sqrt((X ** 2).sum(axis=1)) <= sols[0].support_radius)
     want = np.stack([[_feynman_kac_reference(s, t, X) for t in SWEEP_TIMES] for s in sols])
@@ -424,7 +420,7 @@ def test_shared_sweep_matches_each_reference(pid, field, integrator):
 
 
 def test_served_density_is_a_copy(monkeypatch):
-    sol = _catalog_solution("g2_swirl", "RK4")
+    sol = _catalog_solution("g2_swirl")
     X = _points(sol)
     got = feynman_kac(sol, 0.02, X)
     want = got.copy()
@@ -438,14 +434,14 @@ def test_served_density_is_a_copy(monkeypatch):
 
 
 def test_shared_sweep_needs_one_rho0_field_and_config():
-    sols = _slice_and_ladder("g1_const", "RK4")
+    sols = _slice_and_ladder("g1_const")
     X = _points(sols[0])
     exact = sols[0]
     base = dict(rho0=exact.rho0, field=exact.field, reference=sols[1].reference, config=exact.config, N=1)
     for change in (
         {"rho0": bump_density([0.0], [0.5])},
         {"field": fields.constant_field([0.1])},
-        {"config": FlowConfig(dt_ode=exact.config.dt_ode, T=exact.config.T, integrator="RK2")},
+        {"config": FlowConfig(dt_ode=exact.config.dt_ode, T=2.0 * exact.config.T)},
     ):
         with pytest.raises(ValueError, match="same rho0, field and config"):
             feynman_kac_shared([exact, TransportSolution(**{**base, **change})], [0.01], X)
