@@ -14,7 +14,7 @@ from refflow import catalog, measures
 
 def table(n_modes, N, **kw):
     m = catalog.build_measure({"name": "gibbs", "n_modes": n_modes, "alpha": 1.0, "p": 4.0})
-    slc = measures.psi_squared(m, N).bind(None)
+    slc = measures.psi_squared(m, N)
     print(f"-- {N}-D slice of gibbs(1,4) with {n_modes} modes --")
     print(f"{'M':>4s} {'l':>3s} {'eps':>5s} {'I_ml':>12s} {'I_clip':>12s} {'I_exact':>12s} {'gap1':>10s} {'gap2':>10s}")
     for M in (2.0, 10.0):

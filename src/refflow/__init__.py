@@ -1,11 +1,11 @@
-"""Numerical laboratory for continuity equations relative to Gaussian and
-Gibbs reference measures on truncated spectral coordinates.
+"""Numerical laboratory for continuity equations relative to a Gibbs reference
+measure, the Gaussian at alpha = 0, on truncated spectral coordinates.
 
 Modules:
     spectral   sine basis and eigenvalues, quadrature grids, synthesis
     cylinders  bounded smooth cylinder functions
     rng        named seed streams and order-stable parallel mapping
-    measures   reference measures, log-derivatives, disintegration, ladder
+    measures   the reference measure (Gaussian at alpha = 0), beta, slices, ladders
     fields     cylindrical and Nemytskii drift fields, divergence, D*F
     transport  characteristic flows and the exponential density representation
     verify     weak-form, mass, entropy-bound and uniqueness checks

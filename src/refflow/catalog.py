@@ -77,15 +77,14 @@ def _entry(registry, section, spec, default, *common):
 
 
 def _gibbs(spec, n_modes):
-    base = measures.GaussianMeasure(n_modes=n_modes)
-    return measures.GibbsMeasure(base=base, alpha=float(spec.get("alpha", 1.0)), p=float(spec.get("p", 4.0)))
+    return measures.GibbsMeasure(n_modes, alpha=float(spec.get("alpha", 1.0)), p=float(spec.get("p", 4.0)))
 
 
 MEASURES = _registry(
     Entry(
         "gaussian(n_modes)",
         "product Gaussian, mode-j precision 2 pi^2 j^2",
-        lambda spec, n_modes: measures.GaussianMeasure(n_modes=n_modes),
+        lambda spec, n_modes: measures.GibbsMeasure(n_modes),
     ),
     Entry("gibbs(alpha,p)", "Gaussian reweighted by exp(-(alpha/p) int |x(xi)|^p dxi)/Z, p > 2", _gibbs),
 )
@@ -469,7 +468,7 @@ def default_problems(which="1d"):
 def reference(measure, N, ladder=None):
     """The slice reference psi^2 of measure on its first N modes, or its
     (M, l) ladder; psi^2 estimates its normalizing constant Z."""
-    slc = measures.psi_squared(measure, N).bind(None)
+    slc = measures.psi_squared(measure, N)
     return slc if ladder is None else measures.ladder(slc, *ladder)
 
 

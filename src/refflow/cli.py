@@ -220,7 +220,7 @@ PARAMS = {
                       lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
         ("u", ("cylinder", _kept(lambda raw, got: catalog.build_cylinder(raw))), "", "mode1_soft"),
         ("u_args", ("object", _kept(lambda raw, got: catalog.build_cylinder(got["u"], **catalog.spec_block(raw)))), "", {}),
-        ("field", ("field", lambda raw, got: catalog.build_field(raw)), "", {"name": "constant", "coeffs": [0.1]}),
+        ("field", ("field", lambda raw, got: catalog.build_field(raw, got["n_modes"])), "", {"name": "constant", "coeffs": [0.1]}),
         ("n_mc", INT, ">= 1", 2000),
         ("n_x", INT, ">= 4 (two base points per half of the chain)", 200),
         ("thinning", INT, ">= 1", Derived("1 relaxation time")),
@@ -362,8 +362,7 @@ def run_verify_suite(params, seed, workers, outdir):
         reps = [verify.weak_residual(sol, problem["test_function"], n_time=params["n_time"], n_per_axis=npa)]
         reps += [verify.mass_conservation(sol, t, n_per_axis=npa) for t in times]
         if params["uniqueness"]:
-            slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
-            refs = [slc, measures.ladder(slc, 8, 16)]
+            refs = [reference.source, measures.ladder(reference.source, 8, 16)]
             reps.append(verify.uniqueness_probe(rho0, field, refs, config, times, tol=params["uniqueness_tol"], seed=seed))
         return problem["id"], reps
 
@@ -381,10 +380,9 @@ def run_entropy_audit(params, seed, workers, outdir):
     if delta is None:
         delta = _blame("params.field", fields_mod.UnboundedFieldError, fields_mod.delta_recipe, field, m)
     sol = transport.solve(params["rho0"], field, reference, config, N=params["N"])
-    slc = reference.source if isinstance(reference, measures.LadderDensity) else reference
     radius = sol.support_radius + 1.0 if params["domain_radius"] is None else params["domain_radius"]
     cf = _blame(
-        "params.delta", fields_mod.DeltaTooLargeError, fields_mod.cf_delta, field, slc.disintegration, delta, config.T,
+        "params.delta", fields_mod.DeltaTooLargeError, fields_mod.cf_delta, field, reference.source, delta, config.T,
         tail_samples=params["tail_samples"], seed=seed, domain_radius=radius, n_per_axis=params["cf_per_axis"],
     )
     reps = [verify.entropy_bound_check(sol, t, delta, cf.estimate, n_per_axis=params["n_per_axis"]) for t in times]

@@ -7,8 +7,8 @@ pointwise, then smoothed by (-A)^{-1}) holds only its data; it is always
 evaluated as its Galerkin projection galerkin(nem, level), which at level
 n_modes is the whole field on the n_modes-mode space. The operators
 divergence and dstar implement div F and D*F = -div F - sum_i f_i beta_{e_i},
-where beta comes either from the measure (exact) or from a ladder density's
-log-gradient; dstar_rows evaluates D*F under several betas at once, together
+where beta is a reference's log-gradient: a slice's (exact) or a ladder
+density's; dstar_rows evaluates D*F under several betas at once, together
 with the field rows.
 """
 
@@ -234,25 +234,25 @@ def divergence(field, t, X):
     return field.value_and_divergence(t, X)[1]
 
 
-def dstar(field, beta_oracle, t, X):
+def dstar(field, beta, t, X):
     """D*F(x) = -div F(t,x) - sum_i f_i(t,x) beta_{e_i}(x).
 
-    beta_oracle maps (npts, N) points to (npts, >= n_components) rows of the
-    log-gradient; pass a SliceDensity.beta for the exact operator or a
-    LadderDensity.log_gradient for the clipped/mollified variant.
+    beta maps (npts, N) points to (npts, >= n_components) rows of the
+    log-gradient: a reference's beta, SliceDensity.beta for the exact
+    operator or LadderDensity.beta for the clipped/mollified variant.
     """
-    return dstar_rows(field, (beta_oracle,), t, X)[1][0]
+    return dstar_rows(field, (beta,), t, X)[1][0]
 
 
-def dstar_rows(field, beta_oracles, t, X):
-    """The field rows F(t, X) and D*F(t, X) under each log-gradient oracle,
-    with F and div F from one evaluation of the field for all oracles; dstar
-    is the one-oracle case."""
+def dstar_rows(field, betas, t, X):
+    """The field rows F(t, X) and D*F(t, X) under each log-gradient in betas,
+    with F and div F from one evaluation of the field for all of them; dstar
+    is the one-beta case."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     vals, div = field.value_and_divergence(t, X)
     k = vals.shape[1]
     neg_div = -div
-    return vals, [neg_div - (vals * np.asarray(beta(X), dtype=float)[:, :k]).sum(axis=1) for beta in beta_oracles]
+    return vals, [neg_div - (vals * np.asarray(beta(X), dtype=float)[:, :k]).sum(axis=1) for beta in betas]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
     beta_part = (f_comps * measures.beta_components(measure, X)[:, :level]).sum(axis=1)
 
     penalty = (X ** 2).sum(axis=1)
-    if getattr(measure, "alpha", 0.0) > 0:
+    if measure.alpha > 0:
         penalty = penalty + measure.p * measures._coupling(measure, X)[0]
 
     def smallest_c(vals, pen):
@@ -340,7 +340,7 @@ ML_GRID = ((1, 2, 4, 8), (2, 4, 8, 16))
 
 def cf_delta(
     field,
-    disintegration,
+    slice_density,
     delta,
     T,
     tail_samples=1,
@@ -351,7 +351,8 @@ def cf_delta(
 ):
     """Estimate C_F(delta): the exponential cost of the positive part of D*F.
 
-    For each sampled tail y the inner quantity is the maximum over the
+    For each tail y, sampled from the slice's measure and bound by
+    slice_density.bind(y), the inner quantity is the maximum over the
     ML_GRID pairs (M,l) of
     int_0^T int (e^{delta (D*_{M,l} F)^+} - 1) Psi^2_{M,l} dx dt over the box
     of the given radius; results are averaged over tails. Time-dependent
@@ -360,25 +361,24 @@ def cf_delta(
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    N = disintegration.N
-    m = disintegration.measure
+    N = slice_density.N
+    m = slice_density.measure
     n_tail = m.n_modes - N
     if n_tail > 0 and tail_samples > 0:
-        full = measures.sample_gibbs(m, tail_samples, as_rng(seed, "fields", "cf-tails"))
-        tails = full[:, N:]
+        tails = measures.sample_gibbs(m, tail_samples, as_rng(seed, "fields", "cf-tails"))[:, N:]
     else:
-        tails = np.zeros((1, max(n_tail, 0)))
+        tails = np.zeros((1, n_tail))
 
     if domain_radius is None:
         domain_radius = float(6.0 / math.sqrt(np.min(m.lam[:N])) + 1.0)
     X, w = measures.tensor_grid(N, domain_radius, n_per_axis)
     t_nodes = np.linspace(0.0, T, 9)
-    time_dep = getattr(field, "time_dependent", False)
+    time_dep = field.time_dependent
 
     per_pair = {}
     tail_estimates = []
     for y in tails:
-        slc = disintegration.bind(y if n_tail > 0 else None)
+        slc = slice_density.bind(y)
         best = -np.inf
         for M in ML_GRID[0]:
             for l in ML_GRID[1]:

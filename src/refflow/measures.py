@@ -1,17 +1,19 @@
-"""Reference measures on the truncated space: Gaussian and Gibbs families.
+"""The reference measure on the truncated space: the Gibbs family, whose
+alpha = 0 member is the Gaussian.
 
 Provides samplers, logarithmic derivatives beta_h (the density log-gradient in
 direction h), the finite-dimensional disintegration density Psi^2_N relative
 to Lebesgue measure on the first N coordinates, and the clip/mollify ladder
-Psi^2_{M,l} used by the transport and verification machinery.
+Psi^2_{M,l} used by the transport and verification machinery; a slice and a
+ladder both give value, beta, N, source and M.
 
-Conventions: the Gaussian base has mode precision lam_j (inverse variance),
-lam_j = 2 pi^2 j^2 for the natural choice; the Gibbs family reweights the base
-by exp(-(alpha/p) int_0^1 |x(xi)|^p dxi) / Z with p > 2, alpha >= 0.
+Conventions: the Gaussian has mode precision lam_j (inverse variance),
+lam_j = 2 pi^2 j^2 for the natural choice; GibbsMeasure reweights it by
+exp(-(alpha/p) int_0^1 |x(xi)|^p dxi) / Z with p > 2, alpha >= 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -42,27 +44,6 @@ def natural_precisions(n_modes):
     """lam_j = 2 pi^2 j^2, the inverse covariance of N(0, (1/2)(-A)^{-1})."""
     js = np.arange(1, n_modes + 1)
     return 2.0 * np.pi ** 2 * js.astype(float) ** 2
-
-
-@dataclass(frozen=True)
-class GaussianMeasure:
-    n_modes: int
-    lam: np.ndarray = None  # mode precisions
-
-    def __post_init__(self):
-        lam = self.lam if self.lam is not None else natural_precisions(self.n_modes)
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (self.n_modes,) or np.any(lam <= 0):
-            raise ValueError("precision vector must be positive with one entry per mode")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def alpha(self):
-        return 0.0
-
-    @property
-    def mode_std(self):
-        return 1.0 / np.sqrt(self.lam)
 
 
 @lru_cache(maxsize=None)
@@ -128,23 +109,27 @@ def _coupling(m, X, shift=None, potential=True, gradient=False):
 
 @dataclass(frozen=True)
 class GibbsMeasure:
-    base: GaussianMeasure
-    alpha: float
-    p: float
+    """The reference measure: the Gaussian with mode precisions lam reweighted
+    by exp(-(alpha/p) int_0^1 |x(xi)|^p dxi) / Z; alpha = 0 is the Gaussian."""
+
+    n_modes: int
+    alpha: float = 0.0
+    p: float = 4.0
+    lam: np.ndarray = None  # mode precisions, natural_precisions by default
 
     def __post_init__(self):
+        lam = np.asarray(natural_precisions(self.n_modes) if self.lam is None else self.lam, dtype=float)
+        if lam.shape != (self.n_modes,) or np.any(lam <= 0):
+            raise ValueError("precision vector must be positive with one entry per mode")
         if self.p <= 2:
             raise ValueError(f"Gibbs exponent must satisfy p > 2, got {self.p}")
         if self.alpha < 0:
             raise ValueError(f"Gibbs alpha must be nonnegative, got {self.alpha}")
+        object.__setattr__(self, "lam", lam)
 
     @property
-    def n_modes(self):
-        return self.base.n_modes
-
-    @property
-    def lam(self):
-        return self.base.lam
+    def mode_std(self):
+        return 1.0 / np.sqrt(self.lam)
 
     @property
     def grid(self):
@@ -158,7 +143,7 @@ def beta_components(measure, X):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = -measure.lam * X
-    if isinstance(measure, GibbsMeasure) and measure.alpha > 0:
+    if measure.alpha > 0:
         out = out - _coupling(measure, X, potential=False, gradient=True)[1]
     return out
 
@@ -174,7 +159,7 @@ def beta(measure, h, x):
 
 
 def sample_gaussian(measure, count, seed):
-    """count independent coefficient vectors; deterministic given seed."""
+    """count independent draws of the measure's alpha = 0 Gaussian; deterministic given seed."""
     rng = as_rng(seed, "measures", "gaussian")
     if count == 0:
         return np.empty((0, measure.n_modes))
@@ -219,7 +204,7 @@ def _metropolis_walk(state_pot, pots, logu):
 
 
 def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
-    """Gibbs draws via independence Metropolis from the base Gaussian.
+    """Gibbs draws via independence Metropolis from the alpha = 0 Gaussian.
 
     Acceptance ratio exp(-(alpha/p)(|x'|_p^p - |x|_p^p)); the chain is thinned
     (factor doubled as needed) until the lag-1 autocorrelation of |x|_H^2 is
@@ -227,13 +212,12 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
     """
     if count == 0:
         return np.empty((0, measure.n_modes))
-    if isinstance(measure, GaussianMeasure) or measure.alpha == 0:
-        base = measure if isinstance(measure, GaussianMeasure) else measure.base
-        return sample_gaussian(base, count, seed)
+    if measure.alpha == 0:
+        return sample_gaussian(measure, count, seed)
     rng = as_rng(seed, "measures", "gibbs")
 
-    base_std = measure.base.mode_std
-    state = rng.standard_normal(measure.n_modes) * base_std
+    std = measure.mode_std
+    state = rng.standard_normal(measure.n_modes) * std
     state_pot = float(_coupling(measure, state[None])[0][0])
     accepted = 0
     proposed = 0
@@ -243,7 +227,7 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
         n_steps new ones, drawn in bulk with their uniforms."""
         nonlocal state, state_pot, accepted, proposed
         props = rng.standard_normal((n_steps, measure.n_modes))
-        props *= base_std
+        props *= std
         pots = _coupling(measure, props)[0]
         logu = np.log(rng.random(n_steps))
         acc, last = _metropolis_walk(state_pot, pots, logu)
@@ -277,11 +261,11 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
 
 
 def normalizing_constant(measure, count=20000, seed=0):
-    """Z as an Estimate: the importance estimate of E_base exp(-(alpha/p)|x|_p^p),
-    or the exact 1 with stderr 0 when alpha = 0."""
-    if isinstance(measure, GaussianMeasure) or measure.alpha == 0:
+    """Z as an Estimate: the importance estimate of E exp(-(alpha/p)|x|_p^p)
+    under the alpha = 0 Gaussian, or the exact 1 with stderr 0 when alpha = 0."""
+    if measure.alpha == 0:
         return Estimate(1.0, 0.0, count)
-    draws = sample_gaussian(measure.base, count, as_rng(seed, "measures", "zconst"))
+    draws = sample_gaussian(measure, count, as_rng(seed, "measures", "zconst"))
     return estimate(np.exp(-_coupling(measure, draws)[0]))
 
 
@@ -291,31 +275,45 @@ def normalizing_constant(measure, count=20000, seed=0):
 
 @dataclass(frozen=True)
 class SliceDensity:
-    """Psi^2_N(. , y) for a fixed tail y: density of the first N coordinates.
+    """Psi^2_N(. , y) of a measure for a fixed tail y: density of the first N
+    coordinates; bind(y) gives the slice at another tail, with the same Z.
 
     value(X) evaluates the explicit formula (product of mode Gaussians times
     the Gibbs coupling at x + y), beta(X) its exact log-gradient, which equals
-    the measure-level beta_{e_i} at the stacked point (x, y).
+    the measure-level beta_{e_i} at the stacked point (x, y). Read as a
+    ladder, a slice is its own source, with M infinite.
     """
 
+    measure: GibbsMeasure
     N: int
-    lam: np.ndarray  # (N,)
-    alpha: float
-    p: float
-    grid: Grid
-    y_values: np.ndarray  # tail synthesized on grid nodes, (n_nodes,)
     log_pref: float  # log normalization: sum log sqrt(lam/2pi) - log Z
-    z_stderr: float = 0.0
-    name: str = ""
-    disintegration: object = None  # the DisintegrationDensity that bound it
+    z_stderr: float
+    y_values: np.ndarray  # tail synthesized on the measure's grid, (n_nodes,)
+
+    M = math.inf
+
+    @property
+    def source(self):
+        return self
+
+    def bind(self, y):
+        """The slice at tail coefficients y (length n_modes - N)."""
+        n_tail = self.measure.n_modes - self.N
+        y = np.asarray(y, dtype=float)
+        if y.shape != (n_tail,):
+            raise ValueError(f"tail must have length {n_tail}, got {y.shape}")
+        y_values = synthesize(np.concatenate([np.zeros(self.N), y]), self.measure.grid)
+        return replace(self, y_values=y_values)
 
     def _log_value_and_beta(self, X, value=True, gradient=True):
         """(log value, beta) rows of X, each None unless asked for."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        logv = self.log_pref - 0.5 * (X ** 2 @ self.lam) if value else None
-        b = -self.lam * X if gradient else None
-        if self.alpha > 0:
-            pot, grad = _coupling(self, X, self.y_values, value, gradient)
+        m = self.measure
+        lam = m.lam[: self.N]
+        logv = self.log_pref - 0.5 * (X ** 2 @ lam) if value else None
+        b = -lam * X if gradient else None
+        if m.alpha > 0:
+            pot, grad = _coupling(m, X, self.y_values, value, gradient)
             if value:
                 logv = logv - pot
             if gradient:
@@ -334,55 +332,22 @@ class SliceDensity:
         return np.exp(logv), b
 
 
-@dataclass(frozen=True)
-class DisintegrationDensity:
-    """Psi^2_N(x, y); bind(y) gives the slice density in x at tail y."""
-
-    measure: object
-    N: int
-    log_pref: float
-    z_stderr: float
-
-    def bind(self, y=None):
-        """Fix the tail coefficients y (length n_modes - N; None means 0)."""
-        m = self.measure
-        n_tail = m.n_modes - self.N
-        if y is None:
-            y = np.zeros(n_tail)
-        y = np.asarray(y, dtype=float)
-        if y.shape != (n_tail,):
-            raise ValueError(f"tail must have length {n_tail}, got {y.shape}")
-        p = getattr(m, "p", 4.0)
-        grid = coupling_grid(p, m.n_modes)
-        y_values = synthesize(np.concatenate([np.zeros(self.N), y]), grid)
-        return SliceDensity(
-            N=self.N,
-            lam=m.lam[: self.N],
-            alpha=getattr(m, "alpha", 0.0),
-            p=p,
-            grid=grid,
-            y_values=y_values,
-            log_pref=self.log_pref,
-            z_stderr=self.z_stderr,
-            name=f"psi2(N={self.N})",
-            disintegration=self,
-        )
-
-
-def psi_squared(measure, N, z_count=20000, z_seed=0):
-    """Disintegration density of the first N modes against Lebesgue dx.
+def psi_squared(measure, N):
+    """The disintegration density of the first N modes against Lebesgue dx,
+    at tail 0; bind gives it at other tails.
 
     Explicit formula: prod_{i<=N} sqrt(lam_i/2pi) e^{-lam_i x_i^2/2} times
     exp(-(alpha/p) |x+y|_p^p) / Z; for alpha = 0 this is exactly the product
     of mode Gaussians. Z is estimated once (importance sampling) and its
-    stderr is carried in metadata.
+    stderr is carried as z_stderr.
     """
     if N > measure.n_modes:
         raise ValueError(f"N={N} exceeds n_modes={measure.n_modes}")
-    Z = normalizing_constant(measure, count=z_count, seed=z_seed)
+    Z = normalizing_constant(measure)
     lam = measure.lam[:N]
     log_pref = float(0.5 * np.log(lam / (2.0 * np.pi)).sum() - math.log(Z.estimate))
-    return DisintegrationDensity(measure=measure, N=N, log_pref=log_pref, z_stderr=Z.stderr)
+    y_values = synthesize(np.zeros(measure.n_modes), measure.grid)
+    return SliceDensity(measure, N, log_pref, Z.stderr, y_values)
 
 
 def mollifier_profile(v_sq):
@@ -393,14 +358,7 @@ def mollifier_profile(v_sq):
 def _mollifier_offsets(N, l, n_quad, mc_draws, seed):
     """Offsets u_k in the ball of radius 1/l and weights summing exactly to 1."""
     if N <= 3:
-        x1, w1 = np.polynomial.legendre.leggauss(n_quad)
-        axes = [x1 / l] * N
-        mesh = np.meshgrid(*axes, indexing="ij")
-        offsets = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*([w1] * N), indexing="ij")
-        w = np.ones(offsets.shape[0])
-        for m in wmesh:
-            w = w * m.ravel()
+        offsets, w = tensor_grid(N, 1.0 / l, n_quad)
         w = w * mollifier_profile((offsets * l) ** 2 @ np.ones(N))
         keep = w > 0
         offsets, w = offsets[keep], w[keep]
@@ -434,10 +392,14 @@ class LadderDensity:
     offsets: np.ndarray = None  # (K, N)
     conv_weights: np.ndarray = None  # (K,)
 
+    @property
+    def N(self):
+        return self.source.N
+
     def _shifted(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         pts = X[:, None, :] - self.offsets[None, :, :]
-        return pts.reshape(-1, self.source.N), X.shape[0]
+        return pts.reshape(-1, self.N), X.shape[0]
 
     def value(self, X):
         flat, npts = self._shifted(X)
@@ -449,14 +411,15 @@ class LadderDensity:
         vals, betas = self.source.value_and_beta(flat)
         K = self.offsets.shape[0]
         vals = vals.reshape(npts, K)
-        betas = betas.reshape(npts, K, self.source.N)
+        betas = betas.reshape(npts, K, self.N)
         inband = (vals > 1.0 / self.M) & (vals < self.M)
         clipped = np.clip(vals, 1.0 / self.M, self.M)
         total = clipped @ self.conv_weights
         grad = ((vals * inband)[:, :, None] * betas * self.conv_weights[None, :, None]).sum(axis=1)
         return total, grad / total[:, None]
 
-    def log_gradient(self, X):
+    def beta(self, X):
+        """Log-gradient rows of the ladder density."""
         return self.value_and_log_gradient(X)[1]
 
 

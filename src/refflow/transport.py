@@ -14,11 +14,12 @@ One kernel, _sweep_to, takes every backward sweep:
 
 - The field rows it evaluates for D*F at the end of a step are the next
   step's first RK stage, so a step costs one field evaluation fewer.
-- The path depends on F alone; the reference measure enters only through the
-  log-gradient in D*F = -div F - sum_i f_i beta_i. Solutions that share
-  rho0, field and config therefore share one sweep (feynman_kac_shared):
-  the states, field rows and div F are computed once per step and only beta
-  once per reference (fields.dstar_rows).
+- The path depends on F alone; the reference, a slice or a ladder alike,
+  enters only through its log-gradient reference.beta in
+  D*F = -div F - sum_i f_i beta_i. Solutions that share rho0, field and
+  config therefore share one sweep (feynman_kac_shared): the states, field
+  rows and div F are computed once per step and only beta once per
+  reference (fields.dstar_rows).
 - For an autonomous field (time_dependent False) the backward path from x
   over time t is a prefix of the path from x over any later time, so one
   sweep of max(times) steps serves every time node on a point set: times run
@@ -36,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields as fields_mod
-from .measures import LadderDensity
 
 
 class FieldEvaluationError(FloatingPointError):
@@ -150,27 +150,18 @@ class TransportSolution:
 
     rho0: object  # value(X) -> (npts,), attribute support_radius
     field: object
-    reference: object  # SliceDensity or LadderDensity: value(X) and log-gradient
+    reference: object  # SliceDensity or LadderDensity: value(X) and beta(X)
     config: FlowConfig
     N: int
-    y: np.ndarray = None
     table: list = dc_field(default_factory=list)  # (t, eval_points, values)
 
     def __post_init__(self):
         self.support_radius = float(self.rho0.support_radius + self.config.T * self.field.h_bound)
-        self.beta_oracle = (
-            self.reference.log_gradient
-            if isinstance(self.reference, LadderDensity)
-            else self.reference.beta
-        )
         # the last backward sweep on this solution, a _Sweep: for a later time
         # to continue, and for the densities it computed to be served again.
         # Replaced whole and never mutated, so threads sharing a solution can
         # at worst repeat a sweep.
         self._sweep = None
-
-    def rho(self, t, x):
-        return feynman_kac(self, t, x)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -249,7 +240,7 @@ def _sweep_to(solutions, t, X):
     elif all(t in last.served for last in lasts):
         return [last.served[t] for last in lasts]
 
-    dt, betas = cfg.dt_ode, [s.beta_oracle for s in solutions]
+    dt, betas = cfg.dt_ode, [s.reference.beta for s in solutions]
     # t <= horizon: a fresh sweep evaluates the field at t and raises beyond it
     if (
         lasts is not None
@@ -331,11 +322,10 @@ def feynman_kac_shared(solutions, times, x):
     return np.stack([feynman_kac_many(s, times, X) for s in solutions])
 
 
-def solve(rho0, field, reference, config, time_grid=(), eval_points=None, y=None, N=None):
-    """Build a TransportSolution and cache density values on the given grid."""
-    if N is None:
-        N = reference.N if hasattr(reference, "N") else reference.source.N
-    sol = TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=N, y=y)
+def solve(rho0, field, reference, config, time_grid=(), eval_points=None, N=None):
+    """Build a TransportSolution, on the reference's N unless given, and
+    cache density values on the given grid."""
+    sol = TransportSolution(rho0, field, reference, config, reference.N if N is None else N)
     if eval_points is not None:
         pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
         times = [float(t) for t in time_grid]
@@ -366,7 +356,7 @@ def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
         Xm = X.copy()
         Xm[:, i] -= h_x
         grad[:, i] = (feynman_kac(solution, t, Xp) - feynman_kac(solution, t, Xm)) / (2.0 * h_x)
-    f_vals, (ds,) = fields_mod.dstar_rows(solution.field, (solution.beta_oracle,), t, X)
+    f_vals, (ds,) = fields_mod.dstar_rows(solution.field, (solution.reference.beta,), t, X)
     k = f_vals.shape[1]
     advect = (f_vals * grad[:, :k]).sum(axis=1)
     res = dt_rho + advect - ds * rho

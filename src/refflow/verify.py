@@ -146,14 +146,18 @@ def mass_conservation(solution, t, n_per_axis=128, tolerance=1e-6, radius=None):
     )
 
 
+def _entropy_terms(rho, g):
+    """rho g(ln rho), and 0 where rho = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rho > 0, rho * g(np.log(np.where(rho > 0, rho, 1.0))), 0.0)
+
+
 def entropy(solution, t, n_per_axis=128, radius=None):
     """int rho (ln rho - 1) Psi^2 dx with the integrand 0 where rho = 0."""
     X, w = _box(solution, n_per_axis, radius)
     psi = solution.reference.value(X)
     rho = solution.rho0.value(X) if t == 0 else transport.feynman_kac(solution, t, X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(rho > 0, rho * (np.log(np.where(rho > 0, rho, 1.0)) - 1.0), 0.0)
-    return float(w @ (integrand * psi))
+    return float(w @ (_entropy_terms(rho, lambda L: L - 1.0) * psi))
 
 
 def ball_volume(N, R):
@@ -174,17 +178,15 @@ def entropy_bound_check(solution, t, delta, cf_value, n_per_axis=128, slack=1e-1
     ref = solution.reference
     psi = ref.value(X)
     rho0 = solution.rho0.value(X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s0 = float(w @ (np.where(rho0 > 0, rho0 * np.abs(np.log(np.where(rho0 > 0, rho0, 1.0)) - 1.0), 0.0) * psi))
+    s0 = float(w @ (_entropy_terms(rho0, lambda L: np.abs(L - 1.0)) * psi))
     mass0 = float(w @ (rho0 * psi))
     R = solution.support_radius
-    M = ref.M if isinstance(ref, measures.LadderDensity) else math.inf
-    vol_term = (t / M) * ball_volume(solution.N, R + 1.0) if math.isfinite(M) else 0.0
+    vol_term = (t / ref.M) * ball_volume(solution.N, R + 1.0) if math.isfinite(ref.M) else 0.0
 
     # unclipped full-space integral of Psi^2_N: Gaussian-type decay, so a wide
     # box is exact to quadrature precision
-    source = ref.source if isinstance(ref, measures.LadderDensity) else ref
-    wide = max(R + 1.0, 8.0 / math.sqrt(float(np.min(source.lam))))
+    source = ref.source
+    wide = max(R + 1.0, 8.0 / math.sqrt(float(np.min(source.measure.lam[: source.N]))))
     Xw, ww = measures.tensor_grid(solution.N, wide, n_per_axis)
     psi_total = float(ww @ source.value(Xw))
     psi_ball = float(w @ source.value(X))
@@ -249,8 +251,7 @@ def approximate_initial_density(
     vals = np.asarray(rho(draws), dtype=float)
     if np.any(vals < 0):
         raise InfeasibleInputError("density must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent_terms = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
+    ent_terms = _entropy_terms(vals, lambda L: L)
     ent_full = float(ent_terms.mean())
     ent_half = float(ent_terms[: count // 2].mean())
     if not math.isfinite(ent_full) or abs(ent_full) > 2.0 * abs(ent_half) + 1.0:
@@ -280,10 +281,7 @@ def approximate_initial_density(
 
     approx_at_draws = approximant(draws[:, :N])
     l1 = float(np.abs(vals - approx_at_draws).mean())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent_a = float(
-            np.where(approx_at_draws > 0, approx_at_draws * np.log(np.where(approx_at_draws > 0, approx_at_draws, 1.0)), 0.0).mean()
-        )
+    ent_a = float(_entropy_terms(approx_at_draws, lambda L: L).mean())
     report = ApproximationReport(
         l1_distance=l1,
         entropy_input=ent_full,

@@ -128,7 +128,7 @@ def test_c05_jensen_ladder():
         (3, 2, {"n_angle": 64, "n_leg": 12, "ladder_kwargs": {"n_quad": 13}}),
     ]:
         m = catalog.build_measure({"name": "gibbs", "n_modes": n_modes, "alpha": 1.0, "p": 4.0})
-        slc = measures.psi_squared(m, N).bind(None)
+        slc = measures.psi_squared(m, N)
         for M in (2.0, 10.0):
             for l in (4, 16):
                 i_ml, i_m, i_exact = measures.jensen_chain(slc, M, l, [0.01, 0.05], 0, **kw)

@@ -445,6 +445,13 @@ def test_nemytskii_field_without_level_runs_to_its_verdicts(tmp_path, kind, para
     assert report["verdicts"] and set(report["verdicts"].values()) <= {"pass", "fail", "warn"}
 
 
+@pytest.mark.parametrize("n_modes", [None, 3])
+def test_commutator_curve_field_takes_the_spde_n_modes(n_modes):
+    params = {"field": {"name": "nemytskii:neg_arctan"}, **({"n_modes": n_modes} if n_modes else {})}
+    got = cli._read_params("commutator-curve", params)[0]
+    assert got["field"].n_components == got["n_modes"] == (n_modes or 4)
+
+
 def test_unknown_field_names_its_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "transport-solve", "params": {**problem_params(), "field": {"name": "nemytskii:tan"}}})
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2

@@ -47,8 +47,8 @@ def test_constant_field_values_and_bound():
 
 def test_constant_field_dstar_matches_gaussian_formula():
     # D*F = -div F - sum c_i beta_i = sum c_i lam_i x_i for a constant field
-    m = measures.GaussianMeasure(n_modes=3)
-    slc = measures.psi_squared(m, 3).bind()
+    m = measures.GibbsMeasure(3)
+    slc = measures.psi_squared(m, 3)
     coeffs = np.array([0.1, -0.4, 0.25])
     f = constant_field(coeffs)
     X = np.random.default_rng(1).normal(scale=0.3, size=(50, 3))
@@ -150,16 +150,16 @@ def test_product_rule_two_routes_agree(field_spec):
         components = constant_components(field_spec["coeffs"])
     else:
         components = catalog.build_field(field_spec).evaluate.components
-    m = measures.GaussianMeasure(n_modes=4)
-    slc = measures.psi_squared(m, 4).bind()
+    m = measures.GibbsMeasure(4)
+    slc = measures.psi_squared(m, 4)
     phi = catalog.build_cylinder("rational_m12")
     X = np.random.default_rng(7).normal(scale=0.3, size=(80, 4))
     assert dstar_product_rule_check(components, phi, slc.beta, X) < 1e-12
 
 
 def test_product_rule_on_gibbs_slice():
-    m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=4), alpha=1.0, p=4.0)
-    slc = measures.psi_squared(m, 4).bind()
+    m = measures.GibbsMeasure(4, alpha=1.0, p=4.0)
+    slc = measures.psi_squared(m, 4)
     nem = arctan_field(4)
     phi = catalog.build_cylinder("gauss_m123")
     X = np.random.default_rng(8).normal(scale=0.3, size=(60, 4))
@@ -167,10 +167,10 @@ def test_product_rule_on_gibbs_slice():
 
 
 def test_dstar_rows_is_dstar_under_each_oracle():
-    m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=2), alpha=1.0, p=4.0)
-    slc = measures.psi_squared(m, 2).bind()
+    m = measures.GibbsMeasure(2, alpha=1.0, p=4.0)
+    slc = measures.psi_squared(m, 2)
     gal = galerkin(arctan_field(2), 1)
-    oracles = (slc.beta, measures.ladder(slc, 8, 16).log_gradient)
+    oracles = (slc.beta, measures.ladder(slc, 8, 16).beta)
     X = np.random.default_rng(9).normal(scale=0.5, size=(30, 2))
     F, rows = dstar_rows(gal, oracles, 0.0, X)
     assert np.array_equal(F, gal.value(0.0, X))
@@ -212,9 +212,9 @@ def test_one_evaluation_is_the_per_component_formula(case, rows):
 @pytest.mark.parametrize("case", _one_evaluation_cases(), ids=ONE_EVALUATION_IDS)
 def test_dstar_rows_is_the_per_component_formula_under_two_oracles(case, rows):
     field, components = case
-    gauss = measures.GaussianMeasure(n_modes=3)
-    gibbs = measures.GibbsMeasure(base=gauss, alpha=1.0, p=4.0)
-    oracles = tuple(measures.psi_squared(m, 3).bind().beta for m in (gibbs, gauss))
+    gauss = measures.GibbsMeasure(3)
+    gibbs = measures.GibbsMeasure(3, alpha=1.0, p=4.0)
+    oracles = tuple(measures.psi_squared(m, 3).beta for m in (gibbs, gauss))
     X = np.random.default_rng(rows + 1).normal(scale=0.6, size=(rows, 3))
     want_rows, want_div = component_rows(components, 0.0, X)
     F, got = dstar_rows(field, oracles, 0.0, X)
@@ -234,7 +234,7 @@ def test_rank_one_synthesis_broadcast_is_the_blas_product(rows):
 
 def test_claims_probe_bounded_and_stable():
     nem = arctan_field(4)
-    m = measures.GibbsMeasure(base=measures.GaussianMeasure(n_modes=4), alpha=1.0, p=4.0)
+    m = measures.GibbsMeasure(4, alpha=1.0, p=4.0)
     rep = claims_probe(nem, m, eps=0.1, count=4000, seed=11)
     assert rep.stable
     # -div part is at most sup|f'| * sum 1/alpha_i = 0.14424...
@@ -246,13 +246,13 @@ def test_claims_probe_bounded_and_stable():
 
 def test_claims_probe_rejects_nonpositive_eps():
     nem = arctan_field(2)
-    m = measures.GaussianMeasure(n_modes=2)
+    m = measures.GibbsMeasure(2)
     with pytest.raises(ValueError):
         claims_probe(nem, m, eps=0.0, count=100, seed=0)
 
 
 def test_delta_recipe_positive_and_needs_finite_bounds():
-    m = measures.GaussianMeasure(n_modes=1)
+    m = measures.GibbsMeasure(1)
     d = delta_recipe(constant_field([0.1]), m)
     assert 0.0 < d < 1.0
     unbounded = linear_field(np.diag([-1.0]))
@@ -262,7 +262,7 @@ def test_delta_recipe_positive_and_needs_finite_bounds():
 
 def test_cf_delta_constant_field_approaches_closed_form():
     """Clipping only removes positive mass, so estimates sit below the exact value."""
-    m = measures.GaussianMeasure(n_modes=1)
+    m = measures.GibbsMeasure(1)
     dis = measures.psi_squared(m, 1)
     rep = cf_delta(constant_field([0.1]), dis, delta=0.05, T=1.0)
     # [DERIVED] mpmath: T (e^{s^2/2lam} Phi(s/sqrt(lam)) - 1/2), s = delta lam c
@@ -277,7 +277,7 @@ def test_cf_delta_constant_field_approaches_closed_form():
 
 
 def test_cf_delta_time_flag_only_changes_quadrature():
-    m = measures.GaussianMeasure(n_modes=1)
+    m = measures.GibbsMeasure(1)
     dis = measures.psi_squared(m, 1)
     f = constant_field([0.1])
     flagged = dataclasses.replace(f, time_dependent=True)
@@ -287,7 +287,7 @@ def test_cf_delta_time_flag_only_changes_quadrature():
 
 
 def test_cf_delta_rejects_bad_delta_and_flags_overflow():
-    m = measures.GaussianMeasure(n_modes=1)
+    m = measures.GibbsMeasure(1)
     dis = measures.psi_squared(m, 1)
     f = constant_field([0.1])
     with pytest.raises(ValueError):

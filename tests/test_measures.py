@@ -10,7 +10,6 @@ from scipy import stats
 from refflow import measures
 from refflow.cylinders import Cylinder
 from refflow.measures import (
-    GaussianMeasure,
     GibbsMeasure,
     LadderDensity,
     NotThinnableError,
@@ -29,12 +28,12 @@ from refflow.measures import (
     sample_gibbs,
     tensor_grid,
 )
-from refflow.rng import as_rng, stream
+from refflow.rng import Estimate, as_rng, stream
 from refflow.spectral import Grid, basis_matrix
 
 
 def gibbs4():
-    return GibbsMeasure(base=GaussianMeasure(n_modes=4), alpha=1.0, p=4.0)
+    return GibbsMeasure(4, alpha=1.0, p=4.0)
 
 
 def test_natural_precisions():
@@ -47,15 +46,15 @@ def test_natural_precisions():
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        GaussianMeasure(n_modes=2, lam=np.array([1.0, -1.0]))
+        GibbsMeasure(2, lam=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
-        GibbsMeasure(base=GaussianMeasure(n_modes=2), alpha=1.0, p=2.0)
+        GibbsMeasure(2, alpha=1.0, p=2.0)
     with pytest.raises(ValueError):
-        GibbsMeasure(base=GaussianMeasure(n_modes=2), alpha=-0.5, p=4.0)
+        GibbsMeasure(2, alpha=-0.5, p=4.0)
 
 
 def test_gaussian_beta_is_linear():
-    m = GaussianMeasure(n_modes=3)
+    m = GibbsMeasure(3)
     X = np.array([[0.1, -0.2, 0.3], [1.0, 0.0, -1.0]])
     comps = beta_components(m, X)
     assert np.allclose(comps, -m.lam * X, atol=1e-15)
@@ -82,7 +81,7 @@ def test_beta_direction_linearity():
 
 
 def test_sample_gaussian_distribution():
-    m = GaussianMeasure(n_modes=2)
+    m = GibbsMeasure(2)
     X = sample_gaussian(m, 40000, 123)
     # KS against the exact mode-1 marginal
     _, pval = stats.kstest(X[:, 0], "norm", args=(0.0, m.mode_std[0]))
@@ -91,10 +90,15 @@ def test_sample_gaussian_distribution():
 
 
 def test_sample_gibbs_alpha_zero_is_gaussian():
-    m0 = GibbsMeasure(base=GaussianMeasure(n_modes=3), alpha=0.0, p=4.0)
+    m0 = GibbsMeasure(3, alpha=0.0, p=4.0)
     a = sample_gibbs(m0, 100, 7)
-    b = sample_gaussian(m0.base, 100, 7)
+    b = sample_gaussian(m0, 100, 7)
     assert np.array_equal(a, b)
+    # the default measure is that Gaussian: exact Z and a linear beta
+    g = GibbsMeasure(3)
+    assert g.alpha == 0.0 and np.array_equal(sample_gibbs(g, 100, 7), b)
+    assert measures.normalizing_constant(g, count=500) == Estimate(1.0, 0.0, 500)
+    assert np.array_equal(beta_components(g, b), -g.lam * b)
 
 
 def test_sample_gibbs_deterministic_and_decorrelated():
@@ -107,9 +111,9 @@ def test_sample_gibbs_deterministic_and_decorrelated():
 
 def test_sample_gibbs_matches_slice_quadrature():
     # E[x_1^2] under the 1-mode Gibbs measure, MC against the slice density
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=1), alpha=1.0, p=4.0)
+    m = GibbsMeasure(1, alpha=1.0, p=4.0)
     X = sample_gibbs(m, 30000, 5)
-    slc = psi_squared(m, 1).bind(None)
+    slc = psi_squared(m, 1)
     pts, w = tensor_grid(1, 1.5, 256)
     exact = float(w @ (pts[:, 0] ** 2 * slc.value(pts)))
     se = X[:, 0].std() ** 2 * math.sqrt(2.0 / len(X))
@@ -119,14 +123,14 @@ def test_sample_gibbs_matches_slice_quadrature():
 def test_sampler_not_thinnable_error():
     # stiff coupling makes the independence chain sticky enough to need
     # thinning; capping the factor at 1 turns that into the hard error
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=4), alpha=30.0, p=4.0)
+    m = GibbsMeasure(4, alpha=30.0, p=4.0)
     with pytest.raises(NotThinnableError):
         sample_gibbs(m, 300, 1, max_thin=1)
     assert abs(lag1_autocorrelation((sample_gibbs(m, 300, 1) ** 2).sum(axis=1))) < 0.1
 
 
 def test_sampler_degenerate_error():
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=32), alpha=1e6, p=4.0)
+    m = GibbsMeasure(32, alpha=1e6, p=4.0)
     with pytest.raises(SamplerDegenerateError, match="acceptance 4/1000 below 1%"):
         sample_gibbs(m, 2000, 1)
 
@@ -134,7 +138,7 @@ def test_sampler_degenerate_error():
 def ref_sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
     """sample_gibbs with the chain walked one numpy scalar and one row at a time."""
     rng = as_rng(seed, "measures", "gibbs")
-    std = measure.base.mode_std
+    std = measure.mode_std
     state = rng.standard_normal(measure.n_modes) * std
     state_pot = float(measures._coupling(measure, state[None])[0][0])
     accepted = proposed = 0
@@ -170,7 +174,7 @@ def ref_sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
 
 
 def gibbs(n_modes, alpha, p):
-    return GibbsMeasure(base=GaussianMeasure(n_modes=n_modes), alpha=alpha, p=p)
+    return GibbsMeasure(n_modes, alpha=alpha, p=p)
 
 
 # (measure, count, seed, keyword arguments); with 4 modes the 40 warmup
@@ -226,7 +230,7 @@ def test_sample_gibbs_matches_reference_walk(name):
 def test_exp_integrability_oracle():
     # E exp(0.01 |beta_{e_1}|) for the 1-mode Gaussian
     # (tests/oracles/compute_oracles.py, folded-normal MGF)
-    m = GaussianMeasure(n_modes=1)
+    m = GibbsMeasure(1)
     rep = exp_integrability(m, 0, 0.01, 200000, 11)
     assert not rep.diverged
     assert rep.estimate == pytest.approx(1.0364598584324792, abs=4 * rep.stderr)
@@ -245,7 +249,7 @@ def test_integrability_constants_deterministic():
 
 
 def test_ibp_residual_gaussian():
-    m = GaussianMeasure(n_modes=4)
+    m = GibbsMeasure(4)
     u = Cylinder(
         n_active=1,
         value_fn=lambda X: np.cos(X[:, 0]),
@@ -260,8 +264,8 @@ def test_ibp_residual_gaussian():
 
 
 def test_psi_squared_gaussian_formula():
-    m = GaussianMeasure(n_modes=1)
-    slc = psi_squared(m, 1).bind(None)
+    m = GibbsMeasure(1)
+    slc = psi_squared(m, 1)
     x = np.array([[0.2], [-0.4], [0.0]])
     lam = m.lam[0]
     expected = np.sqrt(lam / (2 * np.pi)) * np.exp(-lam * x[:, 0] ** 2 / 2)
@@ -271,7 +275,7 @@ def test_psi_squared_gaussian_formula():
 
 
 def test_slice_beta_matches_log_gradient():
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=3), alpha=1.0, p=4.0)
+    m = GibbsMeasure(3, alpha=1.0, p=4.0)
     slc = psi_squared(m, 2).bind(np.array([0.1]))
     X = np.array([[0.3, -0.2], [0.0, 0.5]])
     h = 1e-6
@@ -286,7 +290,7 @@ def test_slice_beta_matches_log_gradient():
 
 
 def test_slice_beta_equals_stacked_measure_beta():
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=3), alpha=1.0, p=4.0)
+    m = GibbsMeasure(3, alpha=1.0, p=4.0)
     y = np.array([-0.15])
     slc = psi_squared(m, 2).bind(y)
     X = np.array([[0.25, -0.3]])
@@ -311,7 +315,7 @@ def _close(new, ref, rtol=1e-12):
 
 @pytest.mark.parametrize("N", [1, 2, 4])
 def test_coupling_on_exact_grid_matches_gauss_legendre(N):
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=N + 2), alpha=1.3, p=4.0)
+    m = GibbsMeasure(N + 2, alpha=1.3, p=4.0)
     assert m.grid.rule == "uniform-midpoint" and m.grid.n_nodes == 2 * (N + 2) + 1
     rng = np.random.default_rng(N)
     X = rng.standard_normal((25, N))
@@ -333,7 +337,7 @@ def test_coupling_on_exact_grid_matches_gauss_legendre(N):
 
 
 def test_coupling_grid_one_node_short_is_not_exact():
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=1), alpha=1.0, p=4.0)
+    m = GibbsMeasure(1, alpha=1.0, p=4.0)
     X = np.array([[0.9], [-1.4]])
     pot_ref, grad_ref = _coupling_reference(1.0, 4.0, X, 1)
     short = SimpleNamespace(alpha=1.0, p=4.0, grid=Grid.midpoint(m.grid.n_nodes - 1))
@@ -344,7 +348,7 @@ def test_coupling_grid_one_node_short_is_not_exact():
 
 @pytest.mark.parametrize("p", [3.0, 3.5])
 def test_coupling_grid_keeps_gauss_legendre_for_other_p(p):
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=2), alpha=1.0, p=p)
+    m = GibbsMeasure(2, alpha=1.0, p=p)
     assert m.grid.rule == "gauss-legendre" and m.grid.n_nodes == measures.SLICE_GRID_NODES
     assert measures.coupling_grid(6.0, 3).n_nodes == 10
 
@@ -381,8 +385,8 @@ def test_blocked_coupling_is_the_unblocked_formula(p, n_modes, shifted):
 
 
 def test_ladder_validation_and_first_branch():
-    m = GaussianMeasure(n_modes=1)
-    slc = psi_squared(m, 1).bind(None)
+    m = GibbsMeasure(1)
+    slc = psi_squared(m, 1)
     with pytest.raises(ValueError):
         ladder(slc, 0.5, 4)
     with pytest.raises(ValueError):
@@ -393,8 +397,8 @@ def test_ladder_validation_and_first_branch():
 
 
 def test_ladder_respects_clip_bounds():
-    m = GaussianMeasure(n_modes=1)
-    slc = psi_squared(m, 1).bind(None)
+    m = GibbsMeasure(1)
+    slc = psi_squared(m, 1)
     M = 2.0
     lad = ladder(slc, M, 4)
     pts, _ = tensor_grid(1, 3.0, 200)
@@ -406,8 +410,8 @@ def test_ladder_respects_clip_bounds():
 
 
 def test_ladder_log_gradient_consistency():
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=1), alpha=1.0, p=4.0)
-    slc = psi_squared(m, 1).bind(None)
+    m = GibbsMeasure(1, alpha=1.0, p=4.0)
+    slc = psi_squared(m, 1)
     lad = ladder(slc, 4, 8)
     X = np.array([[0.15], [-0.35], [0.6]])
     vals, lg = lad.value_and_log_gradient(X)
@@ -419,8 +423,8 @@ def test_ladder_log_gradient_consistency():
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([2.0, 10.0]), st.sampled_from([4, 16]), st.sampled_from([0.01, 0.05]))
 def test_jensen_chain_ordering(M, l, eps):
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=1), alpha=1.0, p=4.0)
-    slc = psi_squared(m, 1).bind(None)
+    m = GibbsMeasure(1, alpha=1.0, p=4.0)
+    slc = psi_squared(m, 1)
     i_ml, i_m, i_exact = jensen_chain(slc, M, l, eps, 0)
     assert i_ml <= i_m + 1e-6
     assert i_m <= i_exact + 1e-6
@@ -428,20 +432,20 @@ def test_jensen_chain_ordering(M, l, eps):
 
 
 def test_tensor_grid_normalizes_gaussian():
-    m = GaussianMeasure(n_modes=2)
-    slc = psi_squared(m, 2).bind(None)
+    m = GibbsMeasure(2)
+    slc = psi_squared(m, 2)
     pts, w = tensor_grid(2, 1.5, 96)
     assert float(w @ slc.value(pts)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_disintegration_tail_dependence():
     # moving the tail coefficient moves the Gibbs coupling, never the Gaussian part
-    m = GibbsMeasure(base=GaussianMeasure(n_modes=2), alpha=1.0, p=4.0)
+    m = GibbsMeasure(2, alpha=1.0, p=4.0)
     dis = psi_squared(m, 1)
     x = np.array([[0.2]])
     v0 = dis.bind(np.array([0.0])).value(x)
     v1 = dis.bind(np.array([0.8])).value(x)
     assert not np.allclose(v0, v1)
-    g = GaussianMeasure(n_modes=2)
+    g = GibbsMeasure(2)
     dis_g = psi_squared(g, 1)
     assert np.allclose(dis_g.bind(np.array([0.0])).value(x), dis_g.bind(np.array([0.8])).value(x))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from reference import flow, linear_field
 
 
 def slice_for(n_modes, lam=None):
-    m = measures.GaussianMeasure(n_modes=n_modes, lam=lam)
-    return m, measures.psi_squared(m, n_modes).bind()
+    m = measures.GibbsMeasure(n_modes, lam=lam)
+    return m, measures.psi_squared(m, n_modes)
 
 
 def test_flow_config_validation():
@@ -243,6 +244,23 @@ def test_ladder_reference_uses_its_log_gradient():
     assert np.any(a != b)
 
 
+@pytest.mark.parametrize("kind", ["slice", "ladder"])
+def test_slices_and_ladders_read_alike(kind):
+    m = measures.GibbsMeasure(2, alpha=1.0, p=4.0)
+    slc = measures.psi_squared(m, 2)
+    ref = slc if kind == "slice" else measures.ladder(slc, M=8, l=16)
+    X = np.random.default_rng(5).normal(scale=0.3, size=(20, 2))
+    assert ref.source is slc and ref.N == 2
+    assert ref.M == (math.inf if kind == "slice" else 8.0)
+    want = measures.beta_components(m, X) if kind == "slice" else ref.value_and_log_gradient(X)[1]
+    assert np.allclose(ref.beta(X), want, rtol=1e-12, atol=0.0)
+    # solve reads N from the reference
+    rho0, fld, cfg = bump_density([0.0, 0.0], [0.5, 0.5]), fields.constant_field([0.1, -0.1]), FlowConfig(1e-2, 0.2)
+    sol = solve(rho0, fld, ref, cfg, time_grid=[0.1], eval_points=X)
+    assert sol.N == 2
+    assert np.array_equal(sol.table[0][2], feynman_kac(TransportSolution(rho0, fld, ref, cfg, 2), 0.1, X))
+
+
 def _feynman_kac_reference(solution, t, X):
     """The per-time backward sweep as written before sweeps were shared: a
     fresh integration from (t, X) on every call."""
@@ -254,7 +272,7 @@ def _feynman_kac_reference(solution, t, X):
         out[near] = np.clip(solution.rho0.value(X[near]), 0.0, None)
         return out
     Z = X[near].copy()
-    fld, beta = solution.field, solution.beta_oracle
+    fld, beta = solution.field, solution.reference.beta
     acc = 0.5 * fields.dstar(fld, beta, t, Z)
     u = t
     for k in range(1, n + 1):
@@ -371,7 +389,7 @@ def _pde_residual_old_order(solution, t, X, h_t, h_x):
         grad[:, i] = (feynman_kac(solution, t, Xp) - feynman_kac(solution, t, Xm)) / (2.0 * h_x)
     f_vals = solution.field.value(t, X)
     advect = (f_vals * grad[:, : f_vals.shape[1]]).sum(axis=1)
-    ds = fields.dstar(solution.field, solution.beta_oracle, t, X)
+    ds = fields.dstar(solution.field, solution.reference.beta, t, X)
     return dt_rho + advect - ds * feynman_kac(solution, t, X)
 
 

@@ -66,8 +66,8 @@ def test_mass_conserved_along_the_flow(const_problem):
 
 def test_entropy_of_constant_density_matches_closed_form():
     """Constant c on [-0.3, 0.3]: entropy = c (ln c - 1) * (Psi^2 mass of the box)."""
-    m = measures.GaussianMeasure(n_modes=1)
-    slc = measures.psi_squared(m, 1).bind()
+    m = measures.GibbsMeasure(1)
+    slc = measures.psi_squared(m, 1)
     # [DERIVED] mpmath: c = 1/mass so the density integrates to one
     c = 1.2233555442527152
     rho = transport.InitialDensity(value_fn=lambda X: np.full(X.shape[0], c), support_radius=0.3)
@@ -79,8 +79,8 @@ def test_entropy_of_constant_density_matches_closed_form():
 
 
 def test_entropy_zero_density_contributes_nothing():
-    m = measures.GaussianMeasure(n_modes=1)
-    slc = measures.psi_squared(m, 1).bind()
+    m = measures.GibbsMeasure(1)
+    slc = measures.psi_squared(m, 1)
     rho = transport.InitialDensity(value_fn=lambda X: np.zeros(X.shape[0]), support_radius=0.3)
     sol = transport.TransportSolution(
         rho0=rho, field=fields.constant_field([0.0]), reference=slc,
@@ -130,7 +130,7 @@ def test_ball_volume_low_dimensions():
 
 
 def test_approximation_of_smooth_density():
-    m = measures.GaussianMeasure(n_modes=1)
+    m = measures.GibbsMeasure(1)
     approx, rep = approximate_initial_density(
         lambda X: np.exp(-X[:, 0] ** 2), m, N=1, M_clip=4.0, l_smooth=8, count=8000
     )
@@ -141,7 +141,7 @@ def test_approximation_of_smooth_density():
 
 
 def test_approximation_rejects_bad_inputs():
-    m = measures.GaussianMeasure(n_modes=1)
+    m = measures.GibbsMeasure(1)
     with pytest.raises(InfeasibleInputError):
         approximate_initial_density(lambda X: X[:, 0], m, N=1, M_clip=4.0, l_smooth=8, count=2000)
     # integrand outside L log L: the sample entropy is dominated by single draws
