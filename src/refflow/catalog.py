@@ -298,7 +298,15 @@ def _cyl_cos_sin_m13():
     return Cylinder(n_active=3, value_fn=value, grad_fn=grad, name="cos_sin_m13", bound=1.0)
 
 
+def _soft_scale(c):
+    """Raise a ConfigError at c unless c > 0: otherwise c tanh(./c) is no
+    bounded readout (at 0 it is identically 0, so every commutator reads 0)."""
+    if not c > 0:
+        raise ConfigError("c", f"must be > 0, got {c!r}")
+
+
 def _mode1_soft(c=1.0):
+    _soft_scale(c)
     return Cylinder(
         n_active=1,
         value_fn=lambda X: c * np.tanh(X[:, 0] / c),
@@ -309,12 +317,16 @@ def _mode1_soft(c=1.0):
 
 
 def _energy_soft(k=4, c=1.0):
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ConfigError("k", f"must be an integer >= 1, got {k!r}")
+    _soft_scale(c)
+
     def value(X):
         return c * np.tanh((X[:, :k] ** 2).sum(axis=1) / c)
 
     def grad(X):
         s = (X[:, :k] ** 2).sum(axis=1)
-        return (2.0 * X[:, :k]) / np.cosh(s / c) ** 2
+        return (2.0 * X[:, :k]) / np.cosh(s / c)[:, None] ** 2
 
     return Cylinder(n_active=k, value_fn=value, grad_fn=grad, name=f"energy_soft({k},{c:g})", bound=c)
 

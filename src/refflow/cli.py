@@ -138,6 +138,14 @@ def _pair(entry, n_modes):
     return name, catalog.build_cylinder(name), h_arg, h
 
 
+def _spde_field(raw, got):
+    """The field of the block raw on the SPDE's n_modes, checked to have no
+    more components than the SPDE has modes."""
+    field = catalog.build_field(raw, got["n_modes"])
+    _expect(field.n_components <= got["n_modes"], f"a field of at most n_modes={got['n_modes']} components", raw)
+    return field
+
+
 def _problems(raw, got):
     """The problems of the named set, or of the list raw, each read through PROBLEM."""
     specs = catalog.default_problems(raw) if isinstance(raw, str) else raw
@@ -220,7 +228,7 @@ PARAMS = {
                       lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
         ("u", ("cylinder", _kept(lambda raw, got: catalog.build_cylinder(raw))), "", "mode1_soft"),
         ("u_args", ("object", _kept(lambda raw, got: catalog.build_cylinder(got["u"], **catalog.spec_block(raw)))), "", {}),
-        ("field", ("field", lambda raw, got: catalog.build_field(raw, got["n_modes"])), "", {"name": "constant", "coeffs": [0.1]}),
+        ("field", ("field of at most n_modes components", _spde_field), "", {"name": "constant", "coeffs": [0.1]}),
         ("n_mc", INT, ">= 1", 2000),
         ("n_x", INT, ">= 4 (two base points per half of the chain)", 200),
         ("thinning", INT, ">= 1", Derived("1 relaxation time")),

@@ -262,14 +262,17 @@ class PathEnsemble:
 
 
 class _Reaction:
-    """The reaction terms of one stepper call, on (rows x quad nodes) arrays
-    allocated once and overwritten in place at every step.
+    """The reaction terms of one stepper call, on arrays allocated once and
+    overwritten in place at every step: U, P and H of (rows x quad nodes),
+    and the drift D of (rows x modes).
 
     load(X) synthesizes U = X E and, for alpha > 0, solves the resolvent
     J = J_alpha(U) once for both the drift and the derivative-flow multiplier.
-    drift() and flow(eta) return fresh (rows x modes) arrays, projected by the
-    config's (E w)^T. The drift integrand and the multiplier share the buffer
-    P (drift() is done with it before flow() starts), which keeps one
+    drift() projects p_alpha(U) by the config's (E w)^T into D and returns D,
+    which the next drift() overwrites; np.matmul with out= makes the product
+    that @ makes, so the bits are the same. flow(eta) returns a fresh
+    (rows x modes) array. The drift integrand and the multiplier share the
+    buffer P (drift() is done with it before flow() starts), which keeps one
     (rows x nodes) array fewer in cache.
     """
 
@@ -280,6 +283,7 @@ class _Reaction:
         self.E = basis_matrix(config.n_modes, config.grid)
         self.proj = config.projection
         self.U, self.P, self.H = (np.empty((rows, config.grid.n_nodes)) for _ in range(3))
+        self.D = np.empty((rows, config.n_modes))
         self.J = None
 
     def load(self, X):
@@ -288,8 +292,8 @@ class _Reaction:
             self.J = yosida_resolvent(self.p_coeffs, self.alpha, self.U)
 
     def drift(self):
-        """Mode coefficients of p_alpha(U)."""
-        return _p_alpha(self.p_coeffs, self.alpha, self.U, self.J, self.P) @ self.proj
+        """Mode coefficients of p_alpha(U), in the workspace D."""
+        return np.matmul(_p_alpha(self.p_coeffs, self.alpha, self.U, self.J, self.P), self.proj, out=self.D)
 
     def flow(self, eta):
         """Project (eta E) exp(dt p_alpha'(U)) back onto the modes."""
@@ -299,6 +303,11 @@ class _Reaction:
         H = np.matmul(eta, self.E, out=self.H)
         H *= M
         return H @ self.proj
+
+
+# numpy sums fewer than 8 terms left to right, so below this many modes a
+# column-by-column sum is numpy's sum(axis=1) bit for bit
+PAIRWISE_MIN_TERMS = 8
 
 
 def _steps(config, X, n, rng, eta=None, noise=True):
@@ -312,32 +321,67 @@ def _steps(config, X, n, rng, eta=None, noise=True):
     The yielded X and eta are fresh arrays at every step; w is updated in
     place. Raises BlowUpError when a coefficient of X exceeds 1e6 in
     magnitude or is NaN.
+
+    The step is X <- ema X + phi p_alpha(X) + sig xi and
+    w <- w + sum_j (eta_j / B_j) xi_j sqrt(dt), with every operation of the
+    written-out formulas in their order, so the bits are theirs. The per-call
+    buffers, each (rows x modes) but dw (rows):
+    - xi: rng.standard_normal(out=xi) draws the values a fresh draw would.
+      After the state update it holds |X| for the blow-up check, whose max
+      is np.max(np.abs(X)).
+    - weighted: eta B^{-1} xi. When B is all ones, eta * 1.0 is eta, so the
+      B^{-1} pass is skipped.
+    - dw: its row sums, column by column below PAIRWISE_MIN_TERMS modes,
+      which is sum(axis=1) term for term.
+    ema X is the fresh state; the drift (in the reaction's workspace D) and
+    xi, each used once per step, are scaled in place and added to it.
     """
     a = config.rates
     ema = np.exp(-a * config.dt)
     phi = (1.0 - ema) / a
     sig = config.b_array * np.sqrt((1.0 - ema ** 2) / (2.0 * a))
     reaction = _Reaction(config, X.shape[0]) if config.has_reaction else None
-    Binv = 1.0 / config.b_array
+    unit_b = bool(np.all(config.b_array == 1.0))
     # one row per path: a (rows x modes) operand costs one ufunc loop, a
     # broadcast (modes,) one loop per row
-    ema, phi, sig, Binv = (np.broadcast_to(v, X.shape).copy() for v in (ema, phi, sig, Binv))
+    ema, phi, sig, Binv = (np.broadcast_to(v, X.shape).copy() for v in (ema, phi, sig, 1.0 / config.b_array))
     sqdt = math.sqrt(config.dt)
     w = None if eta is None else np.zeros(X.shape[0])
-    drift = 0.0
+    xi = np.empty(X.shape)
+    if eta is not None:
+        weighted, dw = np.empty(X.shape), np.empty(X.shape[0])
     for k in range(1, n + 1):
-        xi = rng.standard_normal(X.shape)
+        rng.standard_normal(out=xi)
         if not noise:
-            xi = np.zeros_like(xi)
+            xi.fill(0.0)
         if eta is not None:
-            w += ((eta * Binv) * xi).sum(axis=1) * sqdt
+            if unit_b:
+                np.multiply(eta, xi, out=weighted)
+            else:
+                np.multiply(eta, Binv, out=weighted)
+                weighted *= xi
+            if X.shape[1] < PAIRWISE_MIN_TERMS:
+                np.copyto(dw, weighted[:, 0])
+                for j in range(1, X.shape[1]):
+                    dw += weighted[:, j]
+            else:
+                np.sum(weighted, axis=1, out=dw)
+            dw *= sqdt
+            w += dw
+        X_new = ema * X
         if reaction is not None:
             reaction.load(X)
             drift = reaction.drift()
-        X = ema * X + phi * drift + sig * xi
+            drift *= phi
+            X_new += drift
+        else:
+            X_new += 0.0  # phi * 0, the drift without a reaction: it turns -0.0 into 0.0
+        xi *= sig
+        X_new += xi
+        X = X_new
         if eta is not None:
             eta = _eta_step(eta, ema, reaction)
-        if not np.max(np.abs(X)) <= 1e6:  # NaN fails this test too
+        if not np.abs(X, out=xi).max() <= 1e6:  # NaN fails this test too
             raise BlowUpError(f"state norm exceeded 1e6 at step {k} (invalid reaction?)")
         yield k, X, eta, w
 

@@ -496,6 +496,12 @@ def verify_problem(**change):
         ("verify-suite", verify_problem(test_function={"g": "linear_ramp", "h": "cos_m1"}), "params.problems[p].test_function.h"),
         ("commutator-curve", {"u": "cos_m1", "u_args": {"c": 5.0}}, "params.u_args.c"),
         ("commutator-curve", {"u_args": {"k": 2}}, "params.u_args.k"),
+        # values the numerics cannot use: a field wider than the SPDE, and
+        # observable parameters out of range (c = 0 read every commutator as 0)
+        ("commutator-curve", {"field": {"name": "constant", "coeffs": [0.1] * 5}}, "params.field"),
+        ("commutator-curve", {"u": "energy_soft", "u_args": {"k": 0}}, "params.u_args.k"),
+        ("commutator-curve", {"u_args": {"c": 0}}, "params.u_args.c"),
+        ("commutator-curve", {"u": "energy_soft", "u_args": {"c": -1.0}}, "params.u_args.c"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):

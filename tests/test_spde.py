@@ -233,6 +233,19 @@ def test_decay_curve_on_cubic_reaction():
     assert rep.estimates[0][1].estimate > rep.estimates[-1][1].estimate
 
 
+@pytest.mark.parametrize("name, args", [("mode1_soft", {"c": 0.5}), ("energy_soft", {"k": 3, "c": 2.0})])
+def test_observable_gradients_match_central_differences(name, args):
+    u = catalog.build_cylinder(name, **args)
+    X = as_rng(2, "observable").normal(size=(7, 4))
+    g = u.grad(X)
+    assert g.shape == (7, u.n_active)
+    for i in range(u.n_active):
+        step = np.zeros(4)
+        step[i] = 1e-6
+        fd = (u.value(X + step) - u.value(X - step)) / 2e-6
+        assert np.allclose(g[:, i], fd, rtol=1e-6, atol=1e-8)
+
+
 def test_decay_curve_worker_count_does_not_change_results():
     cfg = SpdeConfig(n_modes=2, dt=2e-3, T=0.1, p_coeffs=CUBIC)
     u = catalog.build_cylinder("mode1_soft")
@@ -303,6 +316,7 @@ STEP_CONFIGS = {
     "ou": SpdeConfig(n_modes=3, dt=1e-2, T=0.2),
     "cubic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC),
     "cubic-yosida": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3),
+    "ou-b": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, B_diag=(0.5, 1.0, 3.0)),
 }
 
 
@@ -463,6 +477,65 @@ def test_steps_yield_fresh_arrays_that_match_reference_loop(cfg, rows):
         assert_matches(cfg, eta_k, eta)
     assert [s[0] for s in steps] == list(range(1, 21))
     assert_matches(cfg, steps[-1][3], weights[-1])
+
+
+def written_out_steps(cfg, X, n, rng, eta, noise):
+    """The stepper's arithmetic as formulas on fresh arrays, around the same
+    _Reaction: the bits every step of spde._steps must reproduce."""
+    a = cfg.rates
+    ema = np.exp(-a * cfg.dt)
+    phi = (1.0 - ema) / a
+    sig = cfg.b_array * np.sqrt((1.0 - ema ** 2) / (2.0 * a))
+    reaction = spde._Reaction(cfg, X.shape[0]) if cfg.has_reaction else None
+    ema, phi, sig, Binv = (np.broadcast_to(v, X.shape).copy() for v in (ema, phi, sig, 1.0 / cfg.b_array))
+    sqdt = math.sqrt(cfg.dt)
+    w = np.zeros(X.shape[0])
+    drift = 0.0
+    for k in range(1, n + 1):
+        xi = rng.standard_normal(X.shape)
+        if not noise:
+            xi = np.zeros_like(xi)
+        w += ((eta * Binv) * xi).sum(axis=1) * sqdt
+        if reaction is not None:
+            reaction.load(X)
+            drift = reaction.drift()
+        X = ema * X + phi * drift + sig * xi
+        eta = ema * eta
+        if reaction is not None:
+            eta = reaction.flow(eta)
+        yield k, X, eta, w.copy()
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize(
+    "cfg, rows",
+    [
+        # the commutator benchmark's shape: 4 modes, 2000 rows, 17 nodes
+        (SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC), 2000),
+        # at least 8 modes, where numpy's sum(axis=1) is pairwise, and B != 1
+        (SpdeConfig(n_modes=9, dt=1e-2, T=0.2, B_diag=tuple(np.linspace(0.5, 3.0, 9)), p_coeffs=CUBIC), 40),
+        (SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3), 40),
+        (STEP_CONFIGS["ou-b"], 40),
+    ],
+    ids=["benchmark-shape", "9-modes-B", "yosida", "ou-B"],
+)
+def test_steps_match_written_out_step_bit_for_bit(cfg, rows, noise):
+    """Every X, eta and w over 20 steps has the bits of the written-out
+    formulas, a -0.0 start coefficient included."""
+    X0 = as_rng(1, "x0").normal(scale=0.5, size=(rows, cfg.n_modes))
+    X0[0, 0] = -0.0
+    eta0 = np.broadcast_to(np.linspace(0.1, -0.05, cfg.n_modes), X0.shape).copy()
+    got = [(k, X, eta, w.copy()) for k, X, eta, w in spde._steps(cfg, X0, 20, as_rng(8, "steps"), eta=eta0, noise=noise)]
+    want = list(written_out_steps(cfg, X0, 20, as_rng(8, "steps"), eta0, noise))
+    assert len(got) == len(want) == 20
+    for (k, X, eta, w), (k_want, X_want, eta_want, w_want) in zip(got, want):
+        assert k == k_want
+        assert same_bits(X, X_want) and same_bits(eta, eta_want) and same_bits(w, w_want)
 
 
 @pytest.mark.parametrize("deg", [3, 5, 7])
