@@ -1,13 +1,16 @@
 """Registered building blocks: measures, fields, reactions, densities,
-cylinders, test functions, observables, and the standard problem set.
+cylinders, test functions, observables, and the standard problem set; and
+the table reader through which every config value is read.
 
 Each section is one registry: a dict from a name to its Entry, which holds
-the label and one-line mathematical description that `list-catalog` prints,
-and the builder. Builders take plain dicts (parsed config blocks) and return
-the corresponding domain objects.
+the one-line mathematical description that `list-catalog` prints, the table
+of the keys a config block may give, and the builder, which takes the typed
+values of those keys and returns the corresponding domain object.
 """
 
+import json
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -23,16 +26,6 @@ class ConfigError(ValueError):
     def __init__(self, path, msg):
         super().__init__(f"{path}: {msg}")
         self.path, self.msg = path, msg
-
-
-class Entry(NamedTuple):
-    label: str  # the name, with every key its builder reads in parentheses
-    description: str
-    build: object
-
-    @property
-    def keys(self):
-        return tuple(key for key in self.label.partition("(")[2].rstrip(")").split(",") if key)
 
 
 def spec_block(spec):
@@ -52,8 +45,126 @@ def known_keys(spec, accepted):
     return spec
 
 
+# ---------------------------------------------------------------------------
+# tables, through which every config value is read once, before any numerics
+# run. An entry is (key, (type name, coerce), bound, default): coerce(raw,
+# values read so far) gives the typed value, or raises TypeError or
+# ValueError, and makes the checks that need other values; bound "<op>
+# <limit>[ why]" holds for the value or each of its entries, where limit is a
+# number or a key read before (a NaN fails every bound); default is a raw
+# value, REQUIRED or a Derived; a RETIRED key's default says why it is ignored.
+
+
+class Derived(NamedTuple):
+    """A default that fn works out from the values read so far, or, when fn is None, the runner."""
+
+    text: str
+    fn: object = None
+
+
+REQUIRED = object()
+RETIRED = ("retired", None)
+COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def _at(path, fn, *args, errors=(TypeError, ValueError, OverflowError), **kwargs):
+    """fn(*args, **kwargs) with its errors, by default those of a bad config
+    value, or the ConfigError of a nested table, raised as a ConfigError at or
+    below path."""
+    try:
+        return fn(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(path + ("" if exc.path.startswith("[") else ".") + exc.path, exc.msg) from exc
+    except errors as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def read(table, raw, **context):
+    """The typed values of the JSON object raw, read through table; coerces
+    and defaults also see the values of context, such as a state's n_modes."""
+    spec_block(raw)
+    got = dict(context)
+    for key, (_, coerce), bound, default in table:
+        if key in raw:
+            value = raw[key]
+        elif default is REQUIRED:
+            raise ConfigError(key, "required")
+        else:
+            value = default.fn(got) if isinstance(default, Derived) and default.fn else default
+        if isinstance(value, Derived):
+            got[key] = None
+        elif coerce is not None:
+            got[key] = _at(key, coerce, value, got)
+            op, limit = bound.split()[:2] if bound else (None, None)
+            if op and not all(COMPARE[op](v, got[limit] if limit in got else float(limit)) for v in np.ravel(got[key])):
+                raise ConfigError(key, f"must be {bound}, got {value!r}")
+    known_keys(raw, [entry[0] for entry in table])
+    return {entry[0]: got[entry[0]] for entry in table if entry[0] in got}
+
+
+def _expect(ok, what, value):
+    """value, if ok; else a TypeError saying what it must be."""
+    if not ok:
+        raise TypeError(f"must be {what}, got {value!r}")
+    return value
+
+
+def _numbers(raw, size=None):
+    """A number or a nonempty list of numbers, or a list of size numbers if size is given, as a float array."""
+    value = np.asarray(raw, dtype=float)
+    ok = value.ndim <= 1 and value.size > 0 if size is None else value.shape == (size,)
+    _expect(ok, "a number or a nonempty list of numbers" if size is None else f"a list of {size} numbers", raw)
+    return value
+
+
+def _steps(config, raw):
+    """raw as a nonempty list of floats, each a whole number of config's steps in [0, T]."""
+    times = [float(t) for t in _expect(isinstance(raw, list) and raw, "a nonempty list of numbers", raw)]
+    for t in times:
+        config.n_steps(t)
+        if not 0 <= t <= config.T + 1e-12:
+            raise ValueError(f"{t} is not in [0, {config.T}]")
+    return times
+
+
+INT, FLOAT = ("int", lambda raw, got: int(raw)), ("number", lambda raw, got: float(raw))
+INTEGER = ("integer", lambda raw, got: _expect(isinstance(raw, int) and not isinstance(raw, bool), "an integer", raw))
+NUMBERS = ("number | [number]", lambda raw, got: _numbers(raw))
+BOOL = ("bool", lambda raw, got: _expect(isinstance(raw, bool), "true or false", raw))
+STR = ("string", lambda raw, got: _expect(isinstance(raw, str), "a string", raw))
+OBJECT = ("object", lambda raw, got: spec_block(raw))
+
+
+def table_rows(table):
+    """The rows of table as list-catalog prints them: key, type, bound, default."""
+    return [(key, t[0], bound or "-", f"ignored: {d}" if t is RETIRED else "required" if d is REQUIRED
+             else d.text if isinstance(d, Derived) else json.dumps(d)) for key, t, bound, d in table]
+
+
+def _columns(rows):
+    """rows as lines, with the columns before the last one padded to a common width."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1 if rows else 0)]
+    return ["".join(f"{c:<{w}}  " for c, w in zip(row, widths)) + row[-1] for row in rows]
+
+
+def columns_text(sections):
+    """(name, rows) sections as list-catalog prints them: "name:", then the rows."""
+    return "\n".join(line for name, rows in sections for line in [f"{name}:"] + [f"  {row}" for row in _columns(rows)])
+
+
+# ---------------------------------------------------------------------------
+# registries
+
+
+class Entry(NamedTuple):
+    name: str
+    description: str
+    table: tuple
+    build: object
+
+
 def _registry(*entries):
-    return {e.label.split("(")[0]: e for e in entries}
+    return {e.name: e for e in entries}
 
 
 def _lookup(registry, section, name):
@@ -63,36 +174,37 @@ def _lookup(registry, section, name):
         raise ValueError(f"unknown {section} {name!r}") from None
 
 
-def _entry(registry, section, spec, default, *common):
-    """The entry of the block spec, named by its "name" key or default; the
-    block holds no key but "name", the keys common to the section and the
-    keys the entry reads."""
+def _block(registry, section, spec, default, **context):
+    """What the entry named by the block spec's "name" (default if none)
+    builds from the values that its table reads from the rest of the block."""
     entry = _lookup(registry, section, spec_block(spec).get("name", default))
-    known_keys(spec, tuple(dict.fromkeys(("name", *common, *entry.keys))))
-    return entry
+    values = read((("name", STR, "", default),) + entry.table, spec, **context)
+    del values["name"]
+    return entry.build(**values)
 
 
 # ---------------------------------------------------------------------------
 # measures
 
 
-def _gibbs(spec, n_modes):
-    return measures.GibbsMeasure(n_modes, alpha=float(spec.get("alpha", 1.0)), p=float(spec.get("p", 4.0)))
-
+N_MODES = ("n_modes", INT, ">= 1", 1)
 
 MEASURES = _registry(
+    Entry("gaussian", "product Gaussian, mode-j precision 2 pi^2 j^2", (N_MODES,), measures.GibbsMeasure),
     Entry(
-        "gaussian(n_modes)",
-        "product Gaussian, mode-j precision 2 pi^2 j^2",
-        lambda spec, n_modes: measures.GibbsMeasure(n_modes),
+        "gibbs",
+        "Gaussian reweighted by exp(-(alpha/p) int |x(xi)|^p dxi)/Z",
+        (N_MODES, ("alpha", FLOAT, ">= 0", 1.0), ("p", FLOAT, "> 2", 4.0)),
+        measures.GibbsMeasure,
     ),
-    Entry("gibbs(alpha,p)", "Gaussian reweighted by exp(-(alpha/p) int |x(xi)|^p dxi)/Z, p > 2", _gibbs),
 )
 
 
 def build_measure(spec):
-    entry = _entry(MEASURES, "measure", spec, "gaussian", "n_modes")
-    return entry.build(spec, int(spec.get("n_modes", 1)))
+    return _block(MEASURES, "measure", spec, "gaussian")
+
+
+MEASURE = ("measure", lambda raw, got: build_measure(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +233,8 @@ def _cubic_sat():
 
 
 SCALAR_REACTIONS = _registry(
-    Entry("neg_arctan", "f(r) = -arctan(r); |f| <= pi/2", _neg_arctan),
-    Entry("cubic_sat", "f(r) = -(r/sqrt(1+r^2))^3; |f| <= 1", _cubic_sat),
+    Entry("neg_arctan", "f(r) = -arctan(r); |f| <= pi/2", (), _neg_arctan),
+    Entry("cubic_sat", "f(r) = -(r/sqrt(1+r^2))^3; |f| <= 1", (), _cubic_sat),
 )
 
 
@@ -130,37 +242,25 @@ SCALAR_REACTIONS = _registry(
 # SPDE reactions (ascending coefficients)
 
 
-def _odd_reaction(name, degree):
-    """p(r) = -r^degree + c1 r; c1 > 0 would make p increasing near 0."""
-
-    def build(spec):
-        c1 = float(spec.get("c1", -1.0))
-        if c1 > 0:
-            raise ValueError(f"{name} reaction needs c1 <= 0, got {c1}")
-        return (0.0, c1) + (0.0,) * (degree - 2) + (-1.0,)
-
-    return build
-
+C1 = (("c1", FLOAT, "<= 0 (else p increases near 0)", -1.0),)
 
 REACTIONS = _registry(
-    Entry("ou", "p = 0: pure Ornstein-Uhlenbeck linear dynamics", lambda spec: ()),
-    Entry("cubic(c1)", "p(r) = -r^3 + c1 r with c1 <= 0 (decreasing, odd degree 3)", _odd_reaction("cubic", 3)),
-    Entry("quintic(c1)", "p(r) = -r^5 + c1 r with c1 <= 0 (decreasing, odd degree 5)", _odd_reaction("quintic", 5)),
+    Entry("ou", "p = 0: pure Ornstein-Uhlenbeck linear dynamics", (), lambda: ()),
+    Entry("cubic", "p(r) = -r^3 + c1 r (decreasing, odd degree 3)", C1, lambda c1: (0.0, c1, 0.0, -1.0)),
+    Entry("quintic", "p(r) = -r^5 + c1 r (decreasing, odd degree 5)", C1, lambda c1: (0.0, c1, 0.0, 0.0, 0.0, -1.0)),
 )
 
 
 def polynomial_reaction(spec):
     """SPDE reaction coefficients (ascending powers)."""
-    spec = spec or {}
-    return _entry(REACTIONS, "reaction", spec, "ou").build(spec)
+    return _block(REACTIONS, "reaction", spec or {}, "ou")
 
 
 # ---------------------------------------------------------------------------
 # drift fields
 
 
-def _swirl(spec, n_modes):
-    s = float(spec.get("s", 0.2))
+def _swirl(s):
     c1 = fields_mod.FieldComponent(
         value_fn=lambda t, X: s * np.tanh(X[:, 1]),
         grad_fn=lambda t, X: np.stack([np.zeros(X.shape[0]), s / np.cosh(X[:, 1]) ** 2], axis=-1),
@@ -176,36 +276,31 @@ def _swirl(spec, n_modes):
     return fields_mod.component_field((c1, c2), smoothness=2, name="swirl")
 
 
-def _nemytskii(reaction):
-    def build(spec, n_modes):
-        nm = int(spec.get("n_modes", n_modes or 1))
-        nem = fields_mod.NemytskiiField(reaction=reaction(), n_modes=nm)
-        return fields_mod.galerkin(nem, int(spec.get("level", nm)))
-
-    return build
-
+NEMYTSKII = (
+    ("n_modes", INT, ">= 1", Derived("state n_modes", lambda got: got["state_modes"])),
+    ("level", INT, "<= n_modes", Derived("n_modes", lambda got: got["n_modes"])),
+)
 
 FIELDS = _registry(
-    Entry(
-        "constant(coeffs)",
-        "fixed coefficient vector on the first k modes",
-        lambda spec, n_modes: fields_mod.constant_field(np.asarray(spec.get("coeffs", [0.1]), dtype=float)),
-    ),
-    Entry(
-        "zero(k)",
-        "zero drift in k components",
-        lambda spec, n_modes: fields_mod.constant_field(np.zeros(int(spec.get("k", 1)))),
-    ),
-    Entry("swirl(s)", "divergence-free bounded rotation (s tanh(x2), -s tanh(x1))", _swirl),
+    Entry("constant", "fixed coefficient vector on the first k modes", (("coeffs", NUMBERS, "", [0.1]),),
+          fields_mod.constant_field),
+    Entry("zero", "zero drift in k components", (("k", INT, ">= 1", 1),), lambda k: fields_mod.constant_field(np.zeros(k))),
+    Entry("swirl", "divergence-free bounded rotation (s tanh(x2), -s tanh(x1))", (("s", FLOAT, "", 0.2),), _swirl),
     *(
-        Entry(f"nemytskii:{name}(n_modes,level)", f"(-A)^{{-1}} composed with {r.description}", _nemytskii(r.build))
+        Entry(f"nemytskii:{name}", f"(-A)^{{-1}} composed with {r.description}", NEMYTSKII,
+              lambda n_modes, level, f=r.build: fields_mod.galerkin(fields_mod.NemytskiiField(f(), n_modes), level))
         for name, r in SCALAR_REACTIONS.items()
     ),
 )
 
 
-def build_field(spec, n_modes=None):
-    return _entry(FIELDS, "field", spec, "constant").build(spec, n_modes)
+def build_field(spec, n_modes=None, most=None):
+    """The field of the block spec; a Nemytskii field has n_modes modes (1 if
+    None) unless the block gives its own, and a field of more than `most`
+    components raises a TypeError."""
+    field = _block(FIELDS, "field", spec, "constant", state_modes=n_modes or 1)
+    _expect(most is None or field.n_components <= most, f"a field of at most {most} components", spec)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +309,21 @@ def build_field(spec, n_modes=None):
 
 DENSITIES = _registry(
     Entry(
-        "bump(centers,radii,height)",
+        "bump",
         "product of C2 bumps h prod (1-((x_i-c_i)/r_i)^2)_+^3",
-        lambda spec: transport.bump_density(
-            centers=np.asarray(spec.get("centers", [0.0]), dtype=float),
-            radii=np.asarray(spec.get("radii", [0.5]), dtype=float),
-            height=float(spec.get("height", 1.0)),
+        (
+            ("centers", ("[number], N of them", lambda raw, got: _numbers(raw, got["N"])), "", [0.0]),
+            ("radii", ("[number], one per center", lambda raw, got: _numbers(raw, got["centers"].size)), "> 0", [0.5]),
+            ("height", FLOAT, "> 0", 1.0),
         ),
+        transport.bump_density,
     ),
 )
 
 
-def build_density(spec):
-    return _entry(DENSITIES, "density", spec, "bump").build(spec)
+def build_density(spec, N=None):
+    """The density of the block spec; with N given, on exactly N coordinates."""
+    return _block(DENSITIES, "density", spec, "bump", N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +395,7 @@ def _cyl_cos_sin_m13():
     return Cylinder(n_active=3, value_fn=value, grad_fn=grad, name="cos_sin_m13", bound=1.0)
 
 
-def _soft_scale(c):
-    """Raise a ConfigError at c unless c > 0: otherwise c tanh(./c) is no
-    bounded readout (at 0 it is identically 0, so every commutator reads 0)."""
-    if not c > 0:
-        raise ConfigError("c", f"must be > 0, got {c!r}")
-
-
-def _mode1_soft(c=1.0):
-    _soft_scale(c)
+def _mode1_soft(c):
     return Cylinder(
         n_active=1,
         value_fn=lambda X: c * np.tanh(X[:, 0] / c),
@@ -316,11 +405,7 @@ def _mode1_soft(c=1.0):
     )
 
 
-def _energy_soft(k=4, c=1.0):
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ConfigError("k", f"must be an integer >= 1, got {k!r}")
-    _soft_scale(c)
-
+def _energy_soft(k, c):
     def value(X):
         return c * np.tanh((X[:, :k] ** 2).sum(axis=1) / c)
 
@@ -332,25 +417,28 @@ def _energy_soft(k=4, c=1.0):
 
 
 CYLINDERS = _registry(
-    Entry("cos_m1", "cos(x1)", _cyl_cos_m1),
-    Entry("sin_m12", "sin(x1 + 2 x2)", _cyl_sin_m12),
-    Entry("gauss_m123", "exp(-(x1^2+x2^2+x3^2))", _cyl_gauss_m123),
-    Entry("tanh_m1", "tanh(x1)", _cyl_tanh_m1),
-    Entry("rational_m12", "1/(1 + x1^2 + x2^2)", _cyl_rational_m12),
-    Entry("cos_sin_m13", "cos(x1) sin(x3)", _cyl_cos_sin_m13),
+    Entry("cos_m1", "cos(x1)", (), _cyl_cos_m1),
+    Entry("sin_m12", "sin(x1 + 2 x2)", (), _cyl_sin_m12),
+    Entry("gauss_m123", "exp(-(x1^2+x2^2+x3^2))", (), _cyl_gauss_m123),
+    Entry("tanh_m1", "tanh(x1)", (), _cyl_tanh_m1),
+    Entry("rational_m12", "1/(1 + x1^2 + x2^2)", (), _cyl_rational_m12),
+    Entry("cos_sin_m13", "cos(x1) sin(x3)", (), _cyl_cos_sin_m13),
 )
 
+# c tanh(./c) is a bounded readout only for c > 0; at 0 every commutator reads 0
+SCALE = ("c", FLOAT, "> 0", 1.0)
+
 OBSERVABLES = _registry(
-    Entry("mode1_soft(c)", "c tanh(x1/c): smooth bounded mode-1 readout", _mode1_soft),
-    Entry("energy_soft(k,c)", "c tanh(|x|_k^2/c): smooth bounded energy readout", _energy_soft),
+    Entry("mode1_soft", "c tanh(x1/c): smooth bounded mode-1 readout", (SCALE,), _mode1_soft),
+    Entry("energy_soft", "c tanh(|x|_k^2/c): smooth bounded energy readout", (("k", INTEGER, ">= 1", 4), SCALE), _energy_soft),
 )
 
 
 def build_cylinder(name, **kw):
     """A cylinder by name; an observable takes its parameters as keywords,
-    and a keyword that the entry does not read raises a ConfigError."""
+    which its table reads."""
     entry = _lookup({**CYLINDERS, **OBSERVABLES}, "cylinder", name)
-    return entry.build(**known_keys(kw, entry.keys))
+    return entry.build(**read(entry.table, kw))
 
 
 # the six (u, h) pairs exercised by the log-derivative duality check;
@@ -370,15 +458,17 @@ IBP_PAIRS = (
 
 
 TIME_FACTORS = _registry(
-    Entry("linear_ramp", "g(t) = 1 - t/T", lambda T: (lambda t: 1.0 - t / T, lambda t: -1.0 / T)),
+    Entry("linear_ramp", "g(t) = 1 - t/T", (), lambda T: (lambda t: 1.0 - t / T, lambda t: -1.0 / T)),
     Entry(
         "quadratic_ramp",
         "g(t) = (1 - t/T)^2",
+        (),
         lambda T: (lambda t: (1.0 - t / T) ** 2, lambda t: -2.0 * (1.0 - t / T) / T),
     ),
     Entry(
         "cos_ramp",
         "g(t) = cos(pi t / 2T)",
+        (),
         lambda T: (
             lambda t: math.cos(0.5 * math.pi * t / T),
             lambda t: -0.5 * math.pi / T * math.sin(0.5 * math.pi * t / T),
@@ -392,11 +482,14 @@ def build_time_factor(name, T):
     return _lookup(TIME_FACTORS, "time factor", name).build(T)
 
 
+TEST_FUNCTION = (("g", STR, "", "linear_ramp"), ("f", STR, "", "cos_m1"))
+
+
 def build_test_function(spec, T):
-    known_keys(spec_block(spec), ("g", "f"))
-    g, gp = build_time_factor(spec.get("g", "linear_ramp"), T)
-    f = build_cylinder(spec.get("f", "cos_m1"))
-    return verify.TestFunction(g=g, g_prime=gp, f=f, T=T, name=f"{spec.get('g','linear_ramp')}*{f.name}")
+    got = read(TEST_FUNCTION, spec)
+    g, gp = build_time_factor(got["g"], T)
+    f = build_cylinder(got["f"])
+    return verify.TestFunction(g=g, g_prime=gp, f=f, T=T, name=f"{got['g']}*{f.name}")
 
 
 # the sections of list-catalog, in order
@@ -411,18 +504,15 @@ SECTIONS = (
 )
 
 
-def columns_text(sections):
-    """(name, rows) sections as list-catalog prints them: "name:", then the
-    rows, with the columns before the last one padded to a common width."""
-    lines = []
-    for name, rows in sections:
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
-        lines += [f"{name}:"] + ["  " + "".join(f"{c:<{w}}  " for c, w in zip(row, widths)) + row[-1] for row in rows]
-    return "\n".join(lines)
-
-
 def catalog_text():
-    return columns_text([(name, [(e.label, e.description) for e in reg.values()]) for name, reg in SECTIONS])
+    """The registries as list-catalog prints them: each entry's name and
+    description, and below it the rows of its table."""
+    lines = []
+    for name, registry in SECTIONS:
+        lines.append(f"{name}:")
+        for entry, line in zip(registry.values(), _columns([(e.name, e.description) for e in registry.values()])):
+            lines += [f"  {line}"] + [f"      {row}" for row in _columns(table_rows(entry.table))]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +567,40 @@ def default_problems(which="1d"):
     raise ValueError(f"unknown problem set {which!r}")
 
 
-def reference(measure, N, ladder=None):
-    """The slice reference psi^2 of measure on its first N modes, or its
-    (M, l) ladder; psi^2 estimates its normalizing constant Z."""
-    slc = measures.psi_squared(measure, N)
-    return slc if ladder is None else measures.ladder(slc, *ladder)
+LADDER = (("M", FLOAT, ">= 1", REQUIRED), ("l", INT, ">= 1", REQUIRED))
+
+# the fields of a transport problem
+PROBLEM = (
+    ("id", STR, "", "problem"),
+    ("measure", MEASURE, "", REQUIRED),
+    ("N", ("int <= measure n_modes", lambda raw, got: _expect(int(raw) <= got["measure"].n_modes, "<= n_modes", int(raw))),
+     ">= 1", REQUIRED),
+    ("field", ("field of at most N components", lambda raw, got: build_field(raw, got["measure"].n_modes, got["N"])),
+     "", REQUIRED),
+    ("rho0", ("density on N coordinates", lambda raw, got: build_density(raw, got["N"])), "", REQUIRED),
+    ("dt", FLOAT, "> 0", 1e-3),
+    ("T", FLOAT, "> 0", 0.5),
+    ("times", ("[number] on the dt grid in [0, T]", lambda raw, got: _steps(transport.FlowConfig(got["dt"], got["T"]), raw)),
+     "", Derived("[T/2, T]", lambda got: [got["T"] / 2.0, got["T"]])),
+    ("n_per_axis", INT, ">= 1", Derived("128 if N = 1, else 96", lambda got: 128 if got["N"] == 1 else 96)),
+    ("ladder", ("{M, l}", lambda raw, got: tuple(read(LADDER, raw).values())), "", Derived("none")),
+    ("test_function", ("test_function", lambda raw, got: build_test_function(raw, got["T"])), "", {}),
+)
 
 
 def build_problem(spec, ladder_spec=None):
-    """Assemble (measure, slice/ladder reference, field, rho0, config, u) from
-    a problem spec such as those of default_problems. The spec is not checked
-    here: the CLI reads every config through its parameter tables first."""
-    m = build_measure(spec["measure"])
-    field = build_field(spec["field"], m.n_modes)
-    rho0 = build_density(spec["rho0"])
-    config = transport.FlowConfig(dt_ode=float(spec["dt"]), T=float(spec["T"]))
-    u = build_test_function(spec.get("test_function", {}), config.T)
-    ladder = (float(ladder_spec["M"]), int(ladder_spec["l"])) if ladder_spec else None
-    return m, reference(m, int(spec["N"]), ladder), field, rho0, config, u
+    """(measure, slice/ladder reference, field, rho0, config, u) of a problem
+    spec such as those of default_problems, read through PROBLEM; ladder_spec
+    stands for the spec's ladder."""
+    got = read(PROBLEM, spec if ladder_spec is None else {**spec, "ladder": ladder_spec})
+    config, ref = flow(got)
+    return got["measure"], ref, got["field"], got["rho0"], config, got["test_function"]
+
+
+def flow(problem):
+    """The FlowConfig of a problem read through PROBLEM, and the slice reference
+    psi^2 of its measure on its first N modes, or its (M, l) ladder; psi^2
+    estimates its normalizing constant Z."""
+    slc = measures.psi_squared(problem["measure"], problem["N"])
+    ref = slc if problem["ladder"] is None else measures.ladder(slc, *problem["ladder"])
+    return transport.FlowConfig(dt_ode=problem["dt"], T=problem["T"]), ref

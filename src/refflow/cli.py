@@ -19,11 +19,9 @@ import csv
 import ctypes
 import hashlib
 import json
-import operator
 import os
 import sys
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,76 +29,22 @@ from . import __version__ as ARTIFACT_VERSION
 from . import catalog
 from . import fields as fields_mod
 from . import measures, spde, transport, verify
-from .catalog import ConfigError
+from .catalog import (
+    BOOL, FLOAT, INT, LADDER, MEASURE, NUMBERS, OBJECT, PROBLEM, REQUIRED, RETIRED, STR, ConfigError, Derived, _at, _expect,
+    _numbers, _steps, read,
+)
 from .rng import map_units, stream
 from .verify import _jsonable
 
 
 # ---------------------------------------------------------------------------
-# parameter tables, read once before any runner code runs. An entry is (key,
-# (type name, coerce), bound, default): coerce(raw, values read so far) gives
-# the typed value, or raises TypeError or ValueError, and makes the checks that
-# need other values; bound "<op> <number>[ why]" holds for the value or each
-# of its entries; default is a raw value, REQUIRED or a Derived; a RETIRED
-# key's default says why it is ignored.
-
-
-class Derived(NamedTuple):
-    """A default that fn works out from the values read so far, or, when fn is None, the runner."""
-
-    text: str
-    fn: object = None
-
-
-REQUIRED = object()
-RETIRED = ("retired", None)
-COMPARE = {">=": operator.ge, ">": operator.gt}
-
-
-def _at(path, fn, *args):
-    """fn(*args) on a config value, with its TypeError or ValueError, or the
-    ConfigError of a nested table, raised as a ConfigError at or below path."""
-    try:
-        return fn(*args)
-    except ConfigError as exc:
-        raise ConfigError(path + ("" if exc.path.startswith("[") else ".") + exc.path, exc.msg) from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _read(table, raw):
-    """The typed values of the JSON object raw, read through table."""
-    catalog.spec_block(raw)
-    got = {}
-    for key, (_, coerce), bound, default in table:
-        if key in raw:
-            value = raw[key]
-        elif default is REQUIRED:
-            raise ConfigError(key, "required")
-        else:
-            value = default.fn(got) if isinstance(default, Derived) and default.fn else default
-        if isinstance(value, Derived):
-            got[key] = None
-        elif coerce is not None:
-            got[key] = _at(key, coerce, value, got)
-            op, low = bound.split()[:2] if bound else (None, None)
-            if op and not all(COMPARE[op](v, float(low)) for v in np.ravel(got[key])):
-                raise ConfigError(key, f"must be {bound}, got {value!r}")
-    catalog.known_keys(raw, [entry[0] for entry in table])
-    return got
+# parameter tables, read through catalog.read once before any runner code runs
 
 
 def _read_params(kind, params):
     """kind's typed params, and the report warnings of the retired keys among them."""
-    values = _at("params", _read, PARAMS[kind], params)
+    values = _at("params", read, PARAMS[kind], params)
     return values, [f"params.{key} is ignored: {why}" for key, t, _, why in PARAMS[kind] if t is RETIRED and key in params]
-
-
-def _expect(ok, what, value):
-    """value, if ok; else a TypeError saying what it must be."""
-    if not ok:
-        raise TypeError(f"must be {what}, got {value!r}")
-    return value
 
 
 def _kept(check):
@@ -111,81 +55,42 @@ def _kept(check):
     return coerce
 
 
-def _numbers(raw, got):
-    """A number or a nonempty list of numbers, as a float array."""
-    value = np.asarray(raw, dtype=float)
-    _expect(value.ndim <= 1 and value.size > 0, "a number or a nonempty list of numbers", raw)
-    return value
-
-
-def _steps(config, raw):
-    """raw as a nonempty list of floats, each a whole number of config's steps in [0, T]."""
-    times = [float(t) for t in _expect(isinstance(raw, list) and raw, "a nonempty list of numbers", raw)]
-    for t in times:
-        config.n_steps(t)
-        if not 0 <= t <= config.T + 1e-12:
-            raise ValueError(f"{t} is not in [0, {config.T}]")
-    return times
-
-
 def _pair(entry, n_modes):
     """(name, cylinder, h for the numerics, h as given) of a [cylinder, index | vector] entry."""
     name, h = _expect(isinstance(entry, (list, tuple)) and len(entry) == 2, "[cylinder, index | vector]", entry)
     if isinstance(h, int):
         return name, catalog.build_cylinder(name), _expect(0 <= h < n_modes, f"an index in 0..{n_modes - 1}", h), h
-    h_arg = _numbers(h, None)
+    h_arg = _numbers(h)
     _expect(h_arg.ndim == 1 and h_arg.size <= n_modes, f"a vector of at most n_modes={n_modes} numbers", h)
     return name, catalog.build_cylinder(name), h_arg, h
-
-
-def _spde_field(raw, got):
-    """The field of the block raw on the SPDE's n_modes, checked to have no
-    more components than the SPDE has modes."""
-    field = catalog.build_field(raw, got["n_modes"])
-    _expect(field.n_components <= got["n_modes"], f"a field of at most n_modes={got['n_modes']} components", raw)
-    return field
 
 
 def _problems(raw, got):
     """The problems of the named set, or of the list raw, each read through PROBLEM."""
     specs = catalog.default_problems(raw) if isinstance(raw, str) else raw
-    for i, spec in enumerate(_expect(isinstance(specs, list), "a problem set name or a list of problems", specs)):
-        _at(f"[{i}]", catalog.spec_block, spec)
-    return [_at(f"[{spec.get('id', 'problem')}]", _read, PROBLEM, spec) for spec in specs]
+    return [_at(f"[{spec.get('id', 'problem') if isinstance(spec, dict) else i}]", read, PROBLEM, spec)
+            for i, spec in enumerate(_expect(isinstance(specs, list), "a problem set name or a list of problems", specs))]
 
 
-INT, FLOAT = ("int", lambda raw, got: int(raw)), ("number", lambda raw, got: float(raw))
-NUMBERS = ("number | [number]", _numbers)
-BOOL = ("bool", lambda raw, got: _expect(isinstance(raw, bool), "true or false", raw))
-STR = ("string", lambda raw, got: _expect(isinstance(raw, str), "a string", raw))
-OBJECT = ("object", lambda raw, got: catalog.spec_block(raw))
-MEASURE = ("measure", lambda raw, got: catalog.build_measure(raw))
-LADDER = (("M", FLOAT, ">= 1", REQUIRED), ("l", INT, ">= 1", REQUIRED))
+def _n_time(raw, got):
+    """raw as an int, whose Simpson step in weak_residual is on each problem's
+    dt grid; an n_time below 1 is left to its bound."""
+    n_time = int(raw)
+    for problem in got["problems"] if n_time >= 1 else ():
+        try:
+            verify.simpson_step(transport.FlowConfig(problem["dt"], problem["T"]), n_time)
+        except transport.StepMismatchError as exc:
+            raise ValueError(f"problem {problem['id']}: {exc}") from exc
+    return n_time
+
+
 GIBBS_4 = {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}
-
-
-# the fields of a transport problem
-PROBLEM = (
-    ("id", STR, "", "problem"),
-    ("measure", MEASURE, "", REQUIRED),
-    ("N", ("int <= measure n_modes", lambda raw, got: _expect(int(raw) <= got["measure"].n_modes, "<= n_modes", int(raw))),
-     ">= 1", REQUIRED),
-    ("field", ("field", lambda raw, got: catalog.build_field(raw, got["measure"].n_modes)), "", REQUIRED),
-    ("rho0", ("density", lambda raw, got: catalog.build_density(raw)), "", REQUIRED),
-    ("dt", FLOAT, "> 0", 1e-3),
-    ("T", FLOAT, "> 0", 0.5),
-    ("times", ("[number] on the dt grid in [0, T]", lambda raw, got: _steps(transport.FlowConfig(got["dt"], got["T"]), raw)),
-     "", Derived("[T/2, T]", lambda got: [got["T"] / 2.0, got["T"]])),
-    ("n_per_axis", INT, ">= 1", Derived("128 if N = 1, else 96", lambda got: 128 if got["N"] == 1 else 96)),
-    ("ladder", ("{M, l}", lambda raw, got: tuple(_read(LADDER, raw).values())), "", Derived("none")),
-    ("test_function", ("test_function", lambda raw, got: catalog.build_test_function(raw, got["T"])), "", {}),
-)
 
 
 def _spde(n_modes, dt, T, reaction):
     """The fields of an SpdeConfig; an SpdeConfig of the ones read so far checks B_diag."""
     b_diag = lambda raw, got: spde.SpdeConfig(  # noqa: E731
-        got["n_modes"], got["dt"], 1.0, tuple(np.atleast_1d(_numbers(raw, got)))).B_diag
+        got["n_modes"], got["dt"], 1.0, tuple(np.atleast_1d(_numbers(raw)))).B_diag
     return (
         ("n_modes", INT, ">= 1", n_modes),
         ("dt", FLOAT, "> 0", dt),
@@ -204,7 +109,7 @@ PARAMS = {
     ),
     "verify-suite": (
         ("problems", ("1d | 2d | all | [problem]", _problems), "", "1d"),
-        ("n_time", INT, ">= 1", 20),
+        ("n_time", ("int, its Simpson step on each dt grid", _n_time), ">= 1", 20),
         ("uniqueness", BOOL, "", False),
         ("uniqueness_tol", FLOAT, "> 0", 1e-2),
     ),
@@ -228,7 +133,8 @@ PARAMS = {
                       lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
         ("u", ("cylinder", _kept(lambda raw, got: catalog.build_cylinder(raw))), "", "mode1_soft"),
         ("u_args", ("object", _kept(lambda raw, got: catalog.build_cylinder(got["u"], **catalog.spec_block(raw)))), "", {}),
-        ("field", ("field of at most n_modes components", _spde_field), "", {"name": "constant", "coeffs": [0.1]}),
+        ("field", ("field of at most n_modes components",
+                   lambda raw, got: catalog.build_field(raw, got["n_modes"], got["n_modes"])), "", {"name": "constant", "coeffs": [0.1]}),
         ("n_mc", INT, ">= 1", 2000),
         ("n_x", INT, ">= 4 (two base points per half of the chain)", 200),
         ("thinning", INT, ">= 1", Derived("1 relaxation time")),
@@ -259,15 +165,7 @@ TOP = (
 
 # the tables as list-catalog prints them
 TABLES = (("config", TOP), *((f"{kind} params", table) for kind, table in PARAMS.items()),
-          ("problems[]", PROBLEM), ("ladder", LADDER))
-
-
-def _tables_text():
-    return catalog.columns_text([
-        (name, [(key, t[0], bound or "-", f"ignored: {d}" if t is RETIRED else "required" if d is REQUIRED
-                 else d.text if isinstance(d, Derived) else json.dumps(d)) for key, t, bound, d in table])
-        for name, table in TABLES
-    ])
+          ("problems[]", PROBLEM), ("ladder", LADDER), ("test_function", catalog.TEST_FUNCTION))
 
 
 def _fmt(v):
@@ -286,15 +184,6 @@ def _write_csv(outdir, name, header, rows):
 # runners; each returns dict(verdicts=..., warnings=..., details=..., outputs=...)
 
 
-def _blame(path, errors, fn, *args, **kwargs):
-    """fn(*args, **kwargs) of the numerics, with the errors that only they can
-    detect in a config value reported as a ConfigError at its path."""
-    try:
-        return fn(*args, **kwargs)
-    except errors as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
 SAMPLER_ERRORS = (measures.SamplerDegenerateError, measures.NotThinnableError)
 
 
@@ -309,7 +198,7 @@ def run_ibp_check(params, seed, workers, outdir):
     def one(item):
         i, (uname, u, h_arg, h) = item
         rng = stream(seed, "ibp-check", uname, i)
-        return uname, h, _blame("params.measure", SAMPLER_ERRORS, measures.ibp_residual, m, u, h_arg, count, rng)
+        return uname, h, _at("params.measure", measures.ibp_residual, m, u, h_arg, count, rng, errors=SAMPLER_ERRORS)
 
     results = map_units(one, list(enumerate(params["pairs"])), workers)
     verdicts, details, rows = {}, {}, []
@@ -325,7 +214,7 @@ def run_ibp_check(params, seed, workers, outdir):
 def run_gibbs_sample(params, seed, workers, outdir):
     m, count = params["measure"], params["count"]
     rng = stream(seed, "gibbs-sample", "chain")
-    samples = _blame("params.measure", SAMPLER_ERRORS, measures.sample_gibbs, m, count, rng)
+    samples = _at("params.measure", measures.sample_gibbs, m, count, rng, errors=SAMPLER_ERRORS)
     energy = (samples ** 2).sum(axis=1)
     rho1 = measures.lag1_autocorrelation(energy)
     header = [f"mode_{j + 1}" for j in range(m.n_modes)]
@@ -340,14 +229,8 @@ def run_gibbs_sample(params, seed, workers, outdir):
     return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
 
 
-def _flow(problem):
-    """The FlowConfig and the slice or ladder reference of a problem."""
-    config = transport.FlowConfig(dt_ode=problem["dt"], T=problem["T"])
-    return config, catalog.reference(problem["measure"], problem["N"], problem["ladder"])
-
-
 def run_transport_solve(params, seed, workers, outdir):
-    config, reference = _flow(params)
+    config, reference = catalog.flow(params)
     rho0, field, N, times = params["rho0"], params["field"], params["N"], params["times"]
     probe = transport.TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=N)
     R = probe.support_radius if params["eval_radius"] is None else params["eval_radius"]
@@ -364,7 +247,7 @@ def run_transport_solve(params, seed, workers, outdir):
 
 def run_verify_suite(params, seed, workers, outdir):
     def one(problem):
-        config, reference = _flow(problem)
+        config, reference = catalog.flow(problem)
         rho0, field, times, npa = (problem[k] for k in ("rho0", "field", "times", "n_per_axis"))
         sol = transport.solve(rho0, field, reference, config)
         reps = [verify.weak_residual(sol, problem["test_function"], n_time=params["n_time"], n_per_axis=npa)]
@@ -382,15 +265,15 @@ def run_verify_suite(params, seed, workers, outdir):
 
 
 def run_entropy_audit(params, seed, workers, outdir):
-    config, reference = _flow(params)
+    config, reference = catalog.flow(params)
     m, field, times = params["measure"], params["field"], params["times"]
     delta = params["delta"]
     if delta is None:
-        delta = _blame("params.field", fields_mod.UnboundedFieldError, fields_mod.delta_recipe, field, m)
+        delta = _at("params.field", fields_mod.delta_recipe, field, m, errors=fields_mod.UnboundedFieldError)
     sol = transport.solve(params["rho0"], field, reference, config, N=params["N"])
     radius = sol.support_radius + 1.0 if params["domain_radius"] is None else params["domain_radius"]
-    cf = _blame(
-        "params.delta", fields_mod.DeltaTooLargeError, fields_mod.cf_delta, field, reference.source, delta, config.T,
+    cf = _at(
+        "params.delta", fields_mod.cf_delta, field, reference.source, delta, config.T, errors=fields_mod.DeltaTooLargeError,
         tail_samples=params["tail_samples"], seed=seed, domain_radius=radius, n_per_axis=params["cf_per_axis"],
     )
     reps = [verify.entropy_bound_check(sol, t, delta, cf.estimate, n_per_axis=params["n_per_axis"]) for t in times]
@@ -411,9 +294,9 @@ def _spde_setup(params, T):
 def run_spde_invariant(params, seed, workers, outdir):
     config = _spde_setup(params, params["T"])
     burn_in = spde.relaxation_steps(config, 6.0) if params["burn_in"] is None else params["burn_in"]
-    samples, rep = _blame(
-        "params.burn_in", spde.BurnInError, spde.sample_invariant,
-        config, burn_in, params["count"], params["thinning"], stream(seed, "spde-invariant", "chain"),
+    samples, rep = _at(
+        "params.burn_in", spde.sample_invariant,
+        config, burn_in, params["count"], params["thinning"], stream(seed, "spde-invariant", "chain"), errors=spde.BurnInError,
     )
     header = [f"mode_{j + 1}" for j in range(config.n_modes)]
     out = _write_csv(outdir, "samples.csv", header, [[_fmt(v) for v in row] for row in samples])
@@ -588,12 +471,12 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     if args.command == "list-catalog":
         print(catalog.catalog_text())
-        print(_tables_text())
+        print(catalog.columns_text([(name, catalog.table_rows(table)) for name, table in TABLES]))
         return 0
     try:
         cfg = load_config(args.config)
         given = {k: v for k, v in vars(args).items() if k in ("seed", "workers", "output") and v is not None}
-        top = _read(TOP, {**cfg, **given})
+        top = read(TOP, {**cfg, **given})
         outdir = top["output"]
         manifest = run_experiment(cfg, outdir, top["seed"], top["workers"])
     except ConfigError as exc:

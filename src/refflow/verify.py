@@ -90,6 +90,14 @@ def _box(solution, n_per_axis, radius=None):
     return measures.tensor_grid(solution.N, R, n_per_axis)
 
 
+def simpson_step(config, n_time):
+    """(n_time rounded up to even, T / that), the Simpson step in time of
+    weak_residual; a step off config's dt grid raises a StepMismatchError."""
+    n_time += n_time % 2
+    config.n_steps(config.T / n_time)
+    return n_time, config.T / n_time
+
+
 def weak_residual(solution, u, n_time=20, n_per_axis=128, tolerance=1e-4):
     """Quadrature residual of the weak formulation against u(t,x)=g(t)f(x).
 
@@ -98,10 +106,7 @@ def weak_residual(solution, u, n_time=20, n_per_axis=128, tolerance=1e-4):
     Simpson in time on nodes aligned with the ODE grid; Gauss-Legendre in x.
     """
     cfg = solution.config
-    if n_time % 2 == 1:
-        n_time += 1
-    h_t = cfg.T / n_time
-    cfg.n_steps(h_t)
+    n_time, h_t = simpson_step(cfg, n_time)
     X, w = _box(solution, n_per_axis)
     psi = solution.reference.value(X)
     f_vals = u.f.value(X)

@@ -39,8 +39,11 @@ def ibp_config(tmp_path, seed=7):
 def test_list_catalog_names_building_blocks(capsys):
     assert cli.main(["list-catalog"]) == 0
     out = capsys.readouterr().out
-    for needle in ("gibbs(alpha,p)", "nemytskii:neg_arctan", "cubic"):
+    for needle in ("gibbs", "nemytskii:neg_arctan", "cubic"):
         assert needle in out
+    # an entry's table rows follow it, in the columns of the params tables
+    assert re.search(r"^  gibbs .*\n      n_modes\s+int\s+>= 1\s+1\n      alpha\s+number\s+>= 0\s+1\.0\n"
+                     r"      p\s+number\s+> 2\s+4\.0$", out, re.M)
 
 
 def test_unknown_kind_is_config_error(tmp_path, capsys):
@@ -317,17 +320,24 @@ def test_nonstationary_chain_is_a_verdict_not_a_config_error(tmp_path, capsys):
 def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
     assert cli.main(["list-catalog"]) == 0
     out = capsys.readouterr().out
-    listed = {}
+    listed, rows = {}, {}
     for line in out.splitlines():
-        if line.startswith(" "):
-            listed[section].append(line.split()[0])
+        if line.startswith("      "):
+            rows[section, entry].append(line.split()[0])
+        elif line.startswith(" "):
+            entry = line.split()[0]
+            listed[section].append(entry)
+            rows[section, entry] = []
         else:
             section = line.rstrip(":")
             listed[section] = []
     assert listed == {
-        **{name: [e.label for e in registry.values()] for name, registry in catalog.SECTIONS},
+        **{name: list(registry) for name, registry in catalog.SECTIONS},
         **{name: [entry[0] for entry in table] for name, table in cli.TABLES},
     }
+    # under each registry entry, the keys of its table
+    tables = {(name, e.name): [row[0] for row in e.table] for name, registry in catalog.SECTIONS for e in registry.values()}
+    assert {key: rows[key] for key in tables} == tables
     assert {f"{kind} params" for kind in cli.KIND_RUNNERS} <= set(listed)
     # each params row gives key, type, bound and default
     for row in (r"doubling\s+bool\s+-\s+true", r"count\s+int\s+>= 2\s+100000", r"measure\s+measure\s+-\s+required",
@@ -342,11 +352,11 @@ def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
         "time_factors": lambda name: catalog.build_time_factor(name, 1.0),
         "observables": catalog.build_cylinder,
     }
-    for section, labels in listed.items():
+    for section, names in listed.items():
         if section not in builders:
             continue
-        for label in labels:
-            builders[section](label.split("(")[0])
+        for name in names:
+            builders[section](name)
     # every field, from its defaults and, for a Nemytskii field, with and
     # without a level, is a whole drift field: components, bounds, rows with
     # div F, and a delta recipe
@@ -364,6 +374,9 @@ def test_list_catalog_lists_every_registry_entry_and_builds_every_name(capsys):
 
 
 CONFIGS = pathlib.Path(__file__).parents[1] / "scripts" / "configs"
+# a problem on two of three Gaussian modes
+PROBLEM_2D = {"measure": {"name": "gaussian", "n_modes": 3}, "N": 2, "field": {"name": "constant", "coeffs": [0.1]},
+              "rho0": {"name": "bump", "centers": [0.0, 0.0], "radii": [0.5, 0.5]}}
 
 
 def problem_params():
@@ -399,10 +412,10 @@ def test_fault_inside_the_numerics_is_not_a_config_error(tmp_path, monkeypatch, 
         ("entropy-audit", {"ladder": {"M": 0.5, "l": 4}}, "params.ladder.M"),
         ("transport-solve", {"ladder": {"M": 2, "l": 0}}, "params.ladder.l"),
         ("bdg-check", {"p": 2}, "params.p"),
-        ("spde-invariant", {"reaction": {"name": "cubic", "c1": 0.5}}, "params.reaction"),
-        ("spde-invariant", {"reaction": {"name": "quintic", "c1": 0.5}}, "params.reaction"),
+        ("spde-invariant", {"reaction": {"name": "cubic", "c1": 0.5}}, "params.reaction.c1"),
+        ("spde-invariant", {"reaction": {"name": "quintic", "c1": 0.5}}, "params.reaction.c1"),
         ("transport-solve", {"measure": {"name": "cauchy"}}, "params.measure"),
-        ("transport-solve", {"rho0": {"name": "bump", "radii": [-0.5]}}, "params.rho0"),
+        ("transport-solve", {"rho0": {"name": "bump", "radii": [-0.5]}}, "params.rho0.radii"),
         ("entropy-audit", {"dt": "fine"}, "params.dt"),
         ("verify-suite", {"problems": [dict(problem_params(), id="p", T=0.0)]}, "params.problems[p].T"),
         ("transport-solve", {"test_function": {"g": "sawtooth"}}, "params.test_function"),
@@ -410,6 +423,9 @@ def test_fault_inside_the_numerics_is_not_a_config_error(tmp_path, monkeypatch, 
         ("entropy-audit", {"field": "swirl"}, "params.field"),
         ("verify-suite", {"problems": ["g1_const"]}, "params.problems[0]"),
         ("ibp-check", {"measure": "gibbs"}, "params.measure"),
+        # an observable's k is an integer, not a number that rounds to one
+        ("commutator-curve", {"u": "energy_soft", "u_args": {"k": 2.5}}, "params.u_args.k"),
+        ("commutator-curve", {"u": "energy_soft", "u_args": {"k": True}}, "params.u_args.k"),
     ],
 )
 def test_spec_errors_exit_two_with_their_field_path(tmp_path, capsys, kind, change, path):
@@ -450,6 +466,17 @@ def test_commutator_curve_field_takes_the_spde_n_modes(n_modes):
     params = {"field": {"name": "nemytskii:neg_arctan"}, **({"n_modes": n_modes} if n_modes else {})}
     got = cli._read_params("commutator-curve", params)[0]
     assert got["field"].n_components == got["n_modes"] == (n_modes or 4)
+
+
+def test_build_problem_reads_its_spec_through_the_problem_table():
+    spec = catalog.default_problems("1d")[0]
+    assert catalog.build_problem(spec)[0].n_modes == 1
+    with pytest.raises(catalog.ConfigError) as err:
+        catalog.build_problem(dict(spec, N=2))
+    assert (err.value.path, err.value.msg) == ("N", "must be <= n_modes, got 2")
+    with pytest.raises(catalog.ConfigError) as err:
+        catalog.build_problem(spec, ladder_spec={"M": 0.5, "l": 4})
+    assert err.value.path == "ladder.M"
 
 
 def test_unknown_field_names_its_key(tmp_path, capsys):
@@ -502,6 +529,35 @@ def verify_problem(**change):
         ("commutator-curve", {"u": "energy_soft", "u_args": {"k": 0}}, "params.u_args.k"),
         ("commutator-curve", {"u_args": {"c": 0}}, "params.u_args.c"),
         ("commutator-curve", {"u": "energy_soft", "u_args": {"c": -1.0}}, "params.u_args.c"),
+        # registry values that ended in a traceback, or were reported at the
+        # block or as a failed check
+        ("gibbs-sample", {"measure": {"name": "gibbs", "n_modes": 0}}, "params.measure.n_modes"),
+        ("gibbs-sample", {"measure": {"name": "gibbs", "n_modes": 2, "alpha": "nan"}}, "params.measure.alpha"),
+        ("spde-invariant", {"reaction": {"name": "cubic", "c1": "nan"}}, "params.reaction.c1"),
+        ("commutator-curve", {"u_args": {"c": "x"}}, "params.u_args.c"),
+        ("gibbs-sample", {"measure": {"name": "gibbs", "alpha": "x"}}, "params.measure.alpha"),
+        ("transport-solve", {"rho0": {"name": "bump", "centers": [0.0], "radii": [0.5], "height": -1}}, "params.rho0.height"),
+        # a problem field wider than N
+        ("transport-solve", {"field": {"name": "constant", "coeffs": [0.1, 0.2]}}, "params.field"),
+        ("entropy-audit", {"field": {"name": "constant", "coeffs": [0.1, 0.2]}}, "params.field"),
+        ("transport-solve", {"field": {"name": "swirl"}}, "params.field"),
+        ("entropy-audit", {**PROBLEM_2D, "N": 2, "field": {"name": "nemytskii:neg_arctan", "n_modes": 3}}, "params.field"),
+        ("verify-suite", verify_problem(field={"name": "swirl"}), "params.problems[p].field"),
+        # rho0 on other than N coordinates
+        ("transport-solve", {**PROBLEM_2D, "rho0": {"name": "bump", "centers": [0.0], "radii": [0.5]}}, "params.rho0.centers"),
+        ("transport-solve", {"rho0": {"name": "bump", "centers": [0.0, 0.0], "radii": [0.5, 0.5]}}, "params.rho0.centers"),
+        # a weak-form time step off a problem's dt grid: 7 rounds up to 8, and 0.5/8 is not a multiple of 1e-3
+        ("verify-suite", {"n_time": 7}, "params.n_time"),
+        # the bounds of the registry tables
+        ("gibbs-sample", {"measure": {"name": "gaussian", "n_modes": 0}}, "params.measure.n_modes"),
+        ("gibbs-sample", {"measure": {"name": "gibbs", "alpha": -1.0}}, "params.measure.alpha"),
+        ("gibbs-sample", {"measure": {"name": "gibbs", "p": 2}}, "params.measure.p"),
+        ("transport-solve", {"rho0": {"name": "bump", "centers": [0.0], "radii": [0.5, 0.5]}}, "params.rho0.radii"),
+        ("transport-solve", {"field": {"name": "nemytskii:neg_arctan", "level": 2}}, "params.field.level"),
+        ("transport-solve", {"field": {"name": "nemytskii:neg_arctan", "n_modes": 0}}, "params.field.n_modes"),
+        ("transport-solve", {"field": {"name": "zero", "k": 0}}, "params.field.k"),
+        ("transport-solve", {"field": {"name": "constant", "coeffs": []}}, "params.field.coeffs"),
+        ("commutator-curve", {"u_args": {"c": "nan"}}, "params.u_args.c"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):
@@ -523,7 +579,7 @@ def test_every_shipped_config_passes_the_tables():
         configs[str(p.relative_to(root))] = json.loads(p.read_text())["config"]
     warned = {}
     for name, cfg in configs.items():
-        top = cli._read(cli.TOP, cfg)
+        top = catalog.read(cli.TOP, cfg)
         _, warnings = cli._read_params(top["kind"], top["params"])
         if warnings:
             warned[name] = warnings
