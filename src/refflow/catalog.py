@@ -253,7 +253,7 @@ REACTIONS = _registry(
 
 def polynomial_reaction(spec):
     """SPDE reaction coefficients (ascending powers)."""
-    return _block(REACTIONS, "reaction", spec or {}, "ou")
+    return _block(REACTIONS, "reaction", spec, "ou")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ with the field rows.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,8 @@ def component_field(components, **kwargs):
 
 
 def constant_field(coeffs, name="constant"):
-    coeffs = np.asarray(coeffs, dtype=float)
+    """The field of fixed coefficients on the first k modes; a number is one coefficient."""
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
 
     def evaluate(t, X, div):
         return np.tile(coeffs, (X.shape[0], 1)), (np.zeros(X.shape[0]) if div else None)
@@ -179,25 +180,37 @@ class NemytskiiField:
 
     reaction: Reaction
     n_modes: int
-    grid: Grid = dc_field(default_factory=lambda: Grid.gauss_legendre(measures.SLICE_GRID_NODES))
     horizon: float = math.inf
+
+
+# Gauss-Legendre nodes of a one-mode projection, whose integrands are analytic
+# in the one coordinate: against 512 nodes, 64 give the catalog reactions'
+# components within 5.6e-15 relative for |x_1| <= 5, 1.2e-13 at 10 and
+# 3.1e-11 at 20
+LEVEL1_NODES = 64
 
 
 def galerkin(nem, level):
     """Project a NemytskiiField to its first `level` modes on both sides, the
-    one evaluation of a Nemytskii field; level n_modes is the whole field.
+    one evaluation of a Nemytskii field; level n_modes is the whole field,
+    on LEVEL1_NODES Gauss-Legendre nodes for one mode, else on
+    measures.SLICE_GRID_NODES.
 
     Component i (i <= level) is alpha_i^{-1} int e_i f(t, (P_level x)(xi)) dxi,
-    a smooth cylinder in the first `level` coordinates. One evaluation
-    synthesizes the grid values once and calls the reaction once for all
-    components, and its derivative once for div F.
+    a smooth cylinder in the first `level` coordinates, and div F is
+    int f'(t, P_level x) sum_i e_i^2 / alpha_i dxi. With the weights and the
+    alpha_i folded into one projection matrix and one divergence vector, an
+    evaluation synthesizes the grid values once, calls the reaction once and
+    makes one product; div F calls the derivative once and makes one more.
     """
     if not 1 <= level <= nem.n_modes:
         raise ValueError(f"galerkin level {level} is not in 1..n_modes={nem.n_modes}")
-    E = basis_matrix(level, nem.grid)
-    w = nem.grid.weights
+    grid = Grid.gauss_legendre(LEVEL1_NODES if level == 1 else measures.SLICE_GRID_NODES)
+    E = basis_matrix(level, grid)
     reaction = nem.reaction
     inv_alpha = 1.0 / eigenvalue(np.arange(1, level + 1))
+    proj = (E * grid.weights).T * inv_alpha  # (nodes, level)
+    div_weights = grid.weights * (inv_alpha @ E ** 2)  # (nodes,)
     # |f_i| <= bound * int |e_i| / alpha_i; int_0^1 |sqrt2 sin(i pi xi)| = 2 sqrt2 / pi
     comp_bounds = reaction.bound * (2.0 * math.sqrt(2.0) / math.pi) * inv_alpha
 
@@ -205,18 +218,7 @@ def galerkin(nem, level):
         # a one-coordinate state as a broadcast: each grid value is a single
         # product, so it equals the BLAS product bit for bit, without the call
         U = X[:, :1] * E[0] if level == 1 else X[:, :level] @ E
-        fw = reaction(t, U) * w
-        rows = np.empty((X.shape[0], level))
-        for i in range(level):
-            rows[:, i] = (fw @ E[i]) * inv_alpha[i]
-        if not div:
-            return rows, None
-        # d f_i / d x_i, column i of component i's gradient (fp e_i w) @ E^T / alpha_i
-        fp = reaction.d(t, U)
-        out = np.zeros(X.shape[0])
-        for i in range(level):
-            out += ((fp * E[i] * w) @ E.T)[:, i] * inv_alpha[i]
-        return rows, out
+        return reaction(t, U) @ proj, (reaction.d(t, U) @ div_weights if div else None)
 
     return CylindricalField(
         evaluate,

@@ -74,8 +74,12 @@ def _coupling(m, X, shift=None, potential=True, gradient=False):
     With U = synthesize(X, m.grid) (+ shift) the grid values and e_i the
     rows of basis_matrix(X.shape[1], m.grid): the potential
     (alpha/p) int |U|^p dxi and the gradient alpha int e_i |U|^{p-2} U dxi
-    per row, each None unless asked for. U is synthesized one block of rows
-    at a time, and worked on in reused buffers; the last block takes the rows
+    per row, each None unless asked for. For even integer p the kernel works
+    on S = U^2: the potential is S^{p/2} @ w and the gradient
+    (S^{p/2-1} U) @ (E w)^T, with no abs and, for p = 4, no general pow (numpy
+    squares for the exponent 2); any other p takes |U|^p and |U|^{p-2} U onto
+    the same folded projection (E w)^T. U is synthesized one block of rows at
+    a time, and worked on in reused buffers; the last block takes the rows
     left over, so a call of fewer than two blocks' rows is one block.
     """
     E = basis_matrix(X.shape[1], m.grid)
@@ -87,19 +91,23 @@ def _coupling(m, X, shift=None, potential=True, gradient=False):
     A = np.empty((n - starts[-1], n_nodes))
     P = np.empty_like(A) if potential and gradient else A
     w = m.grid.weights
+    proj = (E * w).T if gradient else None
+    # even p: a = S, S^{p/2} and S^{p/2-1} U; other p: a = |U|, |U|^p and |U|^{p-2} U
+    even = m.p == int(m.p) and int(m.p) % 2 == 0
+    pot_power, grad_power = (m.p / 2.0, m.p / 2.0 - 1.0) if even else (m.p, m.p - 2.0)
     for lo in starts:
         hi = lo + rows if lo != starts[-1] else n
         u = synthesize(X[lo:hi], m.grid)
         if shift is not None:
             u += shift
-        a = np.abs(u, out=A[: hi - lo])
+        a = np.multiply(u, u, out=A[: hi - lo]) if even else np.abs(u, out=A[: hi - lo])
         if potential:
-            np.matmul(np.power(a, m.p, out=P[: hi - lo]), w, out=pot[lo:hi])
+            np.matmul(np.power(a, pot_power, out=P[: hi - lo]), w, out=pot[lo:hi])
         if gradient:
-            a **= m.p - 2.0  # as ** computes it: the square for p = 4
+            if grad_power != 1.0:
+                a **= grad_power
             a *= u
-            a *= w
-            np.matmul(a, E.T, out=grad[lo:hi])
+            np.matmul(a, proj, out=grad[lo:hi])
     if potential:
         pot *= m.alpha / m.p
     if gradient:
@@ -288,7 +296,7 @@ class SliceDensity:
     N: int
     log_pref: float  # log normalization: sum log sqrt(lam/2pi) - log Z
     z_stderr: float
-    y_values: np.ndarray  # tail synthesized on the measure's grid, (n_nodes,)
+    y_values: np.ndarray  # tail synthesized on the measure's grid, (n_nodes,); None at tail 0
 
     M = math.inf
 
@@ -346,8 +354,7 @@ def psi_squared(measure, N):
     Z = normalizing_constant(measure)
     lam = measure.lam[:N]
     log_pref = float(0.5 * np.log(lam / (2.0 * np.pi)).sum() - math.log(Z.estimate))
-    y_values = synthesize(np.zeros(measure.n_modes), measure.grid)
-    return SliceDensity(measure, N, log_pref, Z.stderr, y_values)
+    return SliceDensity(measure, N, log_pref, Z.stderr, None)
 
 
 def mollifier_profile(v_sq):

@@ -9,7 +9,7 @@ import numpy as np
 
 from refflow import transport
 from refflow.fields import FieldComponent, NotDifferentiableError, component_field, dstar
-from refflow.spectral import basis_matrix, eigenvalue
+from refflow.spectral import Grid, basis_matrix, eigenvalue
 
 
 def flow(field, s, t, x, config):
@@ -87,12 +87,13 @@ def constant_components(coeffs):
     )
 
 
-def galerkin_components(nem, level):
-    """The components of the level-`level` Galerkin projection of nem, one
-    function each: component i synthesizes x(xi) through BLAS, calls the
-    reaction, and projects onto e_i; its gradient does the same with f'."""
-    E = basis_matrix(level, nem.grid)
-    w = nem.grid.weights
+def galerkin_components(nem, level, grid=Grid.gauss_legendre(128)):
+    """The components of the level-`level` Galerkin projection of nem on
+    grid, one function each: component i synthesizes x(xi) through BLAS,
+    calls the reaction, and projects onto e_i; its gradient does the same
+    with f'."""
+    E = basis_matrix(level, grid)
+    w = grid.weights
     reaction = nem.reaction
     inv_alpha = 1.0 / eigenvalue(np.arange(1, level + 1))
 

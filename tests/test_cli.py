@@ -558,6 +558,9 @@ def verify_problem(**change):
         ("transport-solve", {"field": {"name": "zero", "k": 0}}, "params.field.k"),
         ("transport-solve", {"field": {"name": "constant", "coeffs": []}}, "params.field.coeffs"),
         ("commutator-curve", {"u_args": {"c": "nan"}}, "params.u_args.c"),
+        # a null block is not a JSON object, also where the table has a default block
+        ("spde-invariant", {"reaction": None}, "params.reaction"),
+        ("commutator-curve", {"reaction": None}, "params.reaction"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):
@@ -570,6 +573,16 @@ def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypat
         cfg = write_config(tmp_path, {"kind": kind, "params": params, **change})
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_constant_field_takes_a_number_as_its_one_coefficient(tmp_path):
+    reports = []
+    for coeffs in (0.1, [0.1]):
+        params = {**problem_params(), "field": {"name": "constant", "coeffs": coeffs}}
+        cfg = write_config(tmp_path, {"kind": "entropy-audit", "seed": 1, "params": params})
+        assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 0
+        reports.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_every_shipped_config_passes_the_tables():

@@ -354,13 +354,43 @@ def test_coupling_grid_keeps_gauss_legendre_for_other_p(p):
 
 
 def _coupling_unblocked(m, X, shift):
-    """The coupling kernel's formula as one product over all rows."""
+    """The coupling kernel's formula as one product over all rows: on
+    S = U^2 for even p, on |U| for other p, projected onto (E w)^T."""
     E = basis_matrix(X.shape[1], m.grid)
     U = X @ E if shift is None else X @ E + shift
     w = m.grid.weights
-    pot = (m.alpha / m.p) * (np.abs(U) ** m.p @ w)
-    grad = m.alpha * ((np.abs(U) ** (m.p - 2.0) * U * w) @ E.T)
-    return pot, grad
+    if m.p % 2 == 0:
+        S = U * U
+        pot, grad = S ** (m.p / 2.0) @ w, (S ** (m.p / 2.0 - 1.0) * U) @ (E * w).T
+    else:
+        A = np.abs(U)
+        pot, grad = A ** m.p @ w, (A ** (m.p - 2.0) * U) @ (E * w).T
+    return (m.alpha / m.p) * pot, m.alpha * grad
+
+
+# the kernel against the abs/pow formula it replaced, at three state scales:
+# measured at most 5.9e-16 relative per potential and 5.7e-16 of
+# alpha int |e_i| |U|^{p-1} per gradient entry
+COUPLING_RTOL = 2e-15
+
+
+@pytest.mark.parametrize("p, n_modes", [(4.0, 4), (6.0, 3), (3.0, 2)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_coupling_is_the_abs_pow_formula(p, n_modes, shifted):
+    m = gibbs(n_modes, 1.3, p)
+    E, w = basis_matrix(n_modes, m.grid), m.grid.weights
+    rng = np.random.default_rng(n_modes)
+    shift = rng.standard_normal(m.grid.n_nodes) if shifted else None
+    for scale in (0.05, 0.4, 2.0):
+        X = scale * rng.standard_normal((3000, n_modes))
+        U = X @ E if shift is None else X @ E + shift
+        pot = (m.alpha / m.p) * (np.abs(U) ** m.p @ w)
+        grad = m.alpha * ((np.abs(U) ** (m.p - 2.0) * U * w) @ E.T)
+        got_pot, got_grad = measures._coupling(m, X, shift, gradient=True)
+        assert np.max(np.abs(got_pot - pot) / pot) <= COUPLING_RTOL
+        # a gradient entry may cancel: measure its move against int |e_i| |U|^{p-1}
+        size = m.alpha * ((np.abs(U) ** (m.p - 1.0) * w) @ np.abs(E).T)
+        assert np.max(np.abs(got_grad - grad) / size) <= COUPLING_RTOL
 
 
 @pytest.mark.parametrize("p, n_modes", [(4.0, 4), (3.0, 2)])
