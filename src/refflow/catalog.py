@@ -261,19 +261,13 @@ def polynomial_reaction(spec):
 
 
 def _swirl(s):
-    c1 = fields_mod.FieldComponent(
-        value_fn=lambda t, X: s * np.tanh(X[:, 1]),
-        grad_fn=lambda t, X: np.stack([np.zeros(X.shape[0]), s / np.cosh(X[:, 1]) ** 2], axis=-1),
-        bound=abs(s),
-        name="swirl_1",
-    )
-    c2 = fields_mod.FieldComponent(
-        value_fn=lambda t, X: -s * np.tanh(X[:, 0]),
-        grad_fn=lambda t, X: np.stack([-s / np.cosh(X[:, 0]) ** 2, np.zeros(X.shape[0])], axis=-1),
-        bound=abs(s),
-        name="swirl_2",
-    )
-    return fields_mod.component_field((c1, c2), smoothness=2, name="swirl")
+    """(s tanh x_2, -s tanh x_1): each component is constant in its own
+    coordinate, so div F is zero."""
+
+    def evaluate(t, X, div):
+        return np.stack([s * np.tanh(X[:, 1]), -s * np.tanh(X[:, 0])], axis=-1), (np.zeros(X.shape[0]) if div else None)
+
+    return fields_mod.CylindricalField(evaluate, (abs(s), abs(s)), name="swirl")
 
 
 NEMYTSKII = (

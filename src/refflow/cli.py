@@ -58,6 +58,7 @@ def _kept(check):
 def _pair(entry, n_modes):
     """(name, cylinder, h for the numerics, h as given) of a [cylinder, index | vector] entry."""
     name, h = _expect(isinstance(entry, (list, tuple)) and len(entry) == 2, "[cylinder, index | vector]", entry)
+    _expect(not isinstance(h, bool), "an index or a vector, not true or false", h)
     if isinstance(h, int):
         return name, catalog.build_cylinder(name), _expect(0 <= h < n_modes, f"an index in 0..{n_modes - 1}", h), h
     h_arg = _numbers(h)
@@ -87,14 +88,16 @@ def _n_time(raw, got):
 GIBBS_4 = {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}
 
 
-def _spde(n_modes, dt, T, reaction):
-    """The fields of an SpdeConfig; an SpdeConfig of the ones read so far checks B_diag."""
+def _spde(n_modes, dt, reaction, why_no_T):
+    """The fields of an SpdeConfig but its path length T, which the kind sets
+    itself (why_no_T says how); an SpdeConfig of the ones read so far checks
+    B_diag."""
     b_diag = lambda raw, got: spde.SpdeConfig(  # noqa: E731
         got["n_modes"], got["dt"], 1.0, tuple(np.atleast_1d(_numbers(raw)))).B_diag
     return (
         ("n_modes", INT, ">= 1", n_modes),
         ("dt", FLOAT, "> 0", dt),
-        ("T", FLOAT, "> 0", T),
+        ("T", RETIRED, "", why_no_T),
         ("B_diag", ("number | [number], 1 or n_modes of them", b_diag), "> 0", 1.0),
         ("yosida_alpha", FLOAT, ">= 0", 0.0),
         ("reaction", ("reaction", lambda raw, got: catalog.polynomial_reaction(raw)), "", reaction),
@@ -123,12 +126,12 @@ PARAMS = {
         ("measure", MEASURE, "", GIBBS_4),
         ("count", INT, ">= 2", 2000),
     ),
-    "spde-invariant": _spde(32, 1e-3, 1.0, {"name": "ou"}) + (
+    "spde-invariant": _spde(32, 1e-3, {"name": "ou"}, "the chain runs burn_in + count * thinning steps") + (
         ("burn_in", INT, "", Derived("6 relaxation times")),
         ("count", INT, ">= 4 (two draws per half of the chain)", 2000),
         ("thinning", INT, ">= 1", 5),
     ),
-    "commutator-curve": _spde(4, 2e-3, Derived("max(eps_grid)"), {"name": "cubic", "c1": -1.0}) + (
+    "commutator-curve": _spde(4, 2e-3, {"name": "cubic", "c1": -1.0}, "the paths run to max(eps_grid)") + (
         ("eps_grid", ("[number] on the dt grid in [0, 1]",
                       lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
         ("u", ("cylinder", _kept(lambda raw, got: catalog.build_cylinder(raw))), "", "mode1_soft"),
@@ -288,11 +291,12 @@ def run_entropy_audit(params, seed, workers, outdir):
 
 
 def _spde_setup(params, T):
+    """The SpdeConfig of params, with path length T."""
     return spde.SpdeConfig(params["n_modes"], params["dt"], T, params["B_diag"], params["reaction"], params["yosida_alpha"])
 
 
 def run_spde_invariant(params, seed, workers, outdir):
-    config = _spde_setup(params, params["T"])
+    config = _spde_setup(params, 1.0)  # sample_invariant does not read T
     burn_in = spde.relaxation_steps(config, 6.0) if params["burn_in"] is None else params["burn_in"]
     samples, rep = _at(
         "params.burn_in", spde.sample_invariant,
@@ -317,7 +321,7 @@ def run_spde_invariant(params, seed, workers, outdir):
 
 def run_commutator_curve(params, seed, workers, outdir):
     eps_grid = params["eps_grid"]
-    config = _spde_setup(params, max(eps_grid) if params["T"] is None else params["T"])
+    config = _spde_setup(params, max(eps_grid))
     rep = spde.commutator_decay_curve(
         config, catalog.build_cylinder(params["u"], **params["u_args"]), params["field"], eps_grid, params["n_mc"], params["n_x"], seed,
         thinning=params["thinning"], workers=workers,

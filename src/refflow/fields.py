@@ -2,14 +2,16 @@
 
 A drift field is a CylindricalField: finitely many components, each a smooth
 function of the first few coordinates, all of them, and div F with them, from
-one evaluation. A NemytskiiField (a bounded scalar reaction composed
-pointwise, then smoothed by (-A)^{-1}) holds only its data; it is always
-evaluated as its Galerkin projection galerkin(nem, level), which at level
-n_modes is the whole field on the n_modes-mode space. The operators
-divergence and dstar implement div F and D*F = -div F - sum_i f_i beta_{e_i},
-where beta is a reference's log-gradient: a slice's (exact) or a ladder
-density's; dstar_rows evaluates D*F under several betas at once, together
-with the field rows.
+one evaluation. The field is that evaluation, the component bounds, whether
+it depends on time, and a name; div F always comes from the evaluation
+itself (analytic in every field the catalog builds). A NemytskiiField (a
+bounded scalar reaction composed pointwise, then smoothed by (-A)^{-1})
+holds only its data; it is always evaluated as its Galerkin projection
+galerkin(nem, level), which at level n_modes is the whole field on the
+n_modes-mode space. The operators divergence and dstar implement div F and
+D*F = -div F - sum_i f_i beta_{e_i}, where beta is a reference's
+log-gradient: a slice's (exact) or a ladder density's; dstar_rows evaluates
+D*F under several betas at once, together with the field rows.
 """
 
 import math
@@ -26,16 +28,6 @@ try:
 except ImportError:  # older numpy
     from numpy import trapz as _trapezoid
 
-FD_STEP_BASE = 1e-5
-
-
-class NotDifferentiableError(TypeError):
-    pass
-
-
-class TimeDomainError(ValueError):
-    pass
-
 
 class UnboundedFieldError(ValueError):
     """A field component declares no finite bound."""
@@ -45,30 +37,6 @@ class DeltaTooLargeError(OverflowError):
     def __init__(self, msg, suggested_delta=None):
         super().__init__(msg)
         self.suggested_delta = suggested_delta
-
-
-@dataclass(frozen=True)
-class FieldComponent:
-    """One scalar component f_i(t, x_1..x_k) with optional analytic gradient."""
-
-    value_fn: object
-    grad_fn: object = None
-    bound: float = np.inf
-    name: str = ""
-
-    def value(self, t, X):
-        return np.asarray(self.value_fn(t, np.atleast_2d(X)), dtype=float)
-
-    def grad(self, t, X):
-        if self.grad_fn is None:
-            return None
-        return np.asarray(self.grad_fn(t, np.atleast_2d(X)), dtype=float)
-
-
-def _checked_time(t, horizon):
-    # small slack so integrator stage times at the interval ends pass
-    if t < -1e-9 or t > horizon + 1e-9:
-        raise TimeDomainError(f"t={t} outside [0, {horizon}]")
 
 
 @dataclass(frozen=True)
@@ -82,8 +50,6 @@ class CylindricalField:
 
     evaluate: object
     bounds: tuple
-    smoothness: int = 2  # 0, 1 or 2: continuous, C1, C2
-    horizon: float = math.inf
     time_dependent: bool = False
     name: str = ""
 
@@ -98,62 +64,36 @@ class CylindricalField:
 
     def value(self, t, X):
         """Component rows (npts, n_components): f_i(t, x_1..x_k)."""
-        _checked_time(t, self.horizon)
         return self.evaluate(t, np.atleast_2d(np.asarray(X, dtype=float)), False)[0]
 
     def value_and_divergence(self, t, X):
         """The component rows and div F, from one evaluation."""
-        _checked_time(t, self.horizon)
-        if self.smoothness < 1:
-            raise NotDifferentiableError(f"field {self.name or '?'} is only C0")
         return self.evaluate(t, np.atleast_2d(np.asarray(X, dtype=float)), True)
 
 
-@dataclass(frozen=True)
-class ComponentRows:
-    """The evaluate of a CylindricalField given as separate component
-    functions (FieldComponent): the rows column by column, and div F from each
-    component's analytic gradient or, without one, a central difference in
-    its own coordinate."""
-
-    components: tuple
-
-    def __call__(self, t, X, div):
-        rows = np.empty((X.shape[0], len(self.components)))
-        for i, comp in enumerate(self.components):
-            rows[:, i] = comp.value(t, X)
-        if not div:
-            return rows, None
-        out = np.zeros(X.shape[0])
-        for i, comp in enumerate(self.components):
-            g = comp.grad(t, X)
-            if g is not None:
-                out += g[:, i]
-                continue
-            h = FD_STEP_BASE * (1.0 + np.abs(X[:, i]))
-            Xp = X.copy()
-            Xp[:, i] += h
-            Xm = X.copy()
-            Xm[:, i] -= h
-            out += (comp.value(t, Xp) - comp.value(t, Xm)) / (2.0 * h)
-        return rows, out
-
-
-def component_field(components, **kwargs):
-    """The CylindricalField of the component functions `components`; kwargs
-    are CylindricalField's smoothness, horizon, time_dependent and name."""
-    components = tuple(components)
-    return CylindricalField(ComponentRows(components), tuple(c.bound for c in components), **kwargs)
-
-
 def constant_field(coeffs, name="constant"):
-    """The field of fixed coefficients on the first k modes; a number is one coefficient."""
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    """The field of fixed coefficients on the first k modes; a number is one
+    coefficient.
+
+    Its rows are the leading rows of one read-only tiled block, tiled afresh
+    only for more rows than it has, so an evaluation copies nothing. A
+    broadcast of the coefficient row would copy nothing either, but every
+    RK4 stage reads the rows, and numpy reads a stride-0 operand more slowly
+    than a contiguous one.
+    """
+    coeffs = np.array(coeffs, dtype=float, ndmin=1)
+    tiled = np.empty((0, coeffs.size))
 
     def evaluate(t, X, div):
-        return np.tile(coeffs, (X.shape[0], 1)), (np.zeros(X.shape[0]) if div else None)
+        nonlocal tiled
+        n, block = X.shape[0], tiled  # a local block: another thread may retile meanwhile
+        if block.shape[0] < n:
+            block = np.tile(coeffs, (n, 1))
+            block.setflags(write=False)
+            tiled = block
+        return block[:n], (np.zeros(n) if div else None)
 
-    return CylindricalField(evaluate, tuple(abs(float(c)) for c in coeffs), smoothness=2, name=name)
+    return CylindricalField(evaluate, tuple(abs(float(c)) for c in coeffs), name=name)
 
 
 @dataclass(frozen=True)
@@ -180,7 +120,6 @@ class NemytskiiField:
 
     reaction: Reaction
     n_modes: int
-    horizon: float = math.inf
 
 
 # Gauss-Legendre nodes of a one-mode projection, whose integrands are analytic
@@ -223,16 +162,13 @@ def galerkin(nem, level):
     return CylindricalField(
         evaluate,
         tuple(float(b) for b in comp_bounds),
-        smoothness=2,
-        horizon=nem.horizon,
         time_dependent=reaction.time_dependent,
         name=f"{reaction.name}_galerkin{level}",
     )
 
 
 def divergence(field, t, X):
-    """sum_i d f_i / d x_i: analytic, or by central differences for the
-    components of a ComponentRows field that have no gradient."""
+    """div F = sum_i d f_i / d x_i, from the field's one evaluation."""
     return field.value_and_divergence(t, X)[1]
 
 

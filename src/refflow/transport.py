@@ -103,16 +103,10 @@ class InitialDensity:
 
     value_fn: object
     support_radius: float
-    grad_fn: object = None
     name: str = ""
 
     def value(self, X):
         return np.clip(np.asarray(self.value_fn(np.atleast_2d(X)), dtype=float), 0.0, None)
-
-    def grad(self, X):
-        if self.grad_fn is None:
-            raise TypeError(f"density {self.name or '?'} has no gradient")
-        return np.asarray(self.grad_fn(np.atleast_2d(X)), dtype=float)
 
 
 def bump_density(centers, radii, height=1.0, name="bump"):
@@ -130,18 +124,8 @@ def bump_density(centers, radii, height=1.0, name="bump"):
         U = (X[:, :N] - centers) / radii
         return height * np.prod(np.clip(1.0 - U ** 2, 0.0, None) ** 3, axis=1)
 
-    def grad_fn(X):
-        U = (X[:, :N] - centers) / radii
-        body = np.clip(1.0 - U ** 2, 0.0, None)
-        prod = height * np.prod(body ** 3, axis=1)
-        out = np.zeros((X.shape[0], N))
-        for i in range(N):
-            others = np.prod(np.delete(body, i, axis=1) ** 3, axis=1)
-            out[:, i] = height * others * 3.0 * body[:, i] ** 2 * (-2.0 * U[:, i]) / radii[i]
-        return out
-
     radius = float(np.sqrt(((np.abs(centers) + radii) ** 2).sum()))
-    return InitialDensity(value_fn=value_fn, grad_fn=grad_fn, support_radius=radius, name=name)
+    return InitialDensity(value_fn=value_fn, support_radius=radius, name=name)
 
 
 @dataclass
@@ -241,12 +225,10 @@ def _sweep_to(solutions, t, X):
         return [last.served[t] for last in lasts]
 
     dt, betas = cfg.dt_ode, [s.reference.beta for s in solutions]
-    # t <= horizon: a fresh sweep evaluates the field at t and raises beyond it
     if (
         lasts is not None
         and lasts[0].k <= n
         and not fld.time_dependent
-        and t <= fld.horizon
         and all(last.Z is lasts[0].Z for last in lasts)
     ):
         k, Z, F = lasts[0].k, lasts[0].Z, lasts[0].F

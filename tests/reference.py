@@ -4,12 +4,17 @@ per-component field formulas that one field evaluation must reproduce.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from refflow import transport
-from refflow.fields import FieldComponent, NotDifferentiableError, component_field, dstar
+from refflow.fields import CylindricalField, dstar
 from refflow.spectral import Grid, basis_matrix, eigenvalue
+
+# one component of a field as plain functions: its value f_i(t, X) (npts,),
+# its gradient (npts, k) in the field's k coordinates, and sup |f_i|
+Component = namedtuple("Component", "value grad bound", defaults=(np.inf,))
 
 
 def flow(field, s, t, x, config):
@@ -30,16 +35,17 @@ def linear_field(B, name="linear", bound=np.inf):
     """F(x) = Bx restricted to the first k coordinates."""
     B = np.asarray(B, dtype=float)
     k = B.shape[0]
-    comps = tuple(
-        FieldComponent(
-            value_fn=lambda t, X, row=B[i]: X[:, :k] @ row,
-            grad_fn=lambda t, X, row=B[i]: np.broadcast_to(row, (X.shape[0], k)).copy(),
-            bound=bound,
-            name=f"lin_{i+1}",
-        )
-        for i in range(k)
+    return oracle_field(
+        (
+            Component(
+                value=lambda t, X, row=B[i]: X[:, :k] @ row,
+                grad=lambda t, X, row=B[i]: np.broadcast_to(row, (X.shape[0], k)),
+                bound=bound,
+            )
+            for i in range(k)
+        ),
+        name=name,
     )
-    return component_field(comps, smoothness=2, name=name)
 
 
 def dstar_product_rule_check(components, phi, beta_oracle, X, t=0.0):
@@ -51,23 +57,16 @@ def dstar_product_rule_check(components, phi, beta_oracle, X, t=0.0):
     field so the two routes share no intermediate values.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    field = component_field(components)
+    field = oracle_field(components)
     k = field.n_components
 
-    def product_component(i, comp):
-        def value_fn(t_, Y):
-            return phi.value(Y) * comp.value(t_, Y)
+    def product_component(comp):
+        return Component(
+            value=lambda t_, Y: phi.value(Y) * comp.value(t_, Y),
+            grad=lambda t_, Y: phi.value(Y)[:, None] * comp.grad(t_, Y) + comp.value(t_, Y)[:, None] * phi.grad(Y)[:, :k],
+        )
 
-        def grad_fn(t_, Y):
-            g_f = comp.grad(t_, Y)
-            if g_f is None:
-                raise NotDifferentiableError("product rule check needs analytic gradients")
-            return phi.value(Y)[:, None] * g_f + comp.value(t_, Y)[:, None] * phi.grad(Y)[:, :k]
-
-        return FieldComponent(value_fn=value_fn, grad_fn=grad_fn, bound=np.inf, name=f"phi*{comp.name}")
-
-    product = component_field((product_component(i, c) for i, c in enumerate(components)), smoothness=1)
-    lhs = dstar(product, beta_oracle, t, X)
+    lhs = dstar(oracle_field(product_component(c) for c in components), beta_oracle, t, X)
     f_vals = field.value(t, X)
     rhs = phi.value(X) * dstar(field, beta_oracle, t, X) - (phi.grad(X)[:, :k] * f_vals).sum(axis=1)
     return float(np.max(np.abs(lhs - rhs)))
@@ -77,13 +76,28 @@ def constant_components(coeffs):
     """The components f_i = c_i of a constant field, one function each."""
     k = len(coeffs)
     return tuple(
-        FieldComponent(
-            value_fn=lambda t, X, c=c: np.full(X.shape[0], c),
-            grad_fn=lambda t, X: np.zeros((X.shape[0], k)),
+        Component(
+            value=lambda t, X, c=c: np.full(X.shape[0], c),
+            grad=lambda t, X: np.zeros((X.shape[0], k)),
             bound=abs(float(c)),
-            name=f"const_{i+1}",
         )
-        for i, c in enumerate(np.asarray(coeffs, dtype=float))
+        for c in np.asarray(coeffs, dtype=float)
+    )
+
+
+def swirl_components(s):
+    """The components s tanh(x_2) and -s tanh(x_1) of the swirl field, one function each."""
+    return (
+        Component(
+            value=lambda t, X: s * np.tanh(X[:, 1]),
+            grad=lambda t, X: np.stack([np.zeros(X.shape[0]), s / np.cosh(X[:, 1]) ** 2], axis=-1),
+            bound=abs(s),
+        ),
+        Component(
+            value=lambda t, X: -s * np.tanh(X[:, 0]),
+            grad=lambda t, X: np.stack([-s / np.cosh(X[:, 0]) ** 2, np.zeros(X.shape[0])], axis=-1),
+            bound=abs(s),
+        ),
     )
 
 
@@ -98,16 +112,16 @@ def galerkin_components(nem, level, grid=Grid.gauss_legendre(128)):
     inv_alpha = 1.0 / eigenvalue(np.arange(1, level + 1))
 
     def make(i):
-        def value_fn(t, X):
+        def value(t, X):
             U = X[:, :level] @ E
             return ((reaction(t, U) * w) @ E[i]) * inv_alpha[i]
 
-        def grad_fn(t, X):
+        def grad(t, X):
             U = X[:, :level] @ E
             fp = reaction.d(t, U)
             return ((fp * E[i] * w) @ E.T) * inv_alpha[i]
 
-        return FieldComponent(value_fn=value_fn, grad_fn=grad_fn, name=f"{reaction.name}_g{i+1}")
+        return Component(value=value, grad=grad)
 
     return tuple(make(i) for i in range(level))
 
@@ -116,8 +130,20 @@ def component_rows(components, t, X):
     """(rows, div F) of per-component functions: the values stacked, and div
     F summed from zeros over column i of each component's gradient."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    rows = np.stack([c.value(t, X) for c in components], axis=-1)
+    rows = np.stack([np.asarray(c.value(t, X), dtype=float) for c in components], axis=-1)
     div = np.zeros(X.shape[0])
     for i, c in enumerate(components):
         div += c.grad(t, X)[:, i]
     return rows, div
+
+
+def oracle_field(components, **kwargs):
+    """The CylindricalField whose evaluation is component_rows of
+    `components`; kwargs are CylindricalField's time_dependent and name."""
+    components = tuple(components)
+
+    def evaluate(t, X, div):
+        rows, d = component_rows(components, t, X)
+        return rows, (d if div else None)
+
+    return CylindricalField(evaluate, tuple(c.bound for c in components), **kwargs)

@@ -278,6 +278,7 @@ def test_fault_inside_the_stepper_is_not_a_config_error(tmp_path, monkeypatch):
 
 
 def test_quad_nodes_is_ignored_with_a_warning(tmp_path):
+    # so is T where the kind sets its own run length
     cubic = {"name": "cubic", "c1": -1.0}
     plain = spde_invariant_config(tmp_path, reaction=cubic, thinning=10)
     assert cli.main(["run", plain, "--output", str(tmp_path / "plain")]) == 0
@@ -285,15 +286,28 @@ def test_quad_nodes_is_ignored_with_a_warning(tmp_path):
         tmp_path,
         {"kind": "spde-invariant", "seed": 1,
          "params": {"n_modes": 2, "dt": 0.01, "count": 64, "thinning": 10, "burn_in": 60,
-                    "reaction": cubic, "quad_nodes": 33}},
+                    "reaction": cubic, "quad_nodes": 33, "T": 7.0}},
         name="quad.json",
     )
     assert cli.main(["run", cfg, "--output", str(tmp_path / "quad")]) == 0
     report = json.loads((tmp_path / "quad" / "report.json").read_text())
     assert report["warnings"] == [
-        "params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree"
+        "params.T is ignored: the chain runs burn_in + count * thinning steps",
+        "params.quad_nodes is ignored: the grid is sized from n_modes and the reaction degree",
     ]
     assert (tmp_path / "quad" / "samples.csv").read_bytes() == (tmp_path / "plain" / "samples.csv").read_bytes()
+    # a T below max(eps_grid) changes no commutator estimate
+    reports = {}
+    for name, extra in (("curve", {}), ("curve_T", {"T": 0.01})):
+        params = {"eps_grid": [0.04, 0.02], "n_mc": 20, "n_x": 20, **extra}
+        cfg = write_config(tmp_path, {"kind": "commutator-curve", "seed": 1, "params": params}, name=f"{name}.json")
+        assert cli.main(["run", cfg, "--output", str(tmp_path / name)]) == 0
+        reports[name] = json.loads((tmp_path / name / "report.json").read_text())
+    warned = reports["curve_T"].pop("warnings")
+    assert warned == ["params.T is ignored: the paths run to max(eps_grid)"] + reports["curve"].pop("warnings")
+    assert reports["curve_T"] == reports["curve"]
+    csv = "commutator_curve.csv"
+    assert (tmp_path / "curve_T" / csv).read_bytes() == (tmp_path / "curve" / csv).read_bytes()
 
 
 def test_nonstationary_chain_is_a_verdict_not_a_config_error(tmp_path, capsys):
@@ -561,6 +575,8 @@ def verify_problem(**change):
         # a null block is not a JSON object, also where the table has a default block
         ("spde-invariant", {"reaction": None}, "params.reaction"),
         ("commutator-curve", {"reaction": None}, "params.reaction"),
+        # true is not a direction index
+        ("ibp-check", {"pairs": [["cos_m1", True]]}, "params.pairs[0]"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):

@@ -7,14 +7,10 @@ from refflow import catalog, fields, measures
 from refflow.spectral import Grid, basis_matrix
 from refflow.fields import (
     DeltaTooLargeError,
-    FieldComponent,
     NemytskiiField,
-    NotDifferentiableError,
     Reaction,
-    TimeDomainError,
     cf_delta,
     claims_probe,
-    component_field,
     constant_field,
     delta_recipe,
     divergence,
@@ -22,7 +18,14 @@ from refflow.fields import (
     dstar_rows,
     galerkin,
 )
-from reference import component_rows, constant_components, dstar_product_rule_check, galerkin_components, linear_field
+from reference import (
+    component_rows,
+    constant_components,
+    dstar_product_rule_check,
+    galerkin_components,
+    linear_field,
+    swirl_components,
+)
 
 
 def one_reaction():
@@ -43,6 +46,11 @@ def test_constant_field_values_and_bound():
     assert np.all(vals[:, 1] == -0.2)
     assert f.h_bound == pytest.approx(np.hypot(0.3, 0.2))
     assert np.all(divergence(f, 0.0, X) == 0.0)
+    # fewer rows, then more again: each evaluation has exactly its own row count
+    for n in (3, 9, 0, 7):
+        rows, div = f.value_and_divergence(0.0, np.zeros((n, 5)))
+        assert rows.shape == (n, 2) and div.shape == (n,)
+        assert np.array_equal(rows, np.tile([0.3, -0.2], (n, 1)))
 
 
 def test_constant_field_dstar_matches_gaussian_formula():
@@ -57,19 +65,6 @@ def test_constant_field_dstar_matches_gaussian_formula():
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
-def test_horizon_enforced():
-    f = component_field((FieldComponent(value_fn=lambda t, X: X[:, 0], bound=1.0),), horizon=1.0)
-    f.value(1.0, np.zeros((1, 1)))  # endpoint ok
-    with pytest.raises(TimeDomainError):
-        f.value(2.0, np.zeros((1, 1)))
-    gal = galerkin(NemytskiiField(reaction=one_reaction(), n_modes=2, horizon=0.5), 2)
-    gal.value(0.5, np.zeros((1, 2)))
-    with pytest.raises(TimeDomainError):
-        gal.value(0.75, np.zeros((1, 2)))
-    with pytest.raises(TimeDomainError):
-        gal.value_and_divergence(0.75, np.zeros((1, 2)))
-
-
 def test_nemytskii_unit_reaction_components():
     """f = 1 gives component j equal to 2 sqrt(2) / (j pi)^3 for odd j, 0 for even."""
     gal = galerkin(NemytskiiField(reaction=one_reaction(), n_modes=4), 4)
@@ -82,23 +77,30 @@ def test_nemytskii_unit_reaction_components():
     assert np.all(divergence(gal, 0.0, np.zeros((1, 4))) == 0.0)
 
 
-def test_nemytskii_divergence_matches_finite_differences():
-    field = galerkin(arctan_field(4), 4)
+@pytest.mark.parametrize(
+    "level, spec",
+    [
+        # the catalog builds a Nemytskii field without a level as the whole field
+        (4, {"name": "nemytskii:neg_arctan", "n_modes": 4}),
+        (2, {"name": "nemytskii:neg_arctan", "n_modes": 4, "level": 2}),
+    ],
+    ids=["level4", "level2"],
+)
+def test_nemytskii_divergence_matches_finite_differences(level, spec):
+    field = galerkin(arctan_field(4), level)
     X = np.random.default_rng(3).normal(scale=0.4, size=(30, 4))
-    # the catalog builds a Nemytskii field without a level as this projection
-    built = catalog.build_field({"name": "nemytskii:neg_arctan", "n_modes": 4})
-    assert np.array_equal(built.value(0.0, X), field.value(0.0, X))
+    assert np.array_equal(catalog.build_field(spec).value(0.0, X), field.value(0.0, X))
     d = divergence(field, 0.0, X)
     assert np.all(d <= 0.0)  # f' = -1/(1+r^2) < 0 and the kernel is nonnegative
     eps = 2e-6
     d_fd = np.zeros(X.shape[0])
-    for i in range(4):
+    for i in range(level):
         Xp = X.copy()
         Xp[:, i] += eps
         Xm = X.copy()
         Xm[:, i] -= eps
         d_fd += (field.value(0.0, Xp)[:, i] - field.value(0.0, Xm)[:, i]) / (2 * eps)
-    assert np.max(np.abs(d - d_fd)) < 1e-7
+    assert np.max(np.abs(d - d_fd)) < 1e-9
 
 
 def test_galerkin_matches_full_field_on_low_modes():
@@ -112,29 +114,11 @@ def test_galerkin_matches_full_field_on_low_modes():
     assert np.max(np.abs(gal.value(0.0, X) - galerkin(nem, 4).value(0.0, X)[:, :2])) < 1e-13
 
 
-def test_galerkin_gradients_match_finite_differences():
-    nem = arctan_field(4)
-    gal = galerkin(nem, 2)
-    X = np.random.default_rng(5).normal(scale=0.4, size=(25, 4))
-    analytic = divergence(gal, 0.0, X)
-    stripped = component_field(
-        (FieldComponent(value_fn=c.value_fn, name=c.name) for c in galerkin_components(nem, 2)),
-        smoothness=1,
-    )
-    assert np.max(np.abs(analytic - divergence(stripped, 0.0, X))) < 1e-9
-
-
 def test_galerkin_level_validation():
     nem = NemytskiiField(reaction=one_reaction(), n_modes=2)
     for level in (0, 3):
         with pytest.raises(ValueError):
             galerkin(nem, level)
-
-
-def test_divergence_rejects_c0_fields():
-    rough = component_field((FieldComponent(value_fn=lambda t, X: np.abs(X[:, 0]), bound=np.inf),), smoothness=0)
-    with pytest.raises(NotDifferentiableError):
-        divergence(rough, 0.0, np.zeros((2, 1)))
 
 
 def test_swirl_is_divergence_free():
@@ -145,16 +129,21 @@ def test_swirl_is_divergence_free():
 
 @pytest.mark.parametrize("field_spec", [{"name": "swirl", "s": 0.2}, {"name": "constant", "coeffs": [0.1, -0.2]}])
 def test_product_rule_two_routes_agree(field_spec):
-    # the constant field fills its rows directly; its per-component formula stands in for it
+    # the catalog fields fill their rows in one evaluation; their per-component formulas stand in for them
     if field_spec["name"] == "constant":
         components = constant_components(field_spec["coeffs"])
     else:
-        components = catalog.build_field(field_spec).evaluate.components
+        components = swirl_components(field_spec["s"])
     m = measures.GibbsMeasure(4)
     slc = measures.psi_squared(m, 4)
     phi = catalog.build_cylinder("rational_m12")
     X = np.random.default_rng(7).normal(scale=0.3, size=(80, 4))
     assert dstar_product_rule_check(components, phi, slc.beta, X) < 1e-12
+    # the formula is the catalog field's one evaluation, bit for bit
+    got_rows, got_div = catalog.build_field(field_spec).value_and_divergence(0.0, X)
+    want_rows, want_div = component_rows(components, 0.0, X)
+    assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_div, want_div)
 
 
 def test_product_rule_on_gibbs_slice():
@@ -221,6 +210,10 @@ def test_one_evaluation_is_the_per_component_formula(case, rows):
     assert_formula(got_div, want_div, exact)
     assert np.array_equal(field.value(0.25, X), got_rows)
     assert np.array_equal(divergence(field, 0.25, X), got_div)
+    if field.name == "constant":
+        # the rows are one shared coefficient row, which no caller may write into
+        with pytest.raises(ValueError, match="read-only"):
+            got_rows[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
