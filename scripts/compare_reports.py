@@ -18,6 +18,9 @@ import math
 import pathlib
 import sys
 
+# rounding tolerance of a change that reorders floating-point work
+RTOL, ATOL = 1e-12, 1e-16
+
 
 def tree(root):
     """The report.json and CSV files under root, by path relative to it."""
@@ -66,7 +69,7 @@ def read(path):
         return list(csv.reader(f))
 
 
-def compare(a_root, b_root, rtol, atol):
+def compare(a_root, b_root, rtol=RTOL, atol=ATOL):
     """Every line of difference between the two trees."""
     a, b = tree(a_root), tree(b_root)
     out = [f"{name}: only in {'A' if name in a else 'B'}" for name in sorted(a.keys() ^ b.keys())]
@@ -79,8 +82,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", type=pathlib.Path)
     ap.add_argument("b", type=pathlib.Path)
-    ap.add_argument("--rtol", type=float, default=1e-12)
-    ap.add_argument("--atol", type=float, default=1e-16)
+    ap.add_argument("--rtol", type=float, default=RTOL)
+    ap.add_argument("--atol", type=float, default=ATOL)
     args = ap.parse_args(argv)
     for root in (args.a, args.b):
         if not root.is_dir():

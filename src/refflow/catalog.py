@@ -109,17 +109,22 @@ def _expect(ok, what, value):
     return value
 
 
+def _number(raw):
+    """Whether raw is a JSON number: an int or a float, and not true or false."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _numbers(raw, size=None):
     """A number or a nonempty list of numbers, or a list of size numbers if size is given, as a float array."""
-    value = np.asarray(raw, dtype=float)
-    ok = value.ndim <= 1 and value.size > 0 if size is None else value.shape == (size,)
+    listed = isinstance(raw, (list, tuple)) and all(map(_number, raw))
+    ok = (listed and len(raw) > 0 or _number(raw)) if size is None else (listed and len(raw) == size)
     _expect(ok, "a number or a nonempty list of numbers" if size is None else f"a list of {size} numbers", raw)
-    return value
+    return np.asarray(raw, dtype=float)
 
 
 def _steps(config, raw):
     """raw as a nonempty list of floats, each a whole number of config's steps in [0, T]."""
-    times = [float(t) for t in _expect(isinstance(raw, list) and raw, "a nonempty list of numbers", raw)]
+    times = [float(t) for t in _numbers(_expect(isinstance(raw, list), "a nonempty list of numbers", raw))]
     for t in times:
         config.n_steps(t)
         if not 0 <= t <= config.T + 1e-12:
@@ -127,8 +132,8 @@ def _steps(config, raw):
     return times
 
 
-INT, FLOAT = ("int", lambda raw, got: int(raw)), ("number", lambda raw, got: float(raw))
-INTEGER = ("integer", lambda raw, got: _expect(isinstance(raw, int) and not isinstance(raw, bool), "an integer", raw))
+INT = ("int", lambda raw, got: _expect(isinstance(raw, int) and not isinstance(raw, bool), "an integer", raw))
+FLOAT = ("number", lambda raw, got: float(_expect(_number(raw), "a number", raw)))
 NUMBERS = ("number | [number]", lambda raw, got: _numbers(raw))
 BOOL = ("bool", lambda raw, got: _expect(isinstance(raw, bool), "true or false", raw))
 STR = ("string", lambda raw, got: _expect(isinstance(raw, str), "a string", raw))
@@ -424,7 +429,7 @@ SCALE = ("c", FLOAT, "> 0", 1.0)
 
 OBSERVABLES = _registry(
     Entry("mode1_soft", "c tanh(x1/c): smooth bounded mode-1 readout", (SCALE,), _mode1_soft),
-    Entry("energy_soft", "c tanh(|x|_k^2/c): smooth bounded energy readout", (("k", INTEGER, ">= 1", 4), SCALE), _energy_soft),
+    Entry("energy_soft", "c tanh(|x|_k^2/c): smooth bounded energy readout", (("k", INT, ">= 1", 4), SCALE), _energy_soft),
 )
 
 
@@ -567,7 +572,7 @@ LADDER = (("M", FLOAT, ">= 1", REQUIRED), ("l", INT, ">= 1", REQUIRED))
 PROBLEM = (
     ("id", STR, "", "problem"),
     ("measure", MEASURE, "", REQUIRED),
-    ("N", ("int <= measure n_modes", lambda raw, got: _expect(int(raw) <= got["measure"].n_modes, "<= n_modes", int(raw))),
+    ("N", ("int <= measure n_modes", lambda raw, got: _expect(INT[1](raw, got) <= got["measure"].n_modes, "<= n_modes", raw)),
      ">= 1", REQUIRED),
     ("field", ("field of at most N components", lambda raw, got: build_field(raw, got["measure"].n_modes, got["N"])),
      "", REQUIRED),
@@ -582,11 +587,10 @@ PROBLEM = (
 )
 
 
-def build_problem(spec, ladder_spec=None):
+def build_problem(spec):
     """(measure, slice/ladder reference, field, rho0, config, u) of a problem
-    spec such as those of default_problems, read through PROBLEM; ladder_spec
-    stands for the spec's ladder."""
-    got = read(PROBLEM, spec if ladder_spec is None else {**spec, "ladder": ladder_spec})
+    spec such as those of default_problems, read through PROBLEM."""
+    got = read(PROBLEM, spec)
     config, ref = flow(got)
     return got["measure"], ref, got["field"], got["rho0"], config, got["test_function"]
 

@@ -74,9 +74,9 @@ def _problems(raw, got):
 
 
 def _n_time(raw, got):
-    """raw as an int, whose Simpson step in weak_residual is on each problem's
+    """The integer raw, whose Simpson step in weak_residual is on each problem's
     dt grid; an n_time below 1 is left to its bound."""
-    n_time = int(raw)
+    n_time = INT[1](raw, got)
     for problem in got["problems"] if n_time >= 1 else ():
         try:
             verify.simpson_step(transport.FlowConfig(problem["dt"], problem["T"]), n_time)
@@ -99,7 +99,6 @@ def _spde(n_modes, dt, reaction, why_no_T):
         ("dt", FLOAT, "> 0", dt),
         ("T", RETIRED, "", why_no_T),
         ("B_diag", ("number | [number], 1 or n_modes of them", b_diag), "> 0", 1.0),
-        ("yosida_alpha", FLOAT, ">= 0", 0.0),
         ("reaction", ("reaction", lambda raw, got: catalog.polynomial_reaction(raw)), "", reaction),
         ("quad_nodes", RETIRED, "", "the grid is sized from n_modes and the reaction degree"),
     )
@@ -292,7 +291,7 @@ def run_entropy_audit(params, seed, workers, outdir):
 
 def _spde_setup(params, T):
     """The SpdeConfig of params, with path length T."""
-    return spde.SpdeConfig(params["n_modes"], params["dt"], T, params["B_diag"], params["reaction"], params["yosida_alpha"])
+    return spde.SpdeConfig(params["n_modes"], params["dt"], T, params["B_diag"], params["reaction"])
 
 
 def run_spde_invariant(params, seed, workers, outdir):

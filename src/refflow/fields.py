@@ -34,7 +34,7 @@ class UnboundedFieldError(ValueError):
 
 
 class DeltaTooLargeError(OverflowError):
-    def __init__(self, msg, suggested_delta=None):
+    def __init__(self, msg, suggested_delta):
         super().__init__(msg)
         self.suggested_delta = suggested_delta
 
@@ -71,7 +71,7 @@ class CylindricalField:
         return self.evaluate(t, np.atleast_2d(np.asarray(X, dtype=float)), True)
 
 
-def constant_field(coeffs, name="constant"):
+def constant_field(coeffs):
     """The field of fixed coefficients on the first k modes; a number is one
     coefficient.
 
@@ -93,7 +93,7 @@ def constant_field(coeffs, name="constant"):
             tiled = block
         return block[:n], (np.zeros(n) if div else None)
 
-    return CylindricalField(evaluate, tuple(abs(float(c)) for c in coeffs), name=name)
+    return CylindricalField(evaluate, tuple(abs(float(c)) for c in coeffs), name="constant")
 
 
 @dataclass(frozen=True)
@@ -215,21 +215,19 @@ class ClaimsReport:
         return ok(self.c_div, self.c_div_half) and ok(self.c_beta, self.c_beta_half)
 
 
-def claims_probe(nem, measure, eps, count, seed, level=None):
+def claims_probe(nem, measure, eps, count, seed):
     """Checks the standing hypothesis that D*F is bounded below: the smallest
     constants C with div-part and beta-part >= -C - eps*penalty.
 
     penalty(x) = |x|_2^2 + alpha |x|_p^p; samples drawn from the measure.
     Records full-sample and half-sample constants so stability under sample
-    doubling is observable. The field is galerkin(nem, level), level n_modes
-    by default.
+    doubling is observable. The field is galerkin(nem, nem.n_modes).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    level = level or nem.n_modes
     X = measures.sample_gibbs(measure, count, seed)
-    f_comps, div_part = galerkin(nem, level).value_and_divergence(0.0, X)
-    beta_part = (f_comps * measures.beta_components(measure, X)[:, :level]).sum(axis=1)
+    f_comps, div_part = galerkin(nem, nem.n_modes).value_and_divergence(0.0, X)
+    beta_part = (f_comps * measures.beta_components(measure, X)[:, :nem.n_modes]).sum(axis=1)
 
     penalty = (X ** 2).sum(axis=1)
     if measure.alpha > 0:
@@ -253,13 +251,13 @@ def claims_probe(nem, measure, eps, count, seed, level=None):
 # the exponential cost functional C_F(delta)
 
 
-def delta_recipe(field, measure, count=2000, seed=0):
+def delta_recipe(field, measure, count=2000):
     """delta = min_i c_i / (N (||f_i||_inf + 1)) over the active components."""
     k = field.n_components
     bounds = np.array(field.bounds)
     if not np.all(np.isfinite(bounds)):
         raise UnboundedFieldError("delta recipe needs finite declared component bounds")
-    c = measures.integrability_constants(measure, count=count, seed=seed)
+    c = measures.integrability_constants(measure, count=count, seed=0)
     return float(np.min(c[:k] / (k * (bounds + 1.0))))
 
 

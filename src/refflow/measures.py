@@ -30,6 +30,8 @@ COUPLING_BLOCK_VALUES = 65536
 # from the ones a long product uses; blocks of at least this many rows, a
 # multiple of 8, give every row the bits the one-shot product gives it
 COUPLING_MIN_ROWS = 1024
+# the Gibbs sampler's largest thinning, and its first proposals (warmup too) of which 1% must be accepted
+MAX_THIN, ADAPT_WINDOW = 256, 1000
 
 
 class SamplerDegenerateError(RuntimeError):
@@ -211,12 +213,12 @@ def _metropolis_walk(state_pot, pots, logu):
         prev[1:] = last[:-1]
 
 
-def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
+def sample_gibbs(measure, count, seed):
     """Gibbs draws via independence Metropolis from the alpha = 0 Gaussian.
 
     Acceptance ratio exp(-(alpha/p)(|x'|_p^p - |x|_p^p)); the chain is thinned
     (factor doubled as needed) until the lag-1 autocorrelation of |x|_H^2 is
-    below 0.1. Deterministic given seed.
+    below 0.1, at most MAX_THIN. Deterministic given seed.
     """
     if count == 0:
         return np.empty((0, measure.n_modes))
@@ -239,12 +241,12 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
         pots = _coupling(measure, props)[0]
         logu = np.log(rng.random(n_steps))
         acc, last = _metropolis_walk(state_pot, pots, logu)
-        if proposed < adapt_window <= proposed + n_steps:
+        if proposed < ADAPT_WINDOW <= proposed + n_steps:
             # acceptances up to and including the window's last proposal
-            seen = accepted + int(np.count_nonzero(acc[: adapt_window - proposed]))
-            if seen < 0.01 * adapt_window:
+            seen = accepted + int(np.count_nonzero(acc[: ADAPT_WINDOW - proposed]))
+            if seen < 0.01 * ADAPT_WINDOW:
                 raise SamplerDegenerateError(
-                    f"acceptance {seen}/{adapt_window} below 1%: alpha*p too aggressive "
+                    f"acceptance {seen}/{ADAPT_WINDOW} below 1%: alpha*p too aggressive "
                     f"for n_modes={measure.n_modes}"
                 )
         accepted += int(np.count_nonzero(acc))
@@ -262,18 +264,18 @@ def sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
     thin = 1
     while lag1_autocorrelation((chain ** 2).sum(axis=1)) >= 0.1:
         thin *= 2
-        if thin > max_thin:
-            raise NotThinnableError(f"lag-1 autocorrelation still >= 0.1 at thinning {max_thin}")
+        if thin > MAX_THIN:
+            raise NotThinnableError(f"lag-1 autocorrelation still >= 0.1 at thinning {MAX_THIN}")
         chain = advance(count * thin, thin)
     return chain
 
 
-def normalizing_constant(measure, count=20000, seed=0):
+def normalizing_constant(measure, count=20000):
     """Z as an Estimate: the importance estimate of E exp(-(alpha/p)|x|_p^p)
     under the alpha = 0 Gaussian, or the exact 1 with stderr 0 when alpha = 0."""
     if measure.alpha == 0:
         return Estimate(1.0, 0.0, count)
-    draws = sample_gaussian(measure, count, as_rng(seed, "measures", "zconst"))
+    draws = sample_gaussian(measure, count, as_rng(0, "measures", "zconst"))
     return estimate(np.exp(-_coupling(measure, draws)[0]))
 
 

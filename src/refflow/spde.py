@@ -1,25 +1,25 @@
 """Reaction-diffusion SPDE simulator in spectral coordinates.
 
-dX = [AX + p_alpha(X)] dt + B dW with A the Dirichlet Laplacian (mode rates
+dX = [AX + p(X)] dt + B dW with A the Dirichlet Laplacian (mode rates
 alpha_j = pi^2 j^2), p a decreasing odd-degree polynomial reaction applied
-pointwise, p_alpha its Yosida regularization (alpha = 0 means p itself), and
-B diagonal with a bounded inverse. The stepping scheme treats the linear part
-exactly per mode (exponential integrator) and the reaction and noise
-explicitly; the Ornstein-Uhlenbeck reduction p = 0 is therefore sampled from
-its exact transition kernel.
+pointwise, and B diagonal with a bounded inverse. The stepping scheme treats
+the linear part exactly per mode (exponential integrator) and the reaction
+and noise explicitly; the Ornstein-Uhlenbeck reduction p = 0 is therefore
+sampled from its exact transition kernel.
 
-One stepper, `_steps`, applies the scheme X <- ema X + phi p_alpha(X) + sig xi
+One stepper, `_steps`, applies the scheme X <- ema X + phi p(X) + sig xi
 for every caller. It can carry the derivative flow eta and the
 Bismut-Elworthy-Li gradient weight int <B^{-1} eta, dW> along the same path,
 and it runs the blow-up check. `simulate`, `sample_invariant`,
 `bel_gradient`, the commutator estimators and `v_norm` differ only in which
 steps they keep.
 
-Also here: derivative flows along frozen paths, semigroup and gradient
-estimators (the probabilistic integration-by-parts weight), the smoothing
-commutator and its decay curve, the V-norm quadratic form, and the
-martingale-moment ratio check. Each Monte-Carlo mean is an rng.Estimate
-(mean, stderr, n). Two functions check claims of the paper
+Also here: the Yosida regularization p_alpha of p (a device of the proof,
+which the stepper does not use), derivative flows along frozen paths,
+semigroup and gradient estimators (the probabilistic integration-by-parts
+weight), the smoothing commutator and its decay curve, the V-norm quadratic
+form, and the martingale-moment ratio check. Each Monte-Carlo mean is an
+rng.Estimate (mean, stderr, n). Two functions check claims of the paper
 directly: `commutator_identity_probe` the commutator formula for
 D_x P_t - P_t D_x, and `v_norm` the Dirichlet form of the invariant measure;
 `simulate`, `semigroup`, `bel_gradient`, `derivative_flow` and
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .rng import Estimate, as_rng, estimate, map_units
-from .spectral import Grid, basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
+from .spectral import basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
 
 
 class BlowUpError(FloatingPointError):
@@ -50,10 +50,6 @@ class SolverError(RuntimeError):
 
 class BurnInError(ValueError):
     """The burn-in is too short for the slowest mode to relax."""
-
-
-# Gauss-Legendre nodes of the reaction grid when yosida_alpha > 0
-YOSIDA_GRID_NODES = 257
 
 
 def relaxation_steps(config, times):
@@ -98,7 +94,6 @@ class SpdeConfig:
     T: float
     B_diag: tuple = ()
     p_coeffs: tuple = ()  # ascending powers; () or all-zero disables the reaction
-    yosida_alpha: float = 0.0
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -123,8 +118,6 @@ class SpdeConfig:
             if np.any(_horner(dp, probe, np.empty_like(probe)) > 0):
                 raise ValueError("reaction must be nonincreasing (derivative positive on probe grid)")
         object.__setattr__(self, "p_coeffs", coeffs)
-        if self.yosida_alpha < 0:
-            raise ValueError("yosida_alpha must be nonnegative")
 
     # computed once per config; the arrays are read-only
 
@@ -146,22 +139,14 @@ class SpdeConfig:
 
     @cached_property
     def grid(self):
-        """Midpoint grid of (d + 1) n_modes + 1 nodes, d = max(reaction degree, 3),
-        or YOSIDA_GRID_NODES Gauss-Legendre nodes when yosida_alpha > 0.
+        """Midpoint grid of (d + 1) n_modes + 1 nodes, d = max(reaction degree, 3).
 
-        The midpoint grid integrates cosine polynomials of degree
-        2 (d + 1) n_modes + 1 in pi xi exactly: the drift p(U) e_i has degree
-        (d + 1) n_modes and the l4 moment of sample_invariant 4 n_modes, so
-        both are exact. The derivative-flow multiplier exp(dt p'(U)) is not a
-        polynomial; for it the spare degree is a measured margin, not an
-        exactness bound. Neither is the Yosida drift p(J_alpha(U)), which no
-        midpoint grid of this size resolves at unit-scale states.
+        It integrates cosine polynomials of degree 2 (d + 1) n_modes + 1 in
+        pi xi exactly: the drift p(U) e_i has degree (d + 1) n_modes and the l4
+        moment of sample_invariant 4 n_modes, so both are exact. The
+        derivative-flow multiplier exp(dt p'(U)) is not a polynomial; for it
+        the spare degree is a measured margin, not an exactness bound.
         """
-        if self.yosida_alpha > 0:
-            grid = Grid.gauss_legendre(YOSIDA_GRID_NODES)
-            grid.nodes.setflags(write=False)
-            grid.weights.setflags(write=False)
-            return grid
         degree = max((i for i, c in enumerate(self.p_coeffs) if c != 0), default=0)
         return exact_midpoint_grid(2 * (max(degree, 3) + 1) * self.n_modes)
 
@@ -208,39 +193,23 @@ def yosida_resolvent(p_coeffs, alpha, r):
     raise SolverError("resolvent Newton did not reach 1e-12 in 100 iterations")
 
 
-def _p_alpha(p_coeffs, alpha, r, J, out):
-    """p_alpha(r) into out; J = J_alpha(r) when alpha > 0, unused at 0."""
-    if alpha == 0:
-        return _horner(_poly_pair(p_coeffs)[0], r, out)
-    np.subtract(J, r, out=out)
-    out /= alpha
-    return out
-
-
-def _p_alpha_prime(p_coeffs, alpha, r, J, out):
-    """p_alpha'(r) into out; J = J_alpha(r) when alpha > 0, unused at 0."""
-    dc = _poly_pair(p_coeffs)[1]
-    if alpha == 0:
-        return _horner(dc, r, out)
-    _horner(dc, J, out)
-    np.divide(out, 1.0 - alpha * out, out=out)
-    return out
-
-
 def yosida_drift(p_coeffs, alpha, r):
     """The Yosida drift p_alpha(r) = (J_alpha(r) - r)/alpha = p(J_alpha(r)) of
     criterion 8's resolvent identity; alpha=0 gives p."""
     r = np.asarray(r, dtype=float)
-    J = yosida_resolvent(p_coeffs, alpha, r) if alpha != 0 else None
-    out = _p_alpha(tuple(p_coeffs), alpha, r, J, np.empty(r.shape))
-    return out if out.ndim else float(out)
+    if alpha == 0:
+        out = _horner(_poly_pair(tuple(p_coeffs))[0], r, np.empty(r.shape))
+    else:
+        out = (yosida_resolvent(p_coeffs, alpha, r) - r) / alpha
+    return out if np.ndim(out) else float(out)
 
 
 def yosida_drift_prime(p_coeffs, alpha, r):
     """d/dr p_alpha(r) = p'(J_alpha(r)) / (1 - alpha p'(J_alpha(r))) <= 0."""
     r = np.asarray(r, dtype=float)
-    J = yosida_resolvent(p_coeffs, alpha, r) if alpha != 0 else None
-    out = _p_alpha_prime(tuple(p_coeffs), alpha, r, J, np.empty(r.shape))
+    J = yosida_resolvent(p_coeffs, alpha, r) if alpha != 0 else r
+    out = _horner(_poly_pair(tuple(p_coeffs))[1], np.asarray(J), np.empty(r.shape))
+    out /= 1.0 - alpha * out
     return out if out.ndim else float(out)
 
 
@@ -266,38 +235,33 @@ class _Reaction:
     overwritten in place at every step: U, P and H of (rows x quad nodes),
     and the drift D of (rows x modes).
 
-    load(X) synthesizes U = X E and, for alpha > 0, solves the resolvent
-    J = J_alpha(U) once for both the drift and the derivative-flow multiplier.
-    drift() projects p_alpha(U) by the config's (E w)^T into D and returns D,
-    which the next drift() overwrites; np.matmul with out= makes the product
-    that @ makes, so the bits are the same. flow(eta) returns a fresh
-    (rows x modes) array. The drift integrand and the multiplier share the
-    buffer P (drift() is done with it before flow() starts), which keeps one
-    (rows x nodes) array fewer in cache.
+    load(X) synthesizes U = X E for both the drift and the derivative-flow
+    multiplier. drift() projects p(U) by the config's (E w)^T into D and
+    returns D, which the next drift() overwrites; np.matmul with out= makes
+    the product that @ makes, so the bits are the same. flow(eta) returns a
+    fresh (rows x modes) array. The drift integrand and the multiplier share
+    the buffer P (drift() is done with it before flow() starts), which keeps
+    one (rows x nodes) array fewer in cache.
     """
 
     def __init__(self, config, rows):
-        self.p_coeffs = config.p_coeffs
-        self.alpha = config.yosida_alpha
+        self.c, self.dc = _poly_pair(config.p_coeffs)
         self.dt = config.dt
         self.E = basis_matrix(config.n_modes, config.grid)
         self.proj = config.projection
         self.U, self.P, self.H = (np.empty((rows, config.grid.n_nodes)) for _ in range(3))
         self.D = np.empty((rows, config.n_modes))
-        self.J = None
 
     def load(self, X):
         np.matmul(X, self.E, out=self.U)
-        if self.alpha != 0:
-            self.J = yosida_resolvent(self.p_coeffs, self.alpha, self.U)
 
     def drift(self):
-        """Mode coefficients of p_alpha(U), in the workspace D."""
-        return np.matmul(_p_alpha(self.p_coeffs, self.alpha, self.U, self.J, self.P), self.proj, out=self.D)
+        """Mode coefficients of p(U), in the workspace D."""
+        return np.matmul(_horner(self.c, self.U, self.P), self.proj, out=self.D)
 
     def flow(self, eta):
-        """Project (eta E) exp(dt p_alpha'(U)) back onto the modes."""
-        M = _p_alpha_prime(self.p_coeffs, self.alpha, self.U, self.J, self.P)
+        """Project (eta E) exp(dt p'(U)) back onto the modes."""
+        M = _horner(self.dc, self.U, self.P)
         M *= self.dt
         np.exp(M, out=M)
         H = np.matmul(eta, self.E, out=self.H)
@@ -322,7 +286,7 @@ def _steps(config, X, n, rng, eta=None, noise=True):
     place. Raises BlowUpError when a coefficient of X exceeds 1e6 in
     magnitude or is NaN.
 
-    The step is X <- ema X + phi p_alpha(X) + sig xi and
+    The step is X <- ema X + phi p(X) + sig xi and
     w <- w + sum_j (eta_j / B_j) xi_j sqrt(dt), with every operation of the
     written-out formulas in their order, so the bits are theirs. The per-call
     buffers, each (rows x modes) but dw (rows):
@@ -493,7 +457,7 @@ def _eta_step(eta, ema, reaction):
 
 def derivative_flow(config, path_states, h):
     """The derivative flow eta = D_x X_t h, whose contraction criterion 8
-    checks, along a frozen path: d eta = [A eta + Dp_alpha(X) eta] dt.
+    checks, along a frozen path: d eta = [A eta + Dp(X) eta] dt.
 
     path_states: (n_paths, n_steps+1, n_modes) at full resolution. Returns the
     same shape. The scheme is a product of contractions (exact linear decay,
@@ -603,9 +567,7 @@ class DecayCurveReport:
     stationary: bool  # the base points' chain passed sample_invariant's check
 
 
-def commutator_decay_curve(
-    config, u, F, eps_grid, n_mc_per_eps, n_x_samples, seed, burn_in=None, thinning=None, workers=1
-):
+def commutator_decay_curve(config, u, F, eps_grid, n_mc_per_eps, n_x_samples, seed, thinning=None, workers=1):
     """L1(gamma) commutator norm on an eps grid, outer-sampled from the
     invariant measure; the contract is a decay trend from the largest to the
     smallest eps, and an unestablished trend is reported (not raised). Each
@@ -613,12 +575,12 @@ def commutator_decay_curve(
     per-point values |mean of its n_mc_per_eps path differences|.
 
     Each base point gets its own substream keyed by its index, so the result
-    is identical for any worker count."""
+    is identical for any worker count. The base points' chain burns in for
+    6 relaxation times."""
     eps_grid = sorted(float(e) for e in eps_grid)
-    if burn_in is None:
-        burn_in = relaxation_steps(config, 6.0)
     if thinning is None:
         thinning = relaxation_steps(config, 1.0)
+    burn_in = relaxation_steps(config, 6.0)
     xs, chain = sample_invariant(config, burn_in, n_x_samples, thinning, as_rng(seed, "spde", "curve-outer"))
 
     def one_point(ix):
@@ -646,7 +608,7 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
     constant direction F = h.
 
     For a constant field F = h the commutator satisfies
-    B_eps(u,h) = int_0^eps P_{eps-s}[ <A h + Dp_alpha(.) h, D P_s u> ](x) ds
+    B_eps(u,h) = int_0^eps P_{eps-s}[ <A h + Dp(.) h, D P_s u> ](x) ds
     (OU check: u = x_1, h = e_1 gives both sides e^{-a_1 eps} - 1). Both sides
     are estimated by nested Monte Carlo at the origin; returns
     (lhs, rhs, lhs stderr).
@@ -669,16 +631,16 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
     E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
 
     def q_of(z, s, seed_s):
-        """<A h + Dp_alpha(z) h, D_z P_s u (z)> for each row z."""
+        """<A h + Dp(z) h, D_z P_s u (z)> for each row z."""
         if s == 0:
             inner_dir = np.asarray(u.grad(z), dtype=float)
         else:
             inner_dir = None
-        # direction v(z) = -a*h + Dp_alpha(z) h in mode coordinates
+        # direction v(z) = -a*h + Dp(z) h in mode coordinates
         v = np.broadcast_to(-a * h, z.shape).copy()
         if config.has_reaction:
             U = z @ E
-            mult = yosida_drift_prime(config.p_coeffs, config.yosida_alpha, U)
+            mult = _horner(_poly_pair(config.p_coeffs)[1], U, np.empty(U.shape))
             v = v + ((np.broadcast_to(h, z.shape) @ E) * mult) @ config.projection
         if s == 0:
             k = inner_dir.shape[1]

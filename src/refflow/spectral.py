@@ -6,12 +6,10 @@ e_j(xi) = sqrt(2) sin(j pi xi) with -e_j'' = alpha_j e_j, alpha_j = (pi j)^2,
 orthonormal in L2(0,1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-DEFAULT_NODES = 512
 
 
 @lru_cache(maxsize=32)
@@ -49,12 +47,12 @@ class Grid:
             raise InvalidDataError("grid weights must sum to the interval length 1")
 
     @classmethod
-    def gauss_legendre(cls, n=DEFAULT_NODES):
+    def gauss_legendre(cls, n):
         x, w = _leggauss(n)
         return cls(nodes=(x + 1.0) / 2.0, weights=w / 2.0, rule="gauss-legendre")
 
     @classmethod
-    def midpoint(cls, n=DEFAULT_NODES):
+    def midpoint(cls, n):
         h = 1.0 / n
         return cls(nodes=h * (np.arange(n) + 0.5), weights=np.full(n, h), rule="uniform-midpoint")
 

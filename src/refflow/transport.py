@@ -109,7 +109,7 @@ class InitialDensity:
         return np.clip(np.asarray(self.value_fn(np.atleast_2d(X)), dtype=float), 0.0, None)
 
 
-def bump_density(centers, radii, height=1.0, name="bump"):
+def bump_density(centers, radii, height=1.0):
     """Product of shifted 1-D bumps h * prod_i (1 - ((x_i-c_i)/r_i)^2)_+^3.
 
     C2, nonnegative, supported in the box prod [c_i - r_i, c_i + r_i].
@@ -125,7 +125,7 @@ def bump_density(centers, radii, height=1.0, name="bump"):
         return height * np.prod(np.clip(1.0 - U ** 2, 0.0, None) ** 3, axis=1)
 
     radius = float(np.sqrt(((np.abs(centers) + radii) ** 2).sum()))
-    return InitialDensity(value_fn=value_fn, support_radius=radius, name=name)
+    return InitialDensity(value_fn=value_fn, support_radius=radius, name="bump")
 
 
 @dataclass

@@ -168,8 +168,8 @@ def test_c07_uniqueness_probe():
     c = Criterion(7)
     spec = catalog.default_problems("1d")[1]
     refs = []
-    for ladder_spec in ({"M": 8, "l": 16}, {"M": 16, "l": 32}):
-        _, ref, field, rho0, config, _ = catalog.build_problem(spec, ladder_spec=ladder_spec)
+    for ladder in ({"M": 8, "l": 16}, {"M": 16, "l": 32}):
+        _, ref, field, rho0, config, _ = catalog.build_problem(dict(spec, ladder=ladder))
         refs.append(ref)
     rep = verify.uniqueness_probe(rho0, field, refs, config, t_eval=spec["times"])
     c.check(rep.passed, f"ladders (8,16) vs (16,32), L1 distance={rep.error:.2e} < 1e-2")

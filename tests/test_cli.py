@@ -489,7 +489,7 @@ def test_build_problem_reads_its_spec_through_the_problem_table():
         catalog.build_problem(dict(spec, N=2))
     assert (err.value.path, err.value.msg) == ("N", "must be <= n_modes, got 2")
     with pytest.raises(catalog.ConfigError) as err:
-        catalog.build_problem(spec, ladder_spec={"M": 0.5, "l": 4})
+        catalog.build_problem(dict(spec, ladder={"M": 0.5, "l": 4}))
     assert err.value.path == "ladder.M"
 
 
@@ -577,6 +577,15 @@ def verify_problem(**change):
         ("commutator-curve", {"reaction": None}, "params.reaction"),
         # true is not a direction index
         ("ibp-check", {"pairs": [["cos_m1", True]]}, "params.pairs[0]"),
+        # JSON numbers only, also where a key's type is its own
+        ("ibp-check", {"pairs": [["cos_m1", [True, False]]]}, "params.pairs[0]"),
+        ("transport-solve", {"N": True}, "params.N"),
+        ("transport-solve", {"N": 1.5}, "params.N"),
+        ("verify-suite", {"n_time": 20.0}, "params.n_time"),
+        ("transport-solve", {"times": ["0.25"]}, "params.times"),
+        ("commutator-curve", {"eps_grid": [True]}, "params.eps_grid"),
+        ("transport-solve", {"rho0": {"name": "bump", "centers": ["0"], "radii": [0.5]}}, "params.rho0.centers"),
+        ("transport-solve", {"field": {"name": "constant", "coeffs": True}}, "params.field.coeffs"),
     ],
 )
 def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypatch, kind, change, path):
@@ -589,6 +598,50 @@ def test_bad_values_exit_two_before_the_numerics_run(tmp_path, capsys, monkeypat
         cfg = write_config(tmp_path, {"kind": kind, "params": params, **change})
     assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+# values that are not JSON numbers of the key's type, though int(), float()
+# or np.asarray would read most of them as 1, 2, 3 or 0.01
+NOT_OF_TYPE = {
+    catalog.INT: [True, 2.7, 3.0, "3"],
+    catalog.FLOAT: [True, "0.01", None, [0.5]],
+    catalog.NUMBERS: [True, "1", [True], ["1"], [[1.0]], []],
+}
+# (kind, measure name or None, key) of every such key of a params table and of
+# a measure table
+NUMBER_KEYS = [
+    (kind, None, key) for kind, table in cli.PARAMS.items() for key, t, _, _ in table if t in NOT_OF_TYPE
+] + [
+    ("gibbs-sample", name, key) for name, entry in catalog.MEASURES.items() for key, t, _, _ in entry.table if t in NOT_OF_TYPE
+]
+
+
+@pytest.mark.parametrize("kind, measure, key", NUMBER_KEYS,
+                         ids=[f"{kind}.{key}" if m is None else f"measure:{m}.{key}" for kind, m, key in NUMBER_KEYS])
+def test_number_keys_take_only_json_numbers_of_their_type(tmp_path, capsys, monkeypatch, kind, measure, key):
+    monkeypatch.setattr(measures, "normalizing_constant", _fault)
+    params = problem_params() if kind in ("transport-solve", "entropy-audit") else {}
+    table = cli.PARAMS[kind] if measure is None else catalog.MEASURES[measure].table
+    for bad in NOT_OF_TYPE[next(t for k, t, _, _ in table if k == key)]:
+        change = {key: bad} if measure is None else {"measure": {"name": measure, key: bad}}
+        cfg = write_config(tmp_path, {"kind": kind, "params": {**params, **change}})
+        assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2, bad
+        path = f"params.{key}" if measure is None else f"params.measure.{key}"
+        assert f"config error: {path}: must be " in capsys.readouterr().err, bad
+
+
+def test_number_keys_cover_every_table():
+    assert {kind for kind, _, _ in NUMBER_KEYS} == set(cli.PARAMS)
+    assert {m for _, m, _ in NUMBER_KEYS} == {None, *catalog.MEASURES}
+
+
+@pytest.mark.parametrize("kind", ["spde-invariant", "commutator-curve"])
+def test_yosida_alpha_is_an_unknown_key(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, {"kind": kind, "params": {"yosida_alpha": 0.3}})
+    assert cli.main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "config error: params.yosida_alpha: unknown key" in capsys.readouterr().err
+    assert cli.main(["list-catalog"]) == 0
+    assert "yosida" not in capsys.readouterr().out
 
 
 def test_constant_field_takes_a_number_as_its_one_coefficient(tmp_path):

@@ -120,12 +120,14 @@ def test_sample_gibbs_matches_slice_quadrature():
     assert abs(float((X[:, 0] ** 2).mean()) - exact) < 4 * se + 1e-4
 
 
-def test_sampler_not_thinnable_error():
+def test_sampler_not_thinnable_error(monkeypatch):
     # stiff coupling makes the independence chain sticky enough to need
     # thinning; capping the factor at 1 turns that into the hard error
     m = GibbsMeasure(4, alpha=30.0, p=4.0)
-    with pytest.raises(NotThinnableError):
-        sample_gibbs(m, 300, 1, max_thin=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "MAX_THIN", 1)
+        with pytest.raises(NotThinnableError):
+            sample_gibbs(m, 300, 1)
     assert abs(lag1_autocorrelation((sample_gibbs(m, 300, 1) ** 2).sum(axis=1))) < 0.1
 
 
@@ -135,8 +137,9 @@ def test_sampler_degenerate_error():
         sample_gibbs(m, 2000, 1)
 
 
-def ref_sample_gibbs(measure, count, seed, max_thin=256, adapt_window=1000):
+def ref_sample_gibbs(measure, count, seed):
     """sample_gibbs with the chain walked one numpy scalar and one row at a time."""
+    max_thin, adapt_window = measures.MAX_THIN, measures.ADAPT_WINDOW
     rng = as_rng(seed, "measures", "gibbs")
     std = measure.mode_std
     state = rng.standard_normal(measure.n_modes) * std
@@ -177,7 +180,7 @@ def gibbs(n_modes, alpha, p):
     return GibbsMeasure(n_modes, alpha=alpha, p=p)
 
 
-# (measure, count, seed, keyword arguments); with 4 modes the 40 warmup
+# (measure, count, seed, measures constants to set); with 4 modes the 40 warmup
 # proposals put the end of the 1000-proposal adapt window at chain row 960.
 # The degenerate chain (32 modes, seed 1) accepts proposals 4, 29, 59, 311
 # and 1490 of its first 8000, counting its 200 warmup proposals: a window
@@ -191,13 +194,13 @@ WALK_CASES = {
     "block-boundary": (gibbs(4, 2.0, 4.0), 1025, 2, {}),
     "many-blocks": (gibbs(2, 5.0, 6.0), 20000, 1, {}),
     "thinning": (gibbs(4, 30.0, 4.0), 300, 1, {}),
-    "not-thinnable": (gibbs(4, 30.0, 4.0), 300, 1, {"max_thin": 1}),
+    "not-thinnable": (gibbs(4, 30.0, 4.0), 300, 1, {"MAX_THIN": 1}),
     "gauss-legendre": (gibbs(3, 2.0, 3.0), 5000, 1, {}),
     "one-mode": (gibbs(1, 5.0, 4.0), 5000, 2, {}),
     "degenerate": (gibbs(32, 1e6, 4.0), 2000, 1, {}),
-    "degenerate-window-ends-on-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"adapt_window": 1490}),
-    "degenerate-window-before-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"adapt_window": 1300}),
-    "degenerate-in-later-block": (gibbs(32, 1e6, 4.0), 4096, 1, {"adapt_window": 3372}),
+    "degenerate-window-ends-on-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"ADAPT_WINDOW": 1490}),
+    "degenerate-window-before-acceptance": (gibbs(32, 1e6, 4.0), 2000, 1, {"ADAPT_WINDOW": 1300}),
+    "degenerate-in-later-block": (gibbs(32, 1e6, 4.0), 4096, 1, {"ADAPT_WINDOW": 3372}),
     # unthinned chains whose first row after warmup, and whose row 2048,
     # repeat a state carried over from before a rejection
     "advance-starts-with-rejection": (gibbs(4, 10.0, 4.0), 1025, 14, {}),
@@ -210,17 +213,20 @@ WALK_CASES = {
 }
 
 
-def sampler_outcome(sampler, measure, count, seed, kw):
+def sampler_outcome(sampler, measure, count, seed):
     try:
-        return sampler(measure, count, seed, **kw)
+        return sampler(measure, count, seed)
     except (SamplerDegenerateError, NotThinnableError) as exc:
         return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("name", list(WALK_CASES))
-def test_sample_gibbs_matches_reference_walk(name):
-    want = sampler_outcome(ref_sample_gibbs, *WALK_CASES[name])
-    got = sampler_outcome(sample_gibbs, *WALK_CASES[name])
+def test_sample_gibbs_matches_reference_walk(name, monkeypatch):
+    *args, constants = WALK_CASES[name]
+    for key, value in constants.items():
+        monkeypatch.setattr(measures, key, value)
+    want = sampler_outcome(ref_sample_gibbs, *args)
+    got = sampler_outcome(sample_gibbs, *args)
     if isinstance(want, tuple):
         assert got == want
     else:

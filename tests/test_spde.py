@@ -315,17 +315,15 @@ RTOL = 1e-12
 STEP_CONFIGS = {
     "ou": SpdeConfig(n_modes=3, dt=1e-2, T=0.2),
     "cubic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC),
-    "cubic-yosida": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3),
+    "quintic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=QUINTIC),
     "ou-b": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, B_diag=(0.5, 1.0, 3.0)),
 }
 
 
 def ref_reaction(cfg, U, prime=False):
-    """p_alpha(U), or p_alpha'(U); numpy's own polynomial evaluates p at alpha = 0."""
-    if cfg.yosida_alpha == 0:
-        p = np.polynomial.Polynomial(cfg.p_coeffs)
-        return (p.deriv() if prime else p)(U)
-    return (yosida_drift_prime if prime else yosida_drift)(cfg.p_coeffs, cfg.yosida_alpha, U)
+    """p(U), or p'(U), by numpy's own polynomial."""
+    p = np.polynomial.Polynomial(cfg.p_coeffs)
+    return (p.deriv() if prime else p)(U)
 
 
 def ref_eta_step(cfg, eta, X_before, ema, E):
@@ -519,10 +517,10 @@ def same_bits(got, want):
         (SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC), 2000),
         # at least 8 modes, where numpy's sum(axis=1) is pairwise, and B != 1
         (SpdeConfig(n_modes=9, dt=1e-2, T=0.2, B_diag=tuple(np.linspace(0.5, 3.0, 9)), p_coeffs=CUBIC), 40),
-        (SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC, yosida_alpha=0.3), 40),
+        (STEP_CONFIGS["quintic"], 40),
         (STEP_CONFIGS["ou-b"], 40),
     ],
-    ids=["benchmark-shape", "9-modes-B", "yosida", "ou-B"],
+    ids=["benchmark-shape", "9-modes-B", "quintic", "ou-B"],
 )
 def test_steps_match_written_out_step_bit_for_bit(cfg, rows, noise):
     """Every X, eta and w over 20 steps has the bits of the written-out
@@ -633,24 +631,6 @@ def test_eta_projection_matches_fine_reference(n_modes, dt):
     dp = np.polynomial.Polynomial(CUBIC).deriv()
     want = ref_projection(lambda E: (eta @ E) * np.exp(dt * dp(X @ E)), n_modes)
     assert np.max(np.abs(reaction.flow(eta) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_yosida_projections_match_fine_reference():
-    """p(J_alpha(U)) is no polynomial: at unit-scale states the midpoint rule
-    of the polynomial reaction misses it by 1e-3 relative at 4 modes, so
-    yosida_alpha > 0 takes Gauss-Legendre nodes."""
-    alpha = 0.3
-    cfg = SpdeConfig(n_modes=4, dt=2e-3, T=1.0, p_coeffs=CUBIC, yosida_alpha=alpha)
-    assert cfg.grid.rule == "gauss-legendre" and cfg.grid.n_nodes == spde.YOSIDA_GRID_NODES
-    rng = as_rng(5, "yosida")
-    X = rng.normal(size=(64, 4))
-    eta = rng.normal(size=X.shape)
-    reaction = spde._Reaction(cfg, len(X))
-    reaction.load(X)
-    drift = ref_projection(lambda E: yosida_drift(CUBIC, alpha, X @ E), 4)
-    assert np.max(np.abs(reaction.drift() - drift)) <= 1e-12 * np.max(np.abs(drift))
-    flow = ref_projection(lambda E: (eta @ E) * np.exp(cfg.dt * yosida_drift_prime(CUBIC, alpha, X @ E)), 4)
-    assert np.max(np.abs(reaction.flow(eta) - flow)) <= 1e-12 * np.max(np.abs(flow))
 
 
 def test_invariant_sampler_reports_a_nonstationary_chain():
