@@ -122,13 +122,13 @@ def _numbers(raw, size=None):
     return np.asarray(raw, dtype=float)
 
 
-def _steps(config, raw):
-    """raw as a nonempty list of floats, each a whole number of config's steps in [0, T]."""
+def _steps(dt, T, raw):
+    """raw as a nonempty list of floats, each a whole number of dt steps in [0, T]."""
     times = [float(t) for t in _numbers(_expect(isinstance(raw, list), "a nonempty list of numbers", raw))]
     for t in times:
-        config.n_steps(t)
-        if not 0 <= t <= config.T + 1e-12:
-            raise ValueError(f"{t} is not in [0, {config.T}]")
+        transport._whole_steps(t, dt)
+        if not t <= T + 1e-12:
+            raise ValueError(f"{t} is not in [0, {T}]")
     return times
 
 
@@ -218,19 +218,19 @@ MEASURE = ("measure", lambda raw, got: build_measure(raw))
 
 def _neg_arctan():
     return fields_mod.Reaction(
-        fn=lambda t, r: -np.arctan(r),
-        deriv=lambda t, r: -1.0 / (1.0 + r ** 2),
+        fn=lambda r: -np.arctan(r),
+        deriv=lambda r: -1.0 / (1.0 + r ** 2),
         bound=math.pi / 2.0,
         name="neg_arctan",
     )
 
 
 def _cubic_sat():
-    def fn(t, r):
+    def fn(r):
         s = r / np.sqrt(1.0 + r ** 2)
         return -(s ** 3)
 
-    def deriv(t, r):
+    def deriv(r):
         s2 = r ** 2 / (1.0 + r ** 2)
         return -3.0 * s2 / (1.0 + r ** 2) ** 1.5
 
@@ -335,7 +335,6 @@ def _cyl_cos_m1():
         value_fn=lambda X: np.cos(X[:, 0]),
         grad_fn=lambda X: -np.sin(X[:, 0:1]),
         name="cos_m1",
-        bound=1.0,
     )
 
 
@@ -347,7 +346,6 @@ def _cyl_sin_m12():
             [np.cos(X[:, 0] + 2.0 * X[:, 1]), 2.0 * np.cos(X[:, 0] + 2.0 * X[:, 1])], axis=-1
         ),
         name="sin_m12",
-        bound=1.0,
     )
 
 
@@ -358,7 +356,7 @@ def _cyl_gauss_m123():
     def grad(X):
         return -2.0 * X[:, :3] * value(X)[:, None]
 
-    return Cylinder(n_active=3, value_fn=value, grad_fn=grad, name="gauss_m123", bound=1.0)
+    return Cylinder(n_active=3, value_fn=value, grad_fn=grad, name="gauss_m123")
 
 
 def _cyl_tanh_m1():
@@ -367,7 +365,6 @@ def _cyl_tanh_m1():
         value_fn=lambda X: np.tanh(X[:, 0]),
         grad_fn=lambda X: 1.0 / np.cosh(X[:, 0:1]) ** 2,
         name="tanh_m1",
-        bound=1.0,
     )
 
 
@@ -378,7 +375,7 @@ def _cyl_rational_m12():
     def grad(X):
         return -2.0 * X[:, :2] * value(X)[:, None] ** 2
 
-    return Cylinder(n_active=2, value_fn=value, grad_fn=grad, name="rational_m12", bound=1.0)
+    return Cylinder(n_active=2, value_fn=value, grad_fn=grad, name="rational_m12")
 
 
 def _cyl_cos_sin_m13():
@@ -391,7 +388,7 @@ def _cyl_cos_sin_m13():
         g[:, 2] = np.cos(X[:, 0]) * np.cos(X[:, 2])
         return g
 
-    return Cylinder(n_active=3, value_fn=value, grad_fn=grad, name="cos_sin_m13", bound=1.0)
+    return Cylinder(n_active=3, value_fn=value, grad_fn=grad, name="cos_sin_m13")
 
 
 def _mode1_soft(c):
@@ -400,7 +397,6 @@ def _mode1_soft(c):
         value_fn=lambda X: c * np.tanh(X[:, 0] / c),
         grad_fn=lambda X: 1.0 / np.cosh(X[:, 0:1] / c) ** 2,
         name=f"mode1_soft({c:g})",
-        bound=c,
     )
 
 
@@ -412,7 +408,7 @@ def _energy_soft(k, c):
         s = (X[:, :k] ** 2).sum(axis=1)
         return (2.0 * X[:, :k]) / np.cosh(s / c)[:, None] ** 2
 
-    return Cylinder(n_active=k, value_fn=value, grad_fn=grad, name=f"energy_soft({k},{c:g})", bound=c)
+    return Cylinder(n_active=k, value_fn=value, grad_fn=grad, name=f"energy_soft({k},{c:g})")
 
 
 CYLINDERS = _registry(
@@ -579,7 +575,7 @@ PROBLEM = (
     ("rho0", ("density on N coordinates", lambda raw, got: build_density(raw, got["N"])), "", REQUIRED),
     ("dt", FLOAT, "> 0", 1e-3),
     ("T", FLOAT, "> 0", 0.5),
-    ("times", ("[number] on the dt grid in [0, T]", lambda raw, got: _steps(transport.FlowConfig(got["dt"], got["T"]), raw)),
+    ("times", ("[number] on the dt grid in [0, T]", lambda raw, got: _steps(got["dt"], got["T"], raw)),
      "", Derived("[T/2, T]", lambda got: [got["T"] / 2.0, got["T"]])),
     ("n_per_axis", INT, ">= 1", Derived("128 if N = 1, else 96", lambda got: 128 if got["N"] == 1 else 96)),
     ("ladder", ("{M, l}", lambda raw, got: tuple(read(LADDER, raw).values())), "", Derived("none")),

@@ -56,11 +56,12 @@ def _kept(check):
 
 
 def _pair(entry, n_modes):
-    """(name, cylinder, h for the numerics, h as given) of a [cylinder, index | vector] entry."""
+    """(name, cylinder, h as a coefficient vector, h as given) of a [cylinder, index | vector] entry."""
     name, h = _expect(isinstance(entry, (list, tuple)) and len(entry) == 2, "[cylinder, index | vector]", entry)
     _expect(not isinstance(h, bool), "an index or a vector, not true or false", h)
     if isinstance(h, int):
-        return name, catalog.build_cylinder(name), _expect(0 <= h < n_modes, f"an index in 0..{n_modes - 1}", h), h
+        i = _expect(0 <= h < n_modes, f"an index in 0..{n_modes - 1}", h)
+        return name, catalog.build_cylinder(name), np.eye(n_modes)[i], h
     h_arg = _numbers(h)
     _expect(h_arg.ndim == 1 and h_arg.size <= n_modes, f"a vector of at most n_modes={n_modes} numbers", h)
     return name, catalog.build_cylinder(name), h_arg, h
@@ -89,11 +90,11 @@ GIBBS_4 = {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}
 
 
 def _spde(n_modes, dt, reaction, why_no_T):
-    """The fields of an SpdeConfig but its path length T, which the kind sets
-    itself (why_no_T says how); an SpdeConfig of the ones read so far checks
-    B_diag."""
+    """The fields of an SpdeConfig, and the retired path length T, which the
+    kind sets itself (why_no_T says how); an SpdeConfig of the ones read so
+    far checks B_diag."""
     b_diag = lambda raw, got: spde.SpdeConfig(  # noqa: E731
-        got["n_modes"], got["dt"], 1.0, tuple(np.atleast_1d(_numbers(raw)))).B_diag
+        got["n_modes"], got["dt"], tuple(np.atleast_1d(_numbers(raw)))).B_diag
     return (
         ("n_modes", INT, ">= 1", n_modes),
         ("dt", FLOAT, "> 0", dt),
@@ -132,7 +133,7 @@ PARAMS = {
     ),
     "commutator-curve": _spde(4, 2e-3, {"name": "cubic", "c1": -1.0}, "the paths run to max(eps_grid)") + (
         ("eps_grid", ("[number] on the dt grid in [0, 1]",
-                      lambda raw, got: _steps(spde.SpdeConfig(1, got["dt"], 1.0), raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
+                      lambda raw, got: _steps(got["dt"], 1.0, raw)), "> 0", [0.5, 0.2, 0.1, 0.05, 0.02]),
         ("u", ("cylinder", _kept(lambda raw, got: catalog.build_cylinder(raw))), "", "mode1_soft"),
         ("u_args", ("object", _kept(lambda raw, got: catalog.build_cylinder(got["u"], **catalog.spec_block(raw)))), "", {}),
         ("field", ("field of at most n_modes components",
@@ -233,18 +234,20 @@ def run_gibbs_sample(params, seed, workers, outdir):
 
 def run_transport_solve(params, seed, workers, outdir):
     config, reference = catalog.flow(params)
-    rho0, field, N, times = params["rho0"], params["field"], params["N"], params["times"]
-    probe = transport.TransportSolution(rho0=rho0, field=field, reference=reference, config=config, N=N)
-    R = probe.support_radius if params["eval_radius"] is None else params["eval_radius"]
+    N, times = params["N"], params["times"]
+    sol = transport.solve(params["rho0"], params["field"], reference, config, N=N)
+    R = sol.support_radius if params["eval_radius"] is None else params["eval_radius"]
     axes = [np.linspace(-R, R, params["eval_per_axis"])] * N
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    sol = transport.solve(rho0, field, reference, config, time_grid=[0.0] + times, eval_points=pts, N=N)
-    sol.write_csv(os.path.join(outdir, "density.csv"))
+    grid = [0.0] + times
+    rows = [[f"{t:.12g}"] + [f"{c:.12g}" for c in row] + [f"{v:.17g}"]
+            for t, rho in zip(grid, transport.feynman_kac_many(sol, grid, pts)) for row, v in zip(pts, rho)]
+    out_density = _write_csv(outdir, "density.csv", ["t"] + [f"x{i + 1}" for i in range(N)] + ["rho"], rows)
     reps = [verify.mass_conservation(sol, t, n_per_axis=params["n_per_axis"]) for t in times]
     rows = [[_fmt(t), _fmt(rep.residual), _fmt(rep.tolerance), str(rep.passed)] for t, rep in zip(times, reps)]
     out_mass = _write_csv(outdir, "mass.csv", ["t", "relative_drift", "tolerance", "passed"], rows)
     verdicts, details = _checked([(rep.name, rep) for rep in reps])
-    return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": ["density.csv", out_mass]}
+    return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out_density, out_mass]}
 
 
 def run_verify_suite(params, seed, workers, outdir):
@@ -289,13 +292,13 @@ def run_entropy_audit(params, seed, workers, outdir):
     return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}
 
 
-def _spde_setup(params, T):
-    """The SpdeConfig of params, with path length T."""
-    return spde.SpdeConfig(params["n_modes"], params["dt"], T, params["B_diag"], params["reaction"])
+def _spde_setup(params):
+    """The SpdeConfig of params."""
+    return spde.SpdeConfig(params["n_modes"], params["dt"], params["B_diag"], params["reaction"])
 
 
 def run_spde_invariant(params, seed, workers, outdir):
-    config = _spde_setup(params, 1.0)  # sample_invariant does not read T
+    config = _spde_setup(params)
     burn_in = spde.relaxation_steps(config, 6.0) if params["burn_in"] is None else params["burn_in"]
     samples, rep = _at(
         "params.burn_in", spde.sample_invariant,
@@ -320,7 +323,7 @@ def run_spde_invariant(params, seed, workers, outdir):
 
 def run_commutator_curve(params, seed, workers, outdir):
     eps_grid = params["eps_grid"]
-    config = _spde_setup(params, max(eps_grid))
+    config = _spde_setup(params)
     rep = spde.commutator_decay_curve(
         config, catalog.build_cylinder(params["u"], **params["u_args"]), params["field"], eps_grid, params["n_mc"], params["n_x"], seed,
         thinning=params["thinning"], workers=workers,

@@ -2,7 +2,8 @@
 
 A Cylinder wraps vectorized value/gradient callables of the first n_active
 coefficients. Inputs may carry more trailing modes; the extras are ignored,
-which is exactly the cylindrical property.
+which is exactly the cylindrical property. A direction is a coefficient
+vector; its entries beyond n_active do not enter the derivative.
 """
 
 from dataclasses import dataclass
@@ -14,26 +15,16 @@ import numpy as np
 class Cylinder:
     n_active: int
     value_fn: callable  # (npts, n_active) -> (npts,)
-    grad_fn: callable = None  # (npts, n_active) -> (npts, n_active)
+    grad_fn: callable  # (npts, n_active) -> (npts, n_active)
     name: str = ""
-    bound: float = np.inf
 
     def value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.value_fn(X[..., : self.n_active])
 
     def grad(self, X):
-        if self.grad_fn is None:
-            raise ValueError(f"cylinder {self.name!r} has no gradient")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.grad_fn(X[..., : self.n_active])
-
-    def partial(self, i, X):
-        """d/dx_i; zero for directions beyond n_active."""
-        if i >= self.n_active:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return np.zeros(X.shape[0])
-        return self.grad(X)[:, i]
 
     def directional(self, h, X):
         """Derivative along a coefficient vector h."""

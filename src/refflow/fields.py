@@ -98,25 +98,18 @@ def constant_field(coeffs):
 
 @dataclass(frozen=True)
 class Reaction:
-    """Bounded scalar reaction r -> f(t, r), C1 in r."""
+    """Bounded autonomous scalar reaction r -> fn(r), C1, with derivative deriv(r)."""
 
     fn: object
     deriv: object
     bound: float
     name: str = ""
-    time_dependent: bool = False
-
-    def __call__(self, t, r):
-        return self.fn(t, r)
-
-    def d(self, t, r):
-        return self.deriv(t, r)
 
 
 @dataclass(frozen=True)
 class NemytskiiField:
-    """The data of F(t,x) = (-A)^{-1} applied to the pointwise reaction
-    f(t, x(xi)) on n_modes modes; galerkin evaluates it."""
+    """The data of F(x) = (-A)^{-1} applied to the pointwise reaction
+    f(x(xi)) on n_modes modes; galerkin evaluates it."""
 
     reaction: Reaction
     n_modes: int
@@ -135,9 +128,9 @@ def galerkin(nem, level):
     on LEVEL1_NODES Gauss-Legendre nodes for one mode, else on
     measures.SLICE_GRID_NODES.
 
-    Component i (i <= level) is alpha_i^{-1} int e_i f(t, (P_level x)(xi)) dxi,
+    Component i (i <= level) is alpha_i^{-1} int e_i f((P_level x)(xi)) dxi,
     a smooth cylinder in the first `level` coordinates, and div F is
-    int f'(t, P_level x) sum_i e_i^2 / alpha_i dxi. With the weights and the
+    int f'(P_level x) sum_i e_i^2 / alpha_i dxi. With the weights and the
     alpha_i folded into one projection matrix and one divergence vector, an
     evaluation synthesizes the grid values once, calls the reaction once and
     makes one product; div F calls the derivative once and makes one more.
@@ -157,14 +150,9 @@ def galerkin(nem, level):
         # a one-coordinate state as a broadcast: each grid value is a single
         # product, so it equals the BLAS product bit for bit, without the call
         U = X[:, :1] * E[0] if level == 1 else X[:, :level] @ E
-        return reaction(t, U) @ proj, (reaction.d(t, U) @ div_weights if div else None)
+        return reaction.fn(U) @ proj, (reaction.deriv(U) @ div_weights if div else None)
 
-    return CylindricalField(
-        evaluate,
-        tuple(float(b) for b in comp_bounds),
-        time_dependent=reaction.time_dependent,
-        name=f"{reaction.name}_galerkin{level}",
-    )
+    return CylindricalField(evaluate, tuple(float(b) for b in comp_bounds), name=f"{reaction.name}_galerkin{level}")
 
 
 def divergence(field, t, X):

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rng import Estimate, as_rng, estimate
-from .spectral import Grid, basis_matrix, exact_midpoint_grid, synthesize
+from .spectral import Grid, _leggauss, basis_matrix, exact_midpoint_grid, synthesize
 
 SLICE_GRID_NODES = 128
 # grid values per block of the coupling kernel: a block's three 512 KB
@@ -159,13 +159,10 @@ def beta_components(measure, X):
 
 
 def beta(measure, h, x):
-    """beta_h(x) for h a basis index (0-based) or a coefficient vector: an
-    array with one entry per row of x, also for a single point."""
-    comps = beta_components(measure, x)
-    if np.isscalar(h) or isinstance(h, (int, np.integer)):
-        return comps[:, int(h)]
+    """beta_h(x) for a coefficient vector h: an array with one entry per row
+    of x, also for a single point."""
     h = np.asarray(h, dtype=float)
-    return comps[:, : len(h)] @ h
+    return beta_components(measure, x)[:, : len(h)] @ h
 
 
 def sample_gaussian(measure, count, seed):
@@ -461,16 +458,12 @@ class IbpReport:
 def ibp_residual(measure, u, h, count, seed):
     """Monte-Carlo residual of int d_h u dgamma + int u beta_h dgamma.
 
-    u is a Cylinder (value + gradient); h a basis index or coefficient vector.
-    Returns the Monte-Carlo mean with its standard error; the contract is
+    u is a Cylinder (value + gradient); h a coefficient vector. Returns the
+    Monte-Carlo mean with its standard error; the contract is
     |residual| <= 4 stderr.
     """
     X = sample_gibbs(measure, count, seed)
-    if np.isscalar(h) or isinstance(h, (int, np.integer)):
-        d_u = u.partial(int(h), X)
-    else:
-        d_u = u.directional(np.asarray(h, dtype=float), X)
-    est = estimate(d_u + u.value(X) * beta(measure, h, X))
+    est = estimate(u.directional(h, X) + u.value(X) * beta(measure, h, X))
     return IbpReport(residual=est.estimate, stderr=est.stderr, count=count)
 
 
@@ -484,8 +477,9 @@ class ExpIntegrabilityReport:
 
 
 def exp_integrability(measure, h, c, count, seed):
-    """Checks that the log-derivative beta_h is exponentially integrable: the MC
-    mean of exp(c |beta_h|) with a half-sample stability diagnostic."""
+    """Checks that the log-derivative beta_h, h a coefficient vector, is
+    exponentially integrable: the MC mean of exp(c |beta_h|) with a
+    half-sample stability diagnostic."""
     if c <= 0:
         raise ValueError(f"exponential-integrability constant must be positive, got {c}")
     X = sample_gibbs(measure, count, seed)
@@ -520,7 +514,7 @@ def integrability_constants(measure, count=2000, seed=0):
 
 def tensor_grid(N, R, n_per_axis):
     """Tensor Gauss-Legendre nodes/weights over [-R, R]^N."""
-    x1, w1 = np.polynomial.legendre.leggauss(n_per_axis)
+    x1, w1 = _leggauss(n_per_axis)
     x1 = x1 * R
     w1 = w1 * R
     mesh = np.meshgrid(*([x1] * N), indexing="ij")
@@ -611,7 +605,7 @@ def band_grid(slice_density, M, l, R=2.0, n_angle=96, n_leg=16):
     else:
         raise ValueError(f"band grid supports N in {{1, 2}}, got N={N}")
     cuts_per_ray = _ray_cuts(slice_density, U, R, levels)
-    xg, wg = np.polynomial.legendre.leggauss(n_leg)
+    xg, wg = _leggauss(n_leg)
     Xs, Ws = [], []
     for u, aw, cuts in zip(U, ang_w, cuts_per_ray):
         edges = [0.0] + [c for c in cuts if 1e-9 < c < R - 1e-9] + [R]

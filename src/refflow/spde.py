@@ -7,12 +7,14 @@ the linear part exactly per mode (exponential integrator) and the reaction
 and noise explicitly; the Ornstein-Uhlenbeck reduction p = 0 is therefore
 sampled from its exact transition kernel.
 
-One stepper, `_steps`, applies the scheme X <- ema X + phi p(X) + sig xi
-for every caller. It can carry the derivative flow eta and the
-Bismut-Elworthy-Li gradient weight int <B^{-1} eta, dW> along the same path,
-and it runs the blow-up check. `simulate`, `sample_invariant`,
-`bel_gradient`, the commutator estimators and `v_norm` differ only in which
-steps they keep.
+An SpdeConfig describes the scheme alone (modes, dt, B and p); each caller
+says how far its paths run. One stepper, `_steps`, applies the scheme
+X <- ema X + phi p(X) + sig xi for every caller. It can carry the derivative
+flow eta and the Bismut-Elworthy-Li gradient weight int <B^{-1} eta, dW>
+along the same path, and it runs the blow-up check. `simulate`,
+`sample_invariant`, `bel_gradient`, the commutator estimators and `v_norm`
+differ only in which steps they keep; `simulate`, the commutator samples and
+`v_norm` keep the states at a list of times, which `_snapshots` yields.
 
 Also here: the Yosida regularization p_alpha of p (a device of the proof,
 which the stepper does not use), derivative flows along frozen paths,
@@ -27,13 +29,14 @@ D_x P_t - P_t D_x, and `v_norm` the Dirichlet form of the invariant measure;
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .rng import Estimate, as_rng, estimate, map_units
 from .spectral import basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
+from .transport import _whole_steps
 
 
 class BlowUpError(FloatingPointError):
@@ -91,15 +94,14 @@ def _horner(c, x, out):
 class SpdeConfig:
     n_modes: int
     dt: float
-    T: float
     B_diag: tuple = ()
     p_coeffs: tuple = ()  # ascending powers; () or all-zero disables the reaction
 
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         B = np.asarray(self.B_diag if len(self.B_diag) else np.ones(self.n_modes), dtype=float)
         if B.size == 1:
             B = np.full(self.n_modes, B.item())
@@ -159,10 +161,8 @@ class SpdeConfig:
         return proj
 
     def n_steps(self, interval):
-        n = int(round(interval / self.dt))
-        if abs(n * self.dt - interval) > 1e-10 * max(1.0, n):
-            raise ValueError(f"interval {interval} not aligned with dt={self.dt}")
-        return n
+        """Number of dt steps in `interval`; the interval must divide."""
+        return _whole_steps(interval, self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +215,6 @@ def yosida_drift_prime(p_coeffs, alpha, r):
 
 # ---------------------------------------------------------------------------
 # simulation
-
-
-@dataclass
-class PathEnsemble:
-    times: np.ndarray
-    states: np.ndarray  # (n_paths, n_times, n_modes)
-    dt: float
-    T: float
-    seed_labels: tuple = ()
-
-    @property
-    def n_paths(self):
-        return self.states.shape[0]
 
 
 class _Reaction:
@@ -350,9 +337,26 @@ def _steps(config, X, n, rng, eta=None, noise=True):
         yield k, X, eta, w
 
 
-def simulate(config, x0, seed, n_paths=1, record_every=1, disable_noise=False):
-    """Forward paths of the reaction-diffusion SPDE, checked against the exact
-    OU law by criterion 8; same seed gives identical output.
+def _snapshots(config, X, times, rng, eta=None, noise=True):
+    """Step X to the largest of `times`; yields (i, X, w) at each times[i].
+
+    Snapshots come in step order, and times at the same step in the order of
+    `times`, so repeated times and time 0 (X itself, with a zero weight when
+    eta is given) are allowed. X and w are as `_steps` yields them.
+    """
+    marks = [config.n_steps(t) for t in times]
+    steps = _steps(config, X, max(marks, default=0), rng, eta, noise)
+    k, w = 0, None if eta is None else np.zeros(X.shape[0])
+    for i in sorted(range(len(times)), key=marks.__getitem__):
+        while k < marks[i]:
+            k, X, _, w = next(steps)
+        yield i, X, w
+
+
+def simulate(config, x0, times, seed, n_paths=1, disable_noise=False):
+    """Forward paths of the reaction-diffusion SPDE at the given times, shape
+    (n_paths, len(times), n_modes), checked against the exact OU law by
+    criterion 8; same seed gives identical output.
 
     x0: single coefficient vector shared across paths, or (n_paths, n_modes).
     Noise per step is sigma_j xi with sigma matching the exact per-step OU
@@ -362,18 +366,10 @@ def simulate(config, x0, seed, n_paths=1, record_every=1, disable_noise=False):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[0] == 1 and n_paths > 1:
         x0 = np.repeat(x0, n_paths, axis=0)
-    n = config.n_steps(config.T)
-    rec_idx = list(range(0, n + 1, record_every))
-    if rec_idx[-1] != n:
-        rec_idx.append(n)
-    pos = {k: i for i, k in enumerate(rec_idx)}
-    states = np.empty((x0.shape[0], len(rec_idx), config.n_modes))
-    states[:, 0] = x0
-    for k, X, _, _ in _steps(config, x0, n, rng, noise=not disable_noise):
-        if k in pos:
-            states[:, pos[k]] = X
-    times = np.array([config.dt * k for k in rec_idx])
-    return PathEnsemble(times=times, states=states, dt=config.dt, T=config.T, seed_labels=("spde", "simulate", str(seed)))
+    states = np.empty((x0.shape[0], len(times), config.n_modes))
+    for i, X, _ in _snapshots(config, x0, times, rng, noise=not disable_noise):
+        states[:, i] = X
+    return states
 
 
 def _batch_stderr(series, n_batches=32):
@@ -494,9 +490,7 @@ def semigroup(config, phi, x, t, n_mc, seed):
     if config.n_steps(t) == 0:
         v = float(np.asarray(phi(np.atleast_2d(np.asarray(x, dtype=float)))).ravel()[0])
         return Estimate(v, 0.0, n_mc)
-    cfg = replace(config, T=t)
-    ens = simulate(cfg, np.asarray(x, dtype=float), seed, n_paths=n_mc, record_every=max(1, cfg.n_steps(t)))
-    return estimate(phi(ens.states[:, -1]))
+    return estimate(phi(simulate(config, np.asarray(x, dtype=float), [t], seed, n_paths=n_mc)[:, 0]))
 
 
 def bel_gradient(config, phi, x, h, t, n_mc, seed):
@@ -530,23 +524,17 @@ def _commutator_samples(config, u, F, eps_sorted, x, n_mc, rng):
     One simulation per base point x, integrated to max(eps) and snapshotted at
     every requested eps (all multiples of dt). Returns (n_eps, n_mc).
     """
-    n_total = config.n_steps(eps_sorted[-1])
-    marks = [config.n_steps(e) for e in eps_sorted]
     X = np.repeat(np.atleast_2d(np.asarray(x, dtype=float)), n_mc, axis=0)
     k_field = F.n_components
     h = np.zeros(config.n_modes)
     h[:k_field] = F.value(0.0, X[:1, :k_field])[0]
     eta = np.broadcast_to(h, X.shape).copy()
     out = np.empty((len(eps_sorted), n_mc))
-    for k, X, _, w in _steps(config, X, n_total, rng, eta=eta):
-        rows = [i for i, s in enumerate(marks) if s == k]
-        if rows:
-            uval = np.asarray(u.value(X), dtype=float)
-            gu = u.grad(X)
-            m = min(gu.shape[1], k_field)
-            g = (gu[:, :m] * F.value(0.0, X)[:, :m]).sum(axis=1)
-            for i in rows:
-                out[i] = uval * w / eps_sorted[i] - g
+    for i, X, w in _snapshots(config, X, eps_sorted, rng, eta=eta):
+        uval = np.asarray(u.value(X), dtype=float)
+        gu = u.grad(X)
+        m = min(gu.shape[1], k_field)
+        out[i] = uval * w / eps_sorted[i] - (gu[:, :m] * F.value(0.0, X)[:, :m]).sum(axis=1)
     return out
 
 
@@ -653,12 +641,10 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
 
     rhs_terms = []
     for j, s in enumerate(s_nodes):
-        cfg_out = replace(config, T=eps - s) if eps - s > 0 else None
-        if cfg_out is None:
-            z = np.atleast_2d(x0)
+        if eps - s > 0:
+            z = simulate(config, x0, [eps - s], as_rng(seed, "spde", "ident-outer", j), n_paths=n_outer)[:, 0]
         else:
-            ens = simulate(cfg_out, x0, as_rng(seed, "spde", "ident-outer", j), n_paths=n_outer, record_every=max(1, cfg_out.n_steps(eps - s)))
-            z = ens.states[:, -1]
+            z = np.atleast_2d(x0)
         rhs_terms.append(float(np.mean(q_of(z, s, as_rng(seed, "spde", "ident-inner", j)))))
     rhs = float(simpson_w @ np.array(rhs_terms))
     return lhs.estimate, rhs, lhs.stderr
@@ -683,16 +669,10 @@ def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
         thinning = relaxation_steps(config, 1.0)
     xs, _ = sample_invariant(config, burn_in, n_mc, thinning, as_rng(seed, "spde", "vnorm-outer"))
     rng = as_rng(seed, "spde", "vnorm-inner")
-    n_total = config.n_steps(eps_grid[-1])
-    marks = [config.n_steps(e) for e in eps_grid]
     phi0 = np.asarray(phi(xs), dtype=float)
     vals = np.empty((len(eps_grid), n_mc))
-    for k, X, _, _ in _steps(config, xs, n_total, rng):
-        rows = [i for i, s in enumerate(marks) if s == k]
-        if rows:
-            phix = np.asarray(phi(X), dtype=float)
-            for i in rows:
-                vals[i] = phi0 * (phi0 - phix) / eps_grid[i]
+    for i, X, _ in _snapshots(config, xs, eps_grid, rng):
+        vals[i] = phi0 * (phi0 - np.asarray(phi(X), dtype=float)) / eps_grid[i]
     per_eps = [estimate(row) for row in vals]
     best = max(range(len(eps_grid)), key=lambda i: per_eps[i].estimate)
     return per_eps[best], {eps_grid[i]: per_eps[i] for i in range(len(eps_grid))}

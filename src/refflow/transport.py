@@ -30,8 +30,7 @@ One kernel, _sweep_to, takes every backward sweep:
   set is served again without a sweep.
 """
 
-import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +50,18 @@ class RepresentationOverflowError(OverflowError):
     pass
 
 
+def _whole_steps(interval, dt):
+    """Number of dt steps in `interval`, the rule of every time grid here: the
+    interval must be nonnegative and a whole number of steps, to 1e-12 per
+    step."""
+    if interval < 0:
+        raise ValueError("interval must be nonnegative")
+    n = int(round(interval / dt))
+    if abs(n * dt - interval) > 1e-12 * max(1.0, n):
+        raise StepMismatchError(f"interval {interval} is not a multiple of dt={dt}")
+    return n
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     dt_ode: float = 1e-3
@@ -62,14 +73,7 @@ class FlowConfig:
 
     def n_steps(self, interval):
         """Number of dt_ode steps in `interval`; the interval must divide."""
-        if interval < 0:
-            raise ValueError("interval must be nonnegative")
-        n = int(round(interval / self.dt_ode))
-        if abs(n * self.dt_ode - interval) > 1e-12 * max(1.0, n):
-            raise StepMismatchError(
-                f"interval {interval} is not a multiple of dt_ode={self.dt_ode}"
-            )
-        return n
+        return _whole_steps(interval, self.dt_ode)
 
 
 def _velocity(vals, Z):
@@ -130,14 +134,13 @@ def bump_density(centers, radii, height=1.0):
 
 @dataclass
 class TransportSolution:
-    """Density evaluator plus cached table for one disintegration slice."""
+    """The density evaluator of one problem on one disintegration slice."""
 
     rho0: object  # value(X) -> (npts,), attribute support_radius
     field: object
     reference: object  # SliceDensity or LadderDensity: value(X) and beta(X)
     config: FlowConfig
     N: int
-    table: list = dc_field(default_factory=list)  # (t, eval_points, values)
 
     def __post_init__(self):
         self.support_radius = float(self.rho0.support_radius + self.config.T * self.field.h_bound)
@@ -146,14 +149,6 @@ class TransportSolution:
         # Replaced whole and never mutated, so threads sharing a solution can
         # at worst repeat a sweep.
         self._sweep = None
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i+1}" for i in range(self.N)] + ["rho"])
-            for t, pts, vals in self.table:
-                for row, v in zip(pts, vals):
-                    writer.writerow([f"{t:.12g}"] + [f"{c:.12g}" for c in row] + [f"{v:.17g}"])
 
 
 class _Sweep(NamedTuple):
@@ -304,15 +299,9 @@ def feynman_kac_shared(solutions, times, x):
     return np.stack([feynman_kac_many(s, times, X) for s in solutions])
 
 
-def solve(rho0, field, reference, config, time_grid=(), eval_points=None, N=None):
-    """Build a TransportSolution, on the reference's N unless given, and
-    cache density values on the given grid."""
-    sol = TransportSolution(rho0, field, reference, config, reference.N if N is None else N)
-    if eval_points is not None:
-        pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        times = [float(t) for t in time_grid]
-        sol.table.extend((t, pts, vals) for t, vals in zip(times, feynman_kac_many(sol, times, pts)))
-    return sol
+def solve(rho0, field, reference, config, N=None):
+    """The TransportSolution of a problem, on the reference's N unless given."""
+    return TransportSolution(rho0, field, reference, config, reference.N if N is None else N)
 
 
 def pde_residual(solution, t, x, h_t=None, h_x=1e-4):

@@ -104,11 +104,13 @@ def weak_residual(solution, u, n_time=20, n_per_axis=128):
     X, w = measures.tensor_grid(solution.N, solution.support_radius, n_per_axis)
     psi = solution.reference.value(X)
     f_vals = u.f.value(X)
-    k = solution.field.n_components
-    fgrad = u.f.grad(X)[:, :k]
+    # <grad f, F> pairs the coordinates that both f and F have
+    fgrad = u.f.grad(X)
+    k = min(fgrad.shape[1], solution.field.n_components)
+    fgrad = fgrad[:, :k]
 
     def space_integral(t, rho):
-        advect = (fgrad * solution.field.value(t, X)).sum(axis=1)
+        advect = (fgrad * solution.field.value(t, X)[:, :k]).sum(axis=1)
         integrand = (u.g_prime(t) * f_vals + u.g(t) * advect) * rho * psi
         return float(w @ integrand)
 

@@ -114,11 +114,11 @@ def galerkin_components(nem, level, grid=Grid.gauss_legendre(128)):
     def make(i):
         def value(t, X):
             U = X[:, :level] @ E
-            return ((reaction(t, U) * w) @ E[i]) * inv_alpha[i]
+            return ((reaction.fn(U) * w) @ E[i]) * inv_alpha[i]
 
         def grad(t, X):
             U = X[:, :level] @ E
-            fp = reaction.d(t, U)
+            fp = reaction.deriv(U)
             return ((fp * E[i] * w) @ E.T) * inv_alpha[i]
 
         return Component(value=value, grad=grad)

@@ -52,7 +52,7 @@ def test_c01_ibp_pairs():
     ]:
         for i, (uname, h) in enumerate(catalog.IBP_PAIRS):
             u = catalog.build_cylinder(uname)
-            h_arg = h if isinstance(h, int) else np.asarray(h, dtype=float)
+            h_arg = np.eye(4)[h] if isinstance(h, int) else np.asarray(h, dtype=float)
             rep = measures.ibp_residual(m, u, h_arg, 100000, stream(202608, "acc-ibp", mname, uname, i))
             worst = max(worst, abs(rep.residual) / rep.stderr)
             if not rep.passed:
@@ -178,12 +178,11 @@ def test_c07_uniqueness_probe():
 
 def test_c08_spde_regression():
     c = Criterion(8)
-    ou = spde.SpdeConfig(n_modes=32, dt=1e-3, T=1.0)
-    cubic = spde.SpdeConfig(n_modes=32, dt=1e-3, T=1.0, p_coeffs=(0.0, -1.0, 0.0, -1.0))
+    ou = spde.SpdeConfig(n_modes=32, dt=1e-3)
+    cubic = spde.SpdeConfig(n_modes=32, dt=1e-3, p_coeffs=(0.0, -1.0, 0.0, -1.0))
 
-    ens = spde.simulate(ou, np.zeros(32), stream(11, "acc", "inv"), n_paths=2000, record_every=1000)
-    term = ens.states[:, -1, :]
-    target_var = (1.0 - np.exp(-2.0 * ou.rates * ou.T)) / (2.0 * ou.rates)
+    term = spde.simulate(ou, np.zeros(32), [1.0], stream(11, "acc", "inv"), n_paths=2000)[:, 0]
+    target_var = (1.0 - np.exp(-2.0 * ou.rates * 1.0)) / (2.0 * ou.rates)
     zv = np.abs(term.var(axis=0, ddof=1) - target_var) / (target_var * math.sqrt(2.0 / (term.shape[0] - 1)))
     zm = np.abs(term.mean(axis=0)) / np.sqrt(target_var / term.shape[0])
     c.check(zm.max() <= 4.0 and zv.max() <= 4.0,
@@ -199,9 +198,9 @@ def test_c08_spde_regression():
     z_bel = abs(bel.estimate - math.exp(-eigenvalue(1) * 0.1)) / bel.stderr
     c.check(z_bel <= 4.0 and not bel.inconclusive, f"BEL z={z_bel:.2f} <= 4")
 
-    ens_c = spde.simulate(cubic, np.zeros(32), stream(11, "acc", "contr"), n_paths=100)
+    path_c = spde.simulate(cubic, np.zeros(32), cubic.dt * np.arange(1001), stream(11, "acc", "contr"), n_paths=100)
     h = np.eye(32)[0]
-    etas = spde.derivative_flow(cubic, ens_c.states, h)
+    etas = spde.derivative_flow(cubic, path_c, h)
     worst_eta = float(np.sqrt((etas ** 2).sum(axis=2)).max())
     c.check(worst_eta <= 1.0 + 1e-8, f"contraction on 100 paths, max |eta|={worst_eta:.9f} <= 1+1e-8")
 
@@ -218,7 +217,7 @@ def test_c08_spde_regression():
 
 def test_c09_commutator_decay():
     c = Criterion(9)
-    config = spde.SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=(0.0, -1.0, 0.0, -1.0))
+    config = spde.SpdeConfig(n_modes=4, dt=2e-3, p_coeffs=(0.0, -1.0, 0.0, -1.0))
     u = catalog.build_cylinder("mode1_soft")
     F = catalog.build_field({"name": "constant", "coeffs": [0.1]})
     rep = spde.commutator_decay_curve(config, u, F, [0.5, 0.02], 2000, 200, 77)

@@ -168,6 +168,33 @@ def test_transport_solve_outputs_density_table(tmp_path):
     assert report["verdicts"] == {"mass[t=0.25]": "pass"}
 
 
+def test_an_index_and_its_unit_vector_give_the_same_ibp_residual(tmp_path):
+    # cos_sin_m13's index 3 is a direction beyond its active coordinates
+    details = []
+    for pairs in ([["sin_m12", 1], ["cos_sin_m13", 3]], [["sin_m12", [0, 1, 0, 0]], ["cos_sin_m13", [0, 0, 0, 1]]]):
+        params = {"measure": {"name": "gibbs", "n_modes": 4, "alpha": 1.0, "p": 4.0}, "count": 4000, "pairs": pairs}
+        cfg = write_config(tmp_path, {"kind": "ibp-check", "seed": 7, "params": params})
+        outdir = tmp_path / f"out{len(details)}"
+        assert cli.main(["run", cfg, "--output", str(outdir)]) == 0
+        details.append(json.loads((outdir / "report.json").read_text())["details"])
+    index, vector = details
+    for key in ("ibp[sin_m12]", "ibp[cos_sin_m13]"):
+        assert (index[key]["residual"], index[key]["stderr"]) == (vector[key]["residual"], vector[key]["stderr"])
+    # the report keeps h as the config gave it
+    assert index["ibp[sin_m12]"]["h"] == 1 and vector["ibp[sin_m12]"]["h"] == [0, 1, 0, 0]
+
+
+def test_weak_residual_pairs_the_coordinates_that_f_and_the_field_share(tmp_path):
+    # cos_m1 has one active coordinate and the swirl two components: the
+    # advection term is d1 f F1, not d1 f (F1 + F2), whose residual was 1.9e-4
+    problem = dict(catalog.default_problems("2d")[0], test_function={"g": "linear_ramp", "f": "cos_m1"})
+    cfg = write_config(tmp_path, {"kind": "verify-suite", "params": {"problems": [problem], "n_time": 10}})
+    outdir = tmp_path / "out"
+    assert cli.main(["run", cfg, "--output", str(outdir)]) == 0
+    weak = json.loads((outdir / "report.json").read_text())["details"]["g2_swirl:weak[linear_ramp*cos_m1]"]
+    assert weak["passed"] and abs(weak["residual"]) < 1e-6
+
+
 def test_gibbs_sample_run(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -29,7 +29,7 @@ from reference import (
 
 
 def one_reaction():
-    return Reaction(fn=lambda t, r: np.ones_like(r), deriv=lambda t, r: np.zeros_like(r), bound=1.0, name="one")
+    return Reaction(fn=lambda r: np.ones_like(r), deriv=lambda r: np.zeros_like(r), bound=1.0, name="one")
 
 
 def arctan_field(n_modes):

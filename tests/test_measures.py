@@ -64,7 +64,7 @@ def test_gibbs_beta_oracle():
     # beta_{e_1} at the point x = e_1 equals -2 pi^2 - 3/2
     # (tests/oracles/compute_oracles.py)
     m = gibbs4()
-    val = beta(m, 0, np.array([1.0, 0.0, 0.0, 0.0]))
+    val = beta(m, np.eye(4)[0], np.array([1.0, 0.0, 0.0, 0.0]))
     assert val.shape == (1,)
     assert val[0] == pytest.approx(-21.239208802178717, abs=1e-10)
 
@@ -77,7 +77,8 @@ def test_beta_direction_linearity():
     lhs = beta(m, h1 + h2, x)
     assert lhs.shape == (1,)
     np.testing.assert_allclose(lhs, beta(m, h1, x) + beta(m, h2, x), rtol=1e-12)
-    np.testing.assert_allclose(beta(m, 1, x), beta(m, np.array([0.0, 1.0]), x), rtol=1e-12)
+    # a direction shorter than n_modes has zero coefficients on the rest
+    np.testing.assert_allclose(beta(m, np.eye(4)[1], x), beta(m, np.array([0.0, 1.0]), x), rtol=1e-12)
 
 
 def test_sample_gaussian_distribution():
@@ -237,11 +238,11 @@ def test_exp_integrability_oracle():
     # E exp(0.01 |beta_{e_1}|) for the 1-mode Gaussian
     # (tests/oracles/compute_oracles.py, folded-normal MGF)
     m = GibbsMeasure(1)
-    rep = exp_integrability(m, 0, 0.01, 200000, 11)
+    rep = exp_integrability(m, [1.0], 0.01, 200000, 11)
     assert not rep.diverged
     assert rep.estimate == pytest.approx(1.0364598584324792, abs=4 * rep.stderr)
     with pytest.raises(ValueError):
-        exp_integrability(m, 0, -1.0, 100, 0)
+        exp_integrability(m, [1.0], -1.0, 100, 0)
 
 
 def test_integrability_constants_deterministic():
@@ -261,9 +262,8 @@ def test_ibp_residual_gaussian():
         value_fn=lambda X: np.cos(X[:, 0]),
         grad_fn=lambda X: -np.sin(X[:, 0:1]),
         name="cos",
-        bound=1.0,
     )
-    rep = ibp_residual(m, u, 0, 50000, 3)
+    rep = ibp_residual(m, u, np.eye(4)[0], 50000, 3)
     assert rep.passed
     rep_vec = ibp_residual(m, u, np.array([1.0, 0.5]), 50000, 4)
     assert rep_vec.passed

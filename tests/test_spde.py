@@ -49,27 +49,32 @@ def x1_observable():
     return Cylinder(n_active=1, value_fn=lambda X: X[:, 0], grad_fn=lambda X: np.ones_like(X), name="x1")
 
 
-def ou_config(n_modes=1, dt=1e-3, T=1.0):
-    return SpdeConfig(n_modes=n_modes, dt=dt, T=T)
+def ou_config(n_modes=1, dt=1e-3):
+    return SpdeConfig(n_modes=n_modes, dt=dt)
+
+
+def path_times(cfg, T):
+    """Every step time of a path over [0, T]."""
+    return cfg.dt * np.arange(cfg.n_steps(T) + 1)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SpdeConfig(n_modes=0, dt=1e-3, T=1.0)
+        SpdeConfig(n_modes=0, dt=1e-3)
     with pytest.raises(ValueError):
-        SpdeConfig(n_modes=1, dt=0.0, T=1.0)
+        SpdeConfig(n_modes=1, dt=0.0)
     with pytest.raises(ValueError):
-        SpdeConfig(n_modes=2, dt=1e-3, T=1.0, B_diag=(1.0, -1.0))
+        SpdeConfig(n_modes=2, dt=1e-3, B_diag=(1.0, -1.0))
     # scalar B broadcasts to every mode
-    cfg = SpdeConfig(n_modes=3, dt=1e-3, T=1.0, B_diag=(2.0,))
+    cfg = SpdeConfig(n_modes=3, dt=1e-3, B_diag=(2.0,))
     assert cfg.B_diag == (2.0, 2.0, 2.0)
     with pytest.raises(ValueError):  # even degree
-        SpdeConfig(n_modes=1, dt=1e-3, T=1.0, p_coeffs=(0.0, 0.0, -1.0))
+        SpdeConfig(n_modes=1, dt=1e-3, p_coeffs=(0.0, 0.0, -1.0))
     with pytest.raises(ValueError):  # nonnegative leading coefficient
-        SpdeConfig(n_modes=1, dt=1e-3, T=1.0, p_coeffs=(0.0, 0.0, 0.0, 1.0))
+        SpdeConfig(n_modes=1, dt=1e-3, p_coeffs=(0.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError):  # increasing near zero
-        SpdeConfig(n_modes=1, dt=1e-3, T=1.0, p_coeffs=(0.0, 1.0, 0.0, -1.0))
-    cfg = SpdeConfig(n_modes=1, dt=1e-3, T=1.0, p_coeffs=CUBIC)
+        SpdeConfig(n_modes=1, dt=1e-3, p_coeffs=(0.0, 1.0, 0.0, -1.0))
+    cfg = SpdeConfig(n_modes=1, dt=1e-3, p_coeffs=CUBIC)
     assert cfg.has_reaction
     assert cfg.rates[0] == pytest.approx(A1)
     # derived arrays are built once per config and cannot be written
@@ -111,66 +116,66 @@ def test_yosida_drift_prime_range():
 
 def test_simulate_matches_stationary_variance():
     cfg = ou_config(n_modes=4)
-    ens = simulate(cfg, np.zeros(4), seed=5, n_paths=4000, record_every=1000)
-    assert ens.n_paths == 4000
-    assert ens.times[-1] == pytest.approx(1.0)
-    v = ens.states[:, -1, 0].var(ddof=1)
+    states = simulate(cfg, np.zeros(4), [1.0], seed=5, n_paths=4000)
+    assert states.shape == (4000, 1, 4)
+    v = states[:, -1, 0].var(ddof=1)
     want = (1.0 - math.exp(-2.0 * A1)) / (2.0 * A1)
     stderr = want * math.sqrt(2.0 / 3999)
     assert abs(v - want) < 4.0 * stderr
 
 
 def test_simulate_without_noise_decays_exactly():
-    cfg = ou_config(n_modes=3, T=0.5)
+    cfg = ou_config(n_modes=3)
     x0 = np.array([1.0, -2.0, 0.5])
-    ens = simulate(cfg, x0, seed=0, disable_noise=True, record_every=500)
+    states = simulate(cfg, x0, [0.5], seed=0, disable_noise=True)
     want = x0 * np.exp(-cfg.rates * 0.5)
-    assert np.allclose(ens.states[0, -1], want, rtol=1e-10, atol=0)
+    assert np.allclose(states[0, -1], want, rtol=1e-10, atol=0)
 
 
 def test_simulate_deterministic_under_seed():
-    cfg = SpdeConfig(n_modes=2, dt=1e-3, T=0.1, p_coeffs=CUBIC)
-    a = simulate(cfg, np.array([0.3, -0.1]), seed=42, n_paths=3)
-    b = simulate(cfg, np.array([0.3, -0.1]), seed=42, n_paths=3)
-    assert np.array_equal(a.states, b.states)
-    c = simulate(cfg, np.array([0.3, -0.1]), seed=43, n_paths=3)
-    assert not np.array_equal(a.states, c.states)
+    cfg = SpdeConfig(n_modes=2, dt=1e-3, p_coeffs=CUBIC)
+    times = path_times(cfg, 0.1)
+    a = simulate(cfg, np.array([0.3, -0.1]), times, seed=42, n_paths=3)
+    b = simulate(cfg, np.array([0.3, -0.1]), times, seed=42, n_paths=3)
+    assert np.array_equal(a, b)
+    c = simulate(cfg, np.array([0.3, -0.1]), times, seed=43, n_paths=3)
+    assert not np.array_equal(a, c)
 
 
 def test_simulate_flags_blowup():
-    cfg = ou_config(n_modes=1, T=0.1)
+    cfg = ou_config(n_modes=1)
     with pytest.raises(BlowUpError):
-        simulate(cfg, np.array([2e6]), seed=0, disable_noise=True)
+        simulate(cfg, np.array([2e6]), [0.1], seed=0, disable_noise=True)
 
 
 def test_simulate_flags_nan_state_with_its_step():
-    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC)
+    cfg = SpdeConfig(n_modes=2, dt=1e-2, p_coeffs=CUBIC)
     with pytest.raises(BlowUpError, match="at step 1 "):
-        simulate(cfg, np.array([np.nan, 0.0]), seed=1)
+        simulate(cfg, np.array([np.nan, 0.0]), [0.05], seed=1)
 
 
 def test_derivative_flow_ou_is_exponential_decay():
-    cfg = ou_config(n_modes=3, T=0.2)
-    ens = simulate(cfg, np.zeros(3), seed=1, n_paths=2)
+    cfg = ou_config(n_modes=3)
+    states = simulate(cfg, np.zeros(3), path_times(cfg, 0.2), seed=1, n_paths=2)
     h = np.array([1.0, 0.5, -0.25])
-    etas = derivative_flow(cfg, ens.states, h)
+    etas = derivative_flow(cfg, states, h)
     want = h * np.exp(-cfg.rates * 0.2)
     assert np.allclose(etas[:, -1], want, rtol=1e-10)
 
 
 def test_derivative_flow_contracts_with_reaction():
-    cfg = SpdeConfig(n_modes=4, dt=1e-3, T=0.2, p_coeffs=CUBIC)
-    ens = simulate(cfg, np.full(4, 0.4), seed=2, n_paths=4)
+    cfg = SpdeConfig(n_modes=4, dt=1e-3, p_coeffs=CUBIC)
+    states = simulate(cfg, np.full(4, 0.4), path_times(cfg, 0.2), seed=2, n_paths=4)
     h = np.array([1.0, 0.0, 0.0, 0.0])
-    etas = derivative_flow(cfg, ens.states, h)
+    etas = derivative_flow(cfg, states, h)
     norms = np.sqrt((etas ** 2).sum(axis=2))
     assert np.all(norms <= 1.0 + 1e-8)
     assert np.all(np.diff(norms, axis=1) <= 1e-10)
 
 
 def test_derivative_flow_flags_nan_path_with_its_step():
-    cfg = SpdeConfig(n_modes=2, dt=1e-2, T=0.05, p_coeffs=CUBIC)
-    states = simulate(cfg, np.array([0.3, -0.1]), seed=1, n_paths=2).states.copy()
+    cfg = SpdeConfig(n_modes=2, dt=1e-2, p_coeffs=CUBIC)
+    states = simulate(cfg, np.array([0.3, -0.1]), path_times(cfg, 0.05), seed=1, n_paths=2)
     states[1, 2, 0] = np.nan
     with pytest.raises(SchemeError, match="at step 3:"):
         derivative_flow(cfg, states, np.array([1.0, 0.0]))
@@ -222,7 +227,7 @@ def test_commutator_identity_probe_ou():
 
 
 def test_decay_curve_on_cubic_reaction():
-    cfg = SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=CUBIC)
+    cfg = SpdeConfig(n_modes=4, dt=2e-3, p_coeffs=CUBIC)
     u = catalog.build_cylinder("mode1_soft")
     rep = commutator_decay_curve(cfg, u, constant_field([0.1]), [0.5, 0.2, 0.1, 0.05, 0.02], 200, 10, seed=12)
     eps_order = [eps for eps, _ in rep.estimates]
@@ -247,7 +252,7 @@ def test_observable_gradients_match_central_differences(name, args):
 
 
 def test_decay_curve_worker_count_does_not_change_results():
-    cfg = SpdeConfig(n_modes=2, dt=2e-3, T=0.1, p_coeffs=CUBIC)
+    cfg = SpdeConfig(n_modes=2, dt=2e-3, p_coeffs=CUBIC)
     u = catalog.build_cylinder("mode1_soft")
     a = commutator_decay_curve(cfg, u, constant_field([0.1]), [0.1, 0.02], 50, 6, seed=3, workers=1)
     b = commutator_decay_curve(cfg, u, constant_field([0.1]), [0.1, 0.02], 50, 6, seed=3, workers=4)
@@ -313,10 +318,10 @@ def test_bdg_degenerate_and_validation():
 RTOL = 1e-12
 
 STEP_CONFIGS = {
-    "ou": SpdeConfig(n_modes=3, dt=1e-2, T=0.2),
-    "cubic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=CUBIC),
-    "quintic": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, p_coeffs=QUINTIC),
-    "ou-b": SpdeConfig(n_modes=3, dt=1e-2, T=0.2, B_diag=(0.5, 1.0, 3.0)),
+    "ou": SpdeConfig(n_modes=3, dt=1e-2),
+    "cubic": SpdeConfig(n_modes=3, dt=1e-2, p_coeffs=CUBIC),
+    "quintic": SpdeConfig(n_modes=3, dt=1e-2, p_coeffs=QUINTIC),
+    "ou-b": SpdeConfig(n_modes=3, dt=1e-2, B_diag=(0.5, 1.0, 3.0)),
 }
 
 
@@ -375,11 +380,28 @@ def ref_path(cfg, X, n, rng, h=None, noise=True):
 def test_simulate_matches_reference_loop(name, noise):
     cfg = STEP_CONFIGS[name]
     x0 = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, -0.4]])
-    ens = simulate(cfg, x0, seed=11, record_every=3, disable_noise=not noise)
+    got = simulate(cfg, x0, [0.0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.2], seed=11, disable_noise=not noise)
     states, _ = ref_path(cfg, x0, 20, as_rng(11, "spde", "simulate"), noise=noise)
     want = np.stack([x0] + [states[k - 1] for k in (3, 6, 9, 12, 15, 18, 20)], axis=1)
-    assert_matches(cfg, ens.states, want)
-    assert np.array_equal(ens.times, [0.0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.2])
+    assert_matches(cfg, got, want)
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_simulate_takes_unsorted_repeated_and_zero_times(name):
+    """Each time gets its state, in the order given: a repeated time twice,
+    time 0 the start itself, and the path runs once to the largest time."""
+    cfg = STEP_CONFIGS[name]
+    x0 = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, -0.4]])
+    times = [0.2, 0.0, 0.05, 0.2, 0.0, 0.12]
+    got = simulate(cfg, x0, times, seed=11)
+    states, _ = ref_path(cfg, x0, 20, as_rng(11, "spde", "simulate"))
+    want = np.stack([x0 if t == 0 else states[round(t / cfg.dt) - 1] for t in times], axis=1)
+    assert_matches(cfg, got, want)
+    snaps = [i for i, _, _ in spde._snapshots(cfg, x0, times, as_rng(11, "spde", "simulate"))]
+    assert snaps == [1, 4, 2, 5, 0, 3]  # step order, and the order of times within a step
+    assert np.array_equal(simulate(cfg, x0, [0.0, 0.0], seed=11), np.stack([x0, x0], axis=1))
+    with pytest.raises(ValueError):
+        simulate(cfg, x0, [0.05, 0.015], seed=11)
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
@@ -396,14 +418,14 @@ def test_sample_invariant_matches_reference_loop(name):
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
 def test_derivative_flow_matches_reference_loop(name):
     cfg = STEP_CONFIGS[name]
-    ens = simulate(cfg, np.full(3, 0.4), seed=2, n_paths=3)
+    states = simulate(cfg, np.full(3, 0.4), path_times(cfg, 0.2), seed=2, n_paths=3)
     h = np.array([1.0, -0.5, 0.25])
-    etas = derivative_flow(cfg, ens.states, h)
+    etas = derivative_flow(cfg, states, h)
     ema = np.exp(-cfg.rates * cfg.dt)
     E = basis_matrix(cfg.n_modes, cfg.grid) if cfg.has_reaction else None
     eta = np.broadcast_to(h, (3, 3)).copy()
-    for k in range(1, ens.states.shape[1]):
-        eta = ref_eta_step(cfg, eta, ens.states[:, k - 1], ema, E)
+    for k in range(1, states.shape[1]):
+        eta = ref_eta_step(cfg, eta, states[:, k - 1], ema, E)
         assert_matches(cfg, etas[:, k], eta)
 
 
@@ -455,7 +477,7 @@ def test_v_norm_matches_reference_loop(name):
     "cfg, rows",
     [(cfg, 5) for cfg in STEP_CONFIGS.values()]
     # the commutator benchmark's shape: 4 modes, 2000 rows
-    + [(SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC), 2000)],
+    + [(SpdeConfig(n_modes=4, dt=2e-3, p_coeffs=CUBIC), 2000)],
     ids=[*STEP_CONFIGS, "benchmark-shape"],
 )
 def test_steps_yield_fresh_arrays_that_match_reference_loop(cfg, rows):
@@ -514,9 +536,9 @@ def same_bits(got, want):
     "cfg, rows",
     [
         # the commutator benchmark's shape: 4 modes, 2000 rows, 17 nodes
-        (SpdeConfig(n_modes=4, dt=2e-3, T=0.04, p_coeffs=CUBIC), 2000),
+        (SpdeConfig(n_modes=4, dt=2e-3, p_coeffs=CUBIC), 2000),
         # at least 8 modes, where numpy's sum(axis=1) is pairwise, and B != 1
-        (SpdeConfig(n_modes=9, dt=1e-2, T=0.2, B_diag=tuple(np.linspace(0.5, 3.0, 9)), p_coeffs=CUBIC), 40),
+        (SpdeConfig(n_modes=9, dt=1e-2, B_diag=tuple(np.linspace(0.5, 3.0, 9)), p_coeffs=CUBIC), 40),
         (STEP_CONFIGS["quintic"], 40),
         (STEP_CONFIGS["ou-b"], 40),
     ],
@@ -557,7 +579,7 @@ def test_invariant_sampler_needs_two_draws_per_half():
 
 
 def test_bel_gradient_flags_blowup_with_its_step():
-    cfg = ou_config(n_modes=1, T=0.1)
+    cfg = ou_config(n_modes=1)
     u = x1_observable()
     with pytest.raises(BlowUpError, match="at step 1 "):
         bel_gradient(cfg, u.value, np.array([2e6]), np.array([1.0]), 0.1, 4, seed=0)
@@ -602,7 +624,7 @@ def ref_projection(values, n_modes):
 @pytest.mark.parametrize("p_coeffs", [CUBIC, QUINTIC], ids=["cubic", "quintic"])
 @pytest.mark.parametrize("n_modes", [1, 2, 4, 32])
 def test_drift_is_exact_on_the_reaction_grid(n_modes, p_coeffs):
-    cfg = SpdeConfig(n_modes=n_modes, dt=1e-3, T=1.0, p_coeffs=p_coeffs)
+    cfg = SpdeConfig(n_modes=n_modes, dt=1e-3, p_coeffs=p_coeffs)
     d = len(p_coeffs) - 1
     assert cfg.grid.rule == "uniform-midpoint" and cfg.grid.n_nodes == (d + 1) * n_modes + 1
     p = np.polynomial.Polynomial(p_coeffs)
@@ -621,7 +643,7 @@ def test_drift_is_exact_on_the_reaction_grid(n_modes, p_coeffs):
 @pytest.mark.parametrize("n_modes, dt", [(4, 2e-3), (32, 1e-3)], ids=["commutator-workload", "c08"])
 def test_eta_projection_matches_fine_reference(n_modes, dt):
     """exp(dt p'(U)) is not a polynomial: the grid's spare degree is measured here."""
-    cfg = SpdeConfig(n_modes=n_modes, dt=dt, T=1.0, p_coeffs=CUBIC)
+    cfg = SpdeConfig(n_modes=n_modes, dt=dt, p_coeffs=CUBIC)
     rng = as_rng(4, "eta")
     # the OU invariant scale, which bounds the cubic reaction's
     X = rng.normal(size=(64, n_modes)) * np.sqrt(0.5 / cfg.rates)
@@ -637,7 +659,7 @@ def test_invariant_sampler_reports_a_nonstationary_chain():
     """Seed 73 is one of 4 in 1..1000 whose base-point chain at the commutator
     workload's shape fails the 3-sigma halves test; the sampler returns the
     report instead of raising."""
-    cfg = SpdeConfig(n_modes=4, dt=2e-3, T=0.5, p_coeffs=CUBIC)
+    cfg = SpdeConfig(n_modes=4, dt=2e-3, p_coeffs=CUBIC)
     samples, rep = sample_invariant(cfg, 304, 20, 51, as_rng(73, "spde", "curve-outer"))
     assert samples.shape == (20, 4) and np.all(np.isfinite(samples))
     assert not rep.stationary

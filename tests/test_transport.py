@@ -191,28 +191,6 @@ def test_pde_residual_validates_time_step():
         pde_residual(sol, 0.0, np.array([0.1]))
 
 
-def test_solve_caches_table_and_writes_csv(tmp_path):
-    m, slc = slice_for(1)
-    pts = np.linspace(-0.6, 0.6, 9)[:, None]
-    sol = solve(
-        bump_density([0.0], [0.5]),
-        fields.constant_field([0.1]),
-        slc,
-        FlowConfig(dt_ode=1e-3, T=0.5),
-        time_grid=(0.0, 0.25, 0.5),
-        eval_points=pts,
-    )
-    assert len(sol.table) == 3
-    assert sol.N == 1
-    path = tmp_path / "density.csv"
-    sol.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x1,rho"
-    assert len(lines) == 1 + 3 * 9
-    t, x, r = lines[1].split(",")
-    assert float(t) == 0.0 and float(r) == pytest.approx(sol.table[0][2][0])
-
-
 def test_ladder_reference_uses_its_log_gradient():
     m, slc = slice_for(1)
     lad = measures.ladder(slc, M=8, l=16)
@@ -244,9 +222,9 @@ def test_slices_and_ladders_read_alike(kind):
     assert np.allclose(ref.beta(X), want, rtol=1e-12, atol=0.0)
     # solve reads N from the reference
     rho0, fld, cfg = bump_density([0.0, 0.0], [0.5, 0.5]), fields.constant_field([0.1, -0.1]), FlowConfig(1e-2, 0.2)
-    sol = solve(rho0, fld, ref, cfg, time_grid=[0.1], eval_points=X)
+    sol = solve(rho0, fld, ref, cfg)
     assert sol.N == 2
-    assert np.array_equal(sol.table[0][2], feynman_kac(TransportSolution(rho0, fld, ref, cfg, 2), 0.1, X))
+    assert np.array_equal(feynman_kac_many(sol, [0.1], X)[0], feynman_kac(TransportSolution(rho0, fld, ref, cfg, 2), 0.1, X))
 
 
 def _feynman_kac_reference(solution, t, X):
