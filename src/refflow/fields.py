@@ -8,7 +8,8 @@ itself (analytic in every field the catalog builds). A NemytskiiField (a
 bounded scalar reaction composed pointwise, then smoothed by (-A)^{-1})
 holds only its data; it is always evaluated as its Galerkin projection
 galerkin(nem, level), which at level n_modes is the whole field on the
-n_modes-mode space. The operators divergence and dstar implement div F and
+n_modes-mode space, on a Gauss-Legendre grid sized by each row's radius.
+The operators divergence and dstar implement div F and
 D*F = -div F - sum_i f_i beta_{e_i}, where beta is a reference's
 log-gradient: a slice's (exact) or a ladder density's; dstar_rows evaluates
 D*F under several betas at once, together with the field rows.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import measures
 from .rng import as_rng
-from .spectral import Grid, basis_matrix, eigenvalue
+from .spectral import Grid, basis_matrix, eigenvalue, fewest_nodes, radius_class
 
 try:
     from numpy import trapezoid as _trapezoid
@@ -115,42 +116,91 @@ class NemytskiiField:
     n_modes: int
 
 
-# Gauss-Legendre nodes of a one-mode projection, whose integrands are analytic
-# in the one coordinate: against 512 nodes, 64 give the catalog reactions'
-# components within 5.6e-15 relative for |x_1| <= 5, 1.2e-13 at 10 and
-# 3.1e-11 at 20
-LEVEL1_NODES = 64
+def _operators(level, grid):
+    """(E, projection, div weights) of a level-`level` projection on grid: the
+    basis rows, the weights and 1/alpha_i folded into one (nodes, level)
+    matrix, and the div F weights w sum_i e_i^2 / alpha_i.
+
+    At level 1 both integrands are symmetric about xi = 1/2, as e_1 is, so the
+    grid (of an even node count, as every ladder rung is) keeps the nodes
+    below 1/2 with doubled weights: half the reaction calls for the same sums.
+    """
+    if level == 1:
+        half = grid.n_nodes // 2
+        grid = Grid(grid.nodes[:half], 2.0 * grid.weights[:half], rule=f"{grid.rule}-folded")
+    E = basis_matrix(level, grid)
+    inv_alpha = 1.0 / eigenvalue(np.arange(1, level + 1))
+    return E, (E * grid.weights).T * inv_alpha, grid.weights * (inv_alpha @ E ** 2)
+
+
+def _project(reaction, operators, X, div):
+    """The component rows of the projection of reaction on the first
+    E.shape[0] coordinates of X, and div F if div (else None).
+
+    Every operation is one numpy loop with a fixed order per row: the grid
+    values are accumulated one coordinate at a time, and the einsum products
+    sum each row's nodes in order. A BLAS product picks its kernel by the row
+    count, and its rows round differently for 1, 2 or 100 rows; here a row's
+    value never depends on the rows evaluated with it.
+    """
+    E, proj, div_weights = operators
+    U = X[:, :1] * E[0]
+    for i in range(1, E.shape[0]):
+        U += X[:, i:i + 1] * E[i]
+    rows = np.einsum("rj,ji->ri", reaction.fn(U), proj)
+    return rows, (np.einsum("rj,j->r", reaction.deriv(U), div_weights) if div else None)
+
+
+def galerkin_nodes(reaction, level, radius):
+    """The Gauss-Legendre nodes spectral.fewest_nodes picks for the
+    level-`level` projection of reaction at state radius `radius`, judged on
+    its components and div F."""
+    return fewest_nodes(lambda grid, X: _project(reaction, _operators(level, grid), X, True), level, radius)
 
 
 def galerkin(nem, level):
     """Project a NemytskiiField to its first `level` modes on both sides, the
-    one evaluation of a Nemytskii field; level n_modes is the whole field,
-    on LEVEL1_NODES Gauss-Legendre nodes for one mode, else on
-    measures.SLICE_GRID_NODES.
+    one evaluation of a Nemytskii field; level n_modes is the whole field.
 
     Component i (i <= level) is alpha_i^{-1} int e_i f((P_level x)(xi)) dxi,
     a smooth cylinder in the first `level` coordinates, and div F is
-    int f'(P_level x) sum_i e_i^2 / alpha_i dxi. With the weights and the
-    alpha_i folded into one projection matrix and one divergence vector, an
-    evaluation synthesizes the grid values once, calls the reaction once and
-    makes one product; div F calls the derivative once and makes one more.
+    int f'(P_level x) sum_i e_i^2 / alpha_i dxi. A row x is integrated on the
+    grid of its radius class (spectral.radius_class of |P_level x|^2), with
+    galerkin_nodes(reaction, level, 2^class) nodes; each class's operators
+    are built on its first evaluation. A batch whose entries all satisfy
+    |x_i|^2 level < 1 is all in class 0 and makes one evaluation; any other
+    batch is split by class and scattered back, so a row's value depends only
+    on the row.
     """
     if not 1 <= level <= nem.n_modes:
         raise ValueError(f"galerkin level {level} is not in 1..n_modes={nem.n_modes}")
-    grid = Grid.gauss_legendre(LEVEL1_NODES if level == 1 else measures.SLICE_GRID_NODES)
-    E = basis_matrix(level, grid)
     reaction = nem.reaction
     inv_alpha = 1.0 / eigenvalue(np.arange(1, level + 1))
-    proj = (E * grid.weights).T * inv_alpha  # (nodes, level)
-    div_weights = grid.weights * (inv_alpha @ E ** 2)  # (nodes,)
     # |f_i| <= bound * int |e_i| / alpha_i; int_0^1 |sqrt2 sin(i pi xi)| = 2 sqrt2 / pi
     comp_bounds = reaction.bound * (2.0 * math.sqrt(2.0) / math.pi) * inv_alpha
+    by_class = {}
+    # below this, |x|^2 <= level max_i x_i^2 stays below 1 after rounding
+    class0_top = (1.0 - 1e-9) / level
+
+    def operators(k):
+        ops = by_class.get(k)
+        if ops is None:
+            ops = by_class[k] = _operators(level, Grid.gauss_legendre(galerkin_nodes(reaction, level, 2.0 ** k)))
+        return ops
 
     def evaluate(t, X, div):
-        # a one-coordinate state as a broadcast: each grid value is a single
-        # product, so it equals the BLAS product bit for bit, without the call
-        U = X[:, :1] * E[0] if level == 1 else X[:, :level] @ E
-        return reaction.fn(U) @ proj, (reaction.deriv(U) @ div_weights if div else None)
+        X = X[:, :level]
+        top = np.abs(X).max(initial=0.0)
+        if top * top <= class0_top:
+            return _project(reaction, operators(0), X, div)
+        classes = radius_class(np.einsum("ri,ri->r", X, X))
+        rows, d = np.empty((X.shape[0], level)), (np.empty(X.shape[0]) if div else None)
+        for k in np.unique(classes):
+            at = np.flatnonzero(classes == k)
+            rows[at], d_k = _project(reaction, operators(int(k)), X[at], div)
+            if div:
+                d[at] = d_k
+        return rows, d
 
     return CylindricalField(evaluate, tuple(float(b) for b in comp_bounds), name=f"{reaction.name}_galerkin{level}")
 

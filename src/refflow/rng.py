@@ -13,7 +13,6 @@ Estimate record: the mean, its standard error and the number of values.
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +42,9 @@ def map_units(fn, units, workers=1):
     """
     if workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
+    # imported here: the pool costs every run's import 4-6 ms, and only this path uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .rng import Estimate, as_rng, estimate, map_units
 from .spectral import basis_matrix, eigenvalue, exact_midpoint_grid, simpson_weights
-from .transport import _whole_steps
+from .transport import StepMismatchError, _whole_steps
 
 
 class BlowUpError(FloatingPointError):
@@ -599,10 +599,18 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
     B_eps(u,h) = int_0^eps P_{eps-s}[ <A h + Dp(.) h, D P_s u> ](x) ds
     (OU check: u = x_1, h = e_1 gives both sides e^{-a_1 eps} - 1). Both sides
     are estimated by nested Monte Carlo at the origin; returns
-    (lhs, rhs, lhs stderr).
+    (lhs, rhs, lhs stderr). An odd n_simpson is raised by one; eps / n_simpson
+    must be a whole number of dt steps, which is checked before any path is
+    simulated.
     """
     if n_simpson % 2 == 1:
         n_simpson += 1
+    try:
+        config.n_steps(eps / n_simpson)
+    except StepMismatchError:
+        raise ValueError(
+            f"the Simpson interval eps / n_simpson = {eps} / {n_simpson} is not a whole number of dt={config.dt} steps"
+        ) from None
     x0 = np.zeros(config.n_modes)
     h = np.asarray(h, dtype=float)
     from .fields import constant_field

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refflow import catalog, fields, measures
-from refflow.spectral import Grid, basis_matrix
+from refflow.spectral import NODE_LADDER, Grid, basis_matrix, radius_class
 from refflow.fields import (
     DeltaTooLargeError,
     NemytskiiField,
@@ -99,6 +99,9 @@ def test_nemytskii_divergence_matches_finite_differences(level, spec):
         Xp[:, i] += eps
         Xm = X.copy()
         Xm[:, i] -= eps
+        # a difference across a radius class boundary would mix two grids
+        for Y in (Xp, Xm):
+            assert np.array_equal(radius_class_of(Y, level), radius_class_of(X, level))
         d_fd += (field.value(0.0, Xp)[:, i] - field.value(0.0, Xm)[:, i]) / (2 * eps)
     assert np.max(np.abs(d - d_fd)) < 1e-9
 
@@ -170,11 +173,18 @@ def test_dstar_rows_is_dstar_under_each_oracle():
 
 
 ROW_COUNTS = (1, 7, 256, 1000)
-# a Galerkin evaluation folds the weights and 1/alpha_i into its projections,
-# and a one-mode projection runs on LEVEL1_NODES nodes: against the written-out
-# 128-node formula it moves by rounding (at most 8.4e-15 of the largest
-# entry, measured on these states)
-GALERKIN_RTOL = 2e-14
+# a Galerkin evaluation folds the weights and 1/alpha_i into its projections
+# and runs on the grid of each row's radius class: against the written-out
+# 1024-node formula it moves by rounding (at most 2.6e-14 of the largest
+# entry, measured on these states; the 128-node formula is itself off by
+# 2.2e-11 at level 2 and 2.8e-9 at level 3 here)
+GALERKIN_RTOL = 5e-14
+REFERENCE_NODES = 1024
+
+
+def radius_class_of(X, level):
+    """The radius class of each row's first `level` coordinates."""
+    return radius_class((np.asarray(X)[:, :level] ** 2).sum(axis=1))
 
 
 def _one_evaluation_cases():
@@ -182,7 +192,8 @@ def _one_evaluation_cases():
     constant field, on 3 modes; exact if the two must agree bit for bit."""
     nem = arctan_field(3)
     coeffs = [0.1, -0.4, 0.25]
-    return [(galerkin(nem, level), galerkin_components(nem, level), False) for level in (1, 2, 3)] + [
+    grid = Grid.gauss_legendre(REFERENCE_NODES)
+    return [(galerkin(nem, level), galerkin_components(nem, level, grid), False) for level in (1, 2, 3)] + [
         (constant_field(coeffs), constant_components(coeffs), True)
     ]
 
@@ -235,10 +246,9 @@ def test_dstar_rows_is_the_per_component_formula_under_two_oracles(case, rows):
 
 # |x_1| bound -> largest relative miss of the one-mode projection's components
 # (entrywise) and div F (of its largest value) against the written-out
-# 128-node formula, measured for both catalog reactions: 8.4e-15 and 8.3e-15
-# to 5, 1.2e-13 and 2.7e-13 to 10, 3.1e-11 and 6.8e-11 to 20 (cubic_sat; a
-# 512-node formula gives the same misses, so they are the 64-node rule's)
-LEVEL1_BOUNDS = {5.0: 2e-14, 10.0: 5e-13, 20.0: 1e-10}
+# 128-node formula, measured for both catalog reactions: at most 1.1e-14 to
+# 5, 10 and 20 (the 128-node formula is within 2e-14 of 1024 nodes there)
+LEVEL1_BOUNDS = {5.0: 2e-14, 10.0: 2e-14, 20.0: 2e-14}
 
 
 @pytest.mark.parametrize("reaction", ["neg_arctan", "cubic_sat"])
@@ -255,11 +265,65 @@ def test_one_mode_projection_on_its_grid_is_the_128_node_formula(reaction, radiu
     assert np.max(np.abs(got_div - want_div)) <= LEVEL1_BOUNDS[radius] * np.max(np.abs(want_div))
 
 
+# the largest miss against 1024 nodes, relative to the largest component and
+# div F of each radius class, measured for both catalog reactions: 2.1e-14
+# at level 1 to |x| = 20, 2.6e-14 at level 2 to |x| = 5
+STATE_SIZED_RTOL = 1e-12
+
+
+def _rings(level, top):
+    """States in `level` coordinates from near 0 to |x| = top: a line at
+    level 1, 50 circles of 48 points at level 2."""
+    if level == 1:
+        return np.linspace(-top, top, 4001)[:, None]
+    r = np.linspace(0.05, top, 50)[:, None]
+    angle = np.linspace(0.0, 2.0 * np.pi, 49)[:-1]
+    return np.stack([(r * np.cos(angle)).ravel(), (r * np.sin(angle)).ravel()], axis=-1)
+
+
+@pytest.mark.parametrize("reaction", ["neg_arctan", "cubic_sat"])
+@pytest.mark.parametrize("level, top", [(1, 20.0), (2, 5.0)])
+def test_projection_is_within_1e_12_of_1024_nodes_in_every_radius_class(reaction, level, top):
+    nem = NemytskiiField(reaction=catalog.SCALAR_REACTIONS[reaction].build(), n_modes=2)
+    X = _rings(level, top)
+    want_rows, want_div = component_rows(galerkin_components(nem, level, Grid.gauss_legendre(REFERENCE_NODES)), 0.0, X)
+    got_rows, got_div = galerkin(nem, level).value_and_divergence(0.0, X)
+    classes = radius_class_of(X, level)
+    assert classes.max() == int(np.ceil(np.log2(top)))
+    for k in np.unique(classes):
+        at = classes == k
+        assert np.max(np.abs(got_rows[at] - want_rows[at])) <= STATE_SIZED_RTOL * np.max(np.abs(want_rows[at]))
+        assert np.max(np.abs(got_div[at] - want_div[at])) <= STATE_SIZED_RTOL * np.max(np.abs(want_div[at]))
+
+
+@pytest.mark.parametrize("reaction", ["neg_arctan", "cubic_sat"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_row_alone_is_the_row_in_a_mixed_class_batch(reaction, level):
+    nem = NemytskiiField(reaction=catalog.SCALAR_REACTIONS[reaction].build(), n_modes=3)
+    field = galerkin(nem, level)
+    rng = np.random.default_rng(10 + level)
+    d = rng.normal(size=(60, 3))
+    X = d / np.linalg.norm(d[:, :level], axis=1, keepdims=True) * 2.0 ** rng.uniform(-3.0, 5.0, size=(60, 1))
+    # a row at max |x_i| sqrt(level) = 1, the edge of the one-product check
+    X[0, :level] = 1.0 / np.sqrt(level)
+    assert len(np.unique(radius_class_of(X, level))) >= 5
+    rows, div = field.value_and_divergence(0.0, X)
+    for i in range(len(X)):
+        row, d_i = field.value_and_divergence(0.0, X[i:i + 1])
+        assert np.array_equal(row[0], rows[i]) and d_i[0] == div[i]
+    # a batch of class-0 rows alone takes the one-product path
+    small = np.flatnonzero(np.abs(X[:, :level]).max(axis=1) * np.sqrt(level) < 1.0)
+    assert len(small) >= 2
+    got_rows, got_div = field.value_and_divergence(0.0, X[small])
+    assert np.array_equal(got_rows, rows[small]) and np.array_equal(got_div, div[small])
+
+
 @pytest.mark.parametrize("rows", ROW_COUNTS + (8448,))
 def test_rank_one_synthesis_broadcast_is_the_blas_product(rows):
-    E = basis_matrix(1, Grid.gauss_legendre(fields.LEVEL1_NODES))
     X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 2))
-    assert np.array_equal(X[:, :1] * E[0], X[:, :1] @ E)
+    for n in NODE_LADDER[:-1]:
+        E = basis_matrix(1, Grid.gauss_legendre(n))
+        assert np.array_equal(X[:, :1] * E[0], X[:, :1] @ E)
 
 
 def test_claims_probe_bounded_and_stable():

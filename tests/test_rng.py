@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -25,3 +29,12 @@ def test_inconclusive_is_a_stderr_above_half_the_magnitude():
         assert Estimate(est, 1.001, 10).inconclusive
     assert not Estimate(0.0, 0.0, 10).inconclusive
     assert Estimate(0.0, 1e-300, 10).inconclusive
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unimported():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, refflow.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

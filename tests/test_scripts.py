@@ -50,3 +50,13 @@ def test_compare_reports_prints_what_moved_beyond_the_tolerance(tmp_path):
     assert lines[2] == "verify_suite_1d/report.json.verdicts.weak: 'pass' -> 'fail'"
     strict = run_script("compare_reports.py", str(tmp_path / "a"), str(tmp_path / "b"), "--rtol", "0", "--atol", "0")
     assert strict.returncode == 1 and "residual" in strict.stdout
+
+
+def test_quadrature_table_misses_stay_within_the_gate_below_the_cap():
+    proc = run_script("quadrature_table.py", "--levels", "1", "2", "--max-radius", "4")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()[2:]]
+    # two reactions, two levels, radius classes 1, 2 and 4
+    assert len(lines) == 12 and all(len(cols) == 5 for cols in lines)
+    assert {cols[0] for cols in lines} == {"neg_arctan", "cubic_sat"}
+    assert all(float(cols[4]) <= 1e-12 for cols in lines)

@@ -224,6 +224,20 @@ def test_commutator_identity_probe_ou():
     )
     assert abs(lhs - rhs) < 4.0 * se + 0.01
     assert abs(lhs - (EXP_01 - 1.0)) < 5.0 * se + 0.01
+    # the values before the Simpson interval was checked up front
+    assert (lhs, rhs, se) == pytest.approx((-0.6405503885869108, -0.6381686487674214, 0.006243924843151056), rel=1e-12)
+
+
+def test_commutator_identity_probe_checks_the_simpson_interval_before_any_path(monkeypatch):
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(spde, "commutator", no_path)
+    monkeypatch.setattr(spde, "simulate", no_path)
+    # 0.1 / 6 is not a whole number of 1e-3 steps; 5 is raised to 6
+    for n_simpson in (5, 6):
+        with pytest.raises(ValueError, match=r"eps / n_simpson = 0\.1 / 6 is not a whole number of dt=0\.001 steps"):
+            commutator_identity_probe(ou_config(), x1_observable(), np.array([1.0]), 0.1, 40, 200, n_simpson, seed=2)
 
 
 def test_decay_curve_on_cubic_reaction():

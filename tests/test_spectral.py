@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refflow.spectral import (
+    NODE_LADDER,
     Grid,
     InvalidDataError,
     InvalidIndexError,
     basis_matrix,
     eigenvalue,
+    fewest_nodes,
+    probe_states,
+    radius_class,
     simpson_weights,
     synthesize,
 )
@@ -107,3 +111,36 @@ def test_simpson_weights_integrate_cubics_exactly():
     for bad in (0, 3):
         with pytest.raises(ValueError):
             simpson_weights(bad)
+
+
+def test_radius_classes_are_powers_of_two_closed_above():
+    r = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.0000001, 4.0, 7.9, 8.0, 8.1, 32.0])
+    assert radius_class(r ** 2).tolist() == [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5]
+
+
+def test_probe_states_have_the_radius_and_fixed_directions():
+    assert probe_states(1, 4.0).tolist() == [[4.0], [-4.0]]
+    for dim in (2, 3):
+        X = probe_states(dim, 2.0)
+        assert np.allclose(np.linalg.norm(X, axis=1), 2.0, rtol=1e-15)
+        assert np.array_equal(X, 2.0 * probe_states(dim, 1.0))
+
+
+def test_fewest_nodes_picks_the_first_rung_that_agrees_two_steps_up():
+    def polynomial(grid, X):
+        # int_0^1 xi^3 x dxi, which 8 nodes integrate exactly
+        return [X[:, 0] * ((grid.nodes ** 3) @ grid.weights)]
+
+    assert fewest_nodes(polynomial, 1, 1.0) == NODE_LADDER[0]
+    asked = []
+
+    def needs(n):
+        # agrees with every finer rung from n nodes on, and differs below it
+        def values(grid, X):
+            asked.append(grid.n_nodes)
+            return [np.full(len(X), 1.0 if grid.n_nodes >= n else 1.0 + 1.0 / grid.n_nodes)]
+        return values
+
+    assert fewest_nodes(needs(96), 2, 3.0) == 96
+    assert max(asked) == 192  # never a rung beyond the one two steps up
+    assert fewest_nodes(needs(2048), 1, 1.0) == NODE_LADDER[-2]  # the cap
