@@ -5,9 +5,11 @@ Usage: python scripts/golden_reports.py
 The cases are the configs under scripts/configs except the slow
 commutator_curve, and the benchmark workloads under perfbench/workloads at
 seed 1. Each case is run through the CLI; tests/golden/<case>/report.json is
-its report, and tests/golden/index.json holds its exit code and, per CSV, the
+its report, and tests/golden/index.json holds its exit code, the RK4 steps
+its transport sweeps took (calls of transport._step) and, per CSV, the
 sha256 and the number of rows below the header. A change that moves a
-reported number regenerates these files and says why.
+reported number regenerates these files and says why; so does a change that
+moves the step count.
 """
 
 import csv
@@ -18,7 +20,7 @@ import shutil
 import sys
 import tempfile
 
-from refflow import cli
+from refflow import cli, transport
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -43,6 +45,16 @@ def run(config, outdir):
     return cli.main(["run", str(path), "--output", str(outdir / "out")])
 
 
+def counted_run(config, outdir):
+    """(exit code, calls of transport._step) of run(config, outdir)."""
+    step, calls = transport._step, []
+    transport._step = lambda *args: calls.append(1) or step(*args)
+    try:
+        return run(config, outdir), len(calls)
+    finally:
+        transport._step = step
+
+
 def csv_digests(outdir):
     """{name: {"sha256", "rows"}} of the CSVs of a run's output directory."""
     out = {}
@@ -58,10 +70,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for case, config in cases().items():
             outdir = pathlib.Path(tmp) / case
-            code = run(config, outdir)
+            code, steps = counted_run(config, outdir)
             (GOLDEN / case).mkdir(parents=True, exist_ok=True)
             shutil.copyfile(outdir / "out" / "report.json", GOLDEN / case / "report.json")
-            index[case] = {"exit_code": code, "csv": csv_digests(outdir / "out")}
+            index[case] = {"exit_code": code, "rk4_steps": steps, "csv": csv_digests(outdir / "out")}
     (GOLDEN / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     return 0
 

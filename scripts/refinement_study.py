@@ -18,7 +18,7 @@ from refflow import catalog, transport, verify
 
 def study(spec, outdir):
     _, ref, field, rho0, config, u = catalog.build_problem(spec)
-    sol = transport.solve(rho0, field, ref, config, N=int(spec["N"]))
+    sol = transport.solve(rho0, field, ref, config)
     if sol.N == 1:
         levels = [(4, 12), (10, 24), (20, 40), (50, 80), (100, 128)]
     else:

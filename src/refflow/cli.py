@@ -235,7 +235,7 @@ def run_gibbs_sample(params, seed, workers, outdir):
 def run_transport_solve(params, seed, workers, outdir):
     config, reference = catalog.flow(params)
     N, times = params["N"], params["times"]
-    sol = transport.solve(params["rho0"], params["field"], reference, config, N=N)
+    sol = transport.solve(params["rho0"], params["field"], reference, config)
     R = sol.support_radius if params["eval_radius"] is None else params["eval_radius"]
     axes = [np.linspace(-R, R, params["eval_per_axis"])] * N
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -243,7 +243,7 @@ def run_transport_solve(params, seed, workers, outdir):
     rows = [[f"{t:.12g}"] + [f"{c:.12g}" for c in row] + [f"{v:.17g}"]
             for t, rho in zip(grid, transport.feynman_kac_many(sol, grid, pts)) for row, v in zip(pts, rho)]
     out_density = _write_csv(outdir, "density.csv", ["t"] + [f"x{i + 1}" for i in range(N)] + ["rho"], rows)
-    reps = [verify.mass_conservation(sol, t, n_per_axis=params["n_per_axis"]) for t in times]
+    reps = verify.mass_conservation(sol, times, n_per_axis=params["n_per_axis"])
     rows = [[_fmt(t), _fmt(rep.residual), _fmt(rep.tolerance), str(rep.passed)] for t, rep in zip(times, reps)]
     out_mass = _write_csv(outdir, "mass.csv", ["t", "relative_drift", "tolerance", "passed"], rows)
     verdicts, details = _checked([(rep.name, rep) for rep in reps])
@@ -256,7 +256,7 @@ def run_verify_suite(params, seed, workers, outdir):
         rho0, field, times, npa = (problem[k] for k in ("rho0", "field", "times", "n_per_axis"))
         sol = transport.solve(rho0, field, reference, config)
         reps = [verify.weak_residual(sol, problem["test_function"], n_time=params["n_time"], n_per_axis=npa)]
-        reps += [verify.mass_conservation(sol, t, n_per_axis=npa) for t in times]
+        reps += verify.mass_conservation(sol, times, n_per_axis=npa)
         if params["uniqueness"]:
             refs = [reference.source, measures.ladder(reference.source, 8, 16)]
             reps.append(verify.uniqueness_probe(rho0, field, refs, config, times, tol=params["uniqueness_tol"], seed=seed))
@@ -275,13 +275,13 @@ def run_entropy_audit(params, seed, workers, outdir):
     delta = params["delta"]
     if delta is None:
         delta = _at("params.field", fields_mod.delta_recipe, field, m, errors=fields_mod.UnboundedFieldError)
-    sol = transport.solve(params["rho0"], field, reference, config, N=params["N"])
+    sol = transport.solve(params["rho0"], field, reference, config)
     radius = sol.support_radius + 1.0 if params["domain_radius"] is None else params["domain_radius"]
     cf = _at(
         "params.delta", fields_mod.cf_delta, field, reference.source, delta, config.T, errors=fields_mod.DeltaTooLargeError,
         tail_samples=params["tail_samples"], seed=seed, domain_radius=radius, n_per_axis=params["cf_per_axis"],
     )
-    reps = [verify.entropy_bound_check(sol, t, delta, cf.estimate, n_per_axis=params["n_per_axis"]) for t in times]
+    reps = verify.entropy_bound_check(sol, times, delta, cf.estimate, n_per_axis=params["n_per_axis"])
     verdicts, details = _checked([(rep.name, rep) for rep in reps])
     details["cf"] = {k: getattr(cf, k) for k in ("estimate", "delta", "domain_radius", "tail_count", "max_at_grid_edge")}
     details["cf"]["per_pair"] = {f"M={M},l={l}": v for (M, l), v in sorted(cf.per_pair.items())}

@@ -225,10 +225,11 @@ class _Reaction:
     load(X) synthesizes U = X E for both the drift and the derivative-flow
     multiplier. drift() projects p(U) by the config's (E w)^T into D and
     returns D, which the next drift() overwrites; np.matmul with out= makes
-    the product that @ makes, so the bits are the same. flow(eta) returns a
-    fresh (rows x modes) array. The drift integrand and the multiplier share
-    the buffer P (drift() is done with it before flow() starts), which keeps
-    one (rows x nodes) array fewer in cache.
+    the product that @ makes, so the bits are the same. flow(eta) and
+    linearized(eta) each return a fresh (rows x modes) array. The drift
+    integrand and the multiplier share the buffer P (drift() is done with it
+    before flow() starts), which keeps one (rows x nodes) array fewer in
+    cache.
     """
 
     def __init__(self, config, rows):
@@ -251,6 +252,13 @@ class _Reaction:
         M = _horner(self.dc, self.U, self.P)
         M *= self.dt
         np.exp(M, out=M)
+        return self._projected(eta, M)
+
+    def linearized(self, eta):
+        """Project (eta E) p'(U) back onto the modes: Dp(X) eta at the loaded X."""
+        return self._projected(eta, _horner(self.dc, self.U, self.P))
+
+    def _projected(self, eta, M):
         H = np.matmul(eta, self.E, out=self.H)
         H *= M
         return H @ self.proj
@@ -599,10 +607,13 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
     B_eps(u,h) = int_0^eps P_{eps-s}[ <A h + Dp(.) h, D P_s u> ](x) ds
     (OU check: u = x_1, h = e_1 gives both sides e^{-a_1 eps} - 1). Both sides
     are estimated by nested Monte Carlo at the origin; returns
-    (lhs, rhs, lhs stderr). An odd n_simpson is raised by one; eps / n_simpson
-    must be a whole number of dt steps, which is checked before any path is
-    simulated.
+    (lhs, rhs, lhs stderr). h needs one entry per mode, and eps / n_simpson
+    (an odd n_simpson is raised by one) a whole number of dt steps; both are
+    checked before any path is simulated.
     """
+    h = np.asarray(h, dtype=float)
+    if h.shape != (config.n_modes,):
+        raise ValueError(f"the direction h has {h.size} entries, not one per mode of n_modes={config.n_modes}")
     if n_simpson % 2 == 1:
         n_simpson += 1
     try:
@@ -612,7 +623,6 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
             f"the Simpson interval eps / n_simpson = {eps} / {n_simpson} is not a whole number of dt={config.dt} steps"
         ) from None
     x0 = np.zeros(config.n_modes)
-    h = np.asarray(h, dtype=float)
     from .fields import constant_field
 
     width = int(np.max(np.nonzero(h)[0])) + 1 if np.any(h) else 1
@@ -624,7 +634,6 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
     simpson_w = simpson_weights(n_simpson) * ((eps / n_simpson) / 3.0)
 
     a = config.rates
-    E = basis_matrix(config.n_modes, config.grid) if config.has_reaction else None
 
     def q_of(z, s, seed_s):
         """<A h + Dp(z) h, D_z P_s u (z)> for each row z."""
@@ -635,9 +644,9 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
         # direction v(z) = -a*h + Dp(z) h in mode coordinates
         v = np.broadcast_to(-a * h, z.shape).copy()
         if config.has_reaction:
-            U = z @ E
-            mult = _horner(_poly_pair(config.p_coeffs)[1], U, np.empty(U.shape))
-            v = v + ((np.broadcast_to(h, z.shape) @ E) * mult) @ config.projection
+            reaction = _Reaction(config, z.shape[0])
+            reaction.load(z)
+            v = v + reaction.linearized(np.broadcast_to(h, z.shape))
         if s == 0:
             k = inner_dir.shape[1]
             return (v[:, :k] * inner_dir).sum(axis=1)

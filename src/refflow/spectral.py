@@ -47,7 +47,7 @@ class InvalidDataError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature rule on (0,1): nodes, weights summing to 1, rule tag."""
+    """Quadrature rule on (0,1): nodes, weights summing to 1, a rule tag; it keeps its bases."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -62,6 +62,7 @@ class Grid:
             raise InvalidDataError("grid weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise InvalidDataError("grid weights must sum to the interval length 1")
+        object.__setattr__(self, "_bases", {})
 
     @classmethod
     def gauss_legendre(cls, n):
@@ -110,18 +111,15 @@ def eigenvalue(j):
     return (np.pi * np.asarray(j, dtype=float)) ** 2
 
 
-_BASIS_CACHE = {}
-
-
 def basis_matrix(n_modes, grid):
-    """Matrix E with rows e_1..e_N evaluated on the grid nodes, shape (N, n_nodes)."""
-    key = (grid.rule, grid.n_nodes, n_modes)
-    mat = _BASIS_CACHE.get(key)
+    """Matrix E with rows e_1..e_N evaluated on the grid nodes, shape (N, n_nodes);
+    built once per grid and mode count, and kept read-only with the grid."""
+    mat = grid._bases.get(n_modes)
     if mat is None:
         js = np.arange(1, n_modes + 1)
         mat = np.sqrt(2.0) * np.sin(np.outer(js, np.pi * grid.nodes))
         mat.setflags(write=False)
-        _BASIS_CACHE[key] = mat
+        grid._bases[n_modes] = mat
     return mat
 
 

@@ -10,28 +10,24 @@ where c solves dc/du = F(u, c), c(t) = x. Fixed-step RK4 for the flow; the
 exponent uses the trapezoid rule on the same nodes so both
 discretizations refine together.
 
-One kernel, _sweep_to, takes every backward sweep:
+Ask once for every time: one kernel, _sweep_to, takes the backward sweep of
+a request for all its times.
 
-- The field rows it evaluates for D*F at the end of a step are the next
-  step's first RK stage, so a step costs one field evaluation fewer.
+- For an autonomous field (time_dependent False) the backward path from x
+  over time t is a prefix of the path over any later time, so one sweep of
+  max(times) steps serves every time; a time-dependent field takes one fresh
+  sweep per time. The field rows evaluated for D*F at a step's end are the
+  next step's first RK stage.
 - The path depends on F alone; the reference, a slice or a ladder alike,
   enters only through its log-gradient reference.beta in
   D*F = -div F - sum_i f_i beta_i. Solutions that share rho0, field and
-  config therefore share one sweep (feynman_kac_shared): the states, field
-  rows and div F are computed once per step and only beta once per
-  reference (fields.dstar_rows).
-- For an autonomous field (time_dependent False) the backward path from x
-  over time t is a prefix of the path from x over any later time, so one
-  sweep of max(times) steps serves every time node on a point set: times run
-  in increasing order and each continues the sweep of the one before. A
-  time-dependent field has no prefix property and takes a fresh sweep,
-  starting at that time, for every time.
-- A density already computed at the same time on the solution's last point
-  set is served again without a sweep.
+  config share one sweep (feynman_kac_shared), and only beta is evaluated
+  once per reference (fields.dstar_rows).
+- A solution keeps the densities of its last request and serves one of them
+  again, on the same points, without a sweep.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,143 +134,120 @@ class TransportSolution:
 
     rho0: object  # value(X) -> (npts,), attribute support_radius
     field: object
-    reference: object  # SliceDensity or LadderDensity: value(X) and beta(X)
+    reference: object  # SliceDensity or LadderDensity: value(X), beta(X) and N
     config: FlowConfig
-    N: int
 
     def __post_init__(self):
         self.support_radius = float(self.rho0.support_radius + self.config.T * self.field.h_bound)
-        # the last backward sweep on this solution, a _Sweep: for a later time
-        # to continue, and for the densities it computed to be served again.
-        # Replaced whole and never mutated, so threads sharing a solution can
-        # at worst repeat a sweep.
-        self._sweep = None
+        # (X, {t: read-only density}) of the last request that swept, replaced
+        # whole: threads sharing a solution can at worst repeat a sweep
+        self._served = None
 
-
-class _Sweep(NamedTuple):
-    """A solution's last backward sweep, taken from time t on the point set X.
-
-    Z holds the states after k steps of the rows of X inside the support ball,
-    and F the field rows at (t - k dt, Z), the next step's first RK stage; a
-    sweep shared by several solutions shares these arrays. acc is the
-    solution's trapezoid sum of D*F (step k weighted 1/2) and R the running
-    sum that continues it (step k weighted 1). served maps each time of this
-    and earlier sweeps on X to its read-only density.
-    """
-
-    X: np.ndarray
-    k: int
-    Z: np.ndarray
-    F: np.ndarray
-    acc: np.ndarray
-    R: np.ndarray
-    served: dict
+    @property
+    def N(self):
+        return self.reference.N
 
 
 def feynman_kac(solution, t, x):
     """Density at time t and points x (rows); exactly 0 outside the support ball.
 
     Integrates the characteristics of x backward n = t/dt_ode steps to time 0
-    and returns rho0 at their foot times exp(dt_ode * trapezoid sum of D*F).
-    A density the solution already computed at t on the same points is
-    served again as a copy. For an autonomous field the path over t is a
-    prefix of the path over any later time, so when the solution's last sweep
-    ran on the same points for at most n steps this call continues it instead
-    of restarting at x; the sums keep the order of a fresh sweep, so the
-    result is bit-identical. A time-dependent field, an earlier time or other
-    points start afresh at t.
+    and returns rho0 at their foot times exp(dt_ode * trapezoid sum of D*F),
+    or a copy of the density of the solution's last request at t on x. A
+    caller that needs several times asks feynman_kac_many once instead.
 
     Exponent overflow beyond 700 raises RepresentationOverflowError naming the
     offending (t, x); points whose characteristic exits the initial support
     return exactly 0 without exponentiating.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    rho = _sweep_to((solution,), t, X)[0]
+    rho = _sweep_to((solution,), [t], X)[0][t]
     return float(rho[0]) if np.asarray(x).ndim == 1 else rho.copy()
 
 
-def _sweep_to(solutions, t, X):
-    """Densities at time t on the rows of X, one read-only array per solution,
-    from one backward sweep; the solutions share rho0, field and config.
+def _sweep_to(solutions, times, X):
+    """{t: read-only density on the rows of X} of each solution, for every
+    time in `times`; the solutions share rho0, field and config.
 
-    Served from the solutions' last sweeps when each holds t on X; else the
-    sweep continues their last joint sweep on X when that is valid, or starts
-    afresh at t, and becomes each solution's last sweep.
+    Served from the solutions' last requests when each holds every time on X.
+    Else every time is checked, then times of 0 steps read rho0 and the rest
+    take one backward sweep of the most steps, stopping at each time on the
+    way (one sweep per time for a time-dependent field).
     """
     first = solutions[0]
     cfg, fld = first.config, first.field
-    if t < 0 or t > cfg.T + 1e-12:
-        raise ValueError(f"t={t} outside [0, {cfg.T}]")
-    n = cfg.n_steps(t)
-    out = np.zeros(X.shape[0])
-    near = np.sqrt((X ** 2).sum(axis=1)) <= first.support_radius + 1e-12
-    if n == 0:
-        out[near] = np.clip(first.rho0.value(X[near]), 0.0, None)
-    if n == 0 or not near.any():
-        out.setflags(write=False)
-        return [out] * len(solutions)
-    lasts = [s._sweep for s in solutions]
-    if not all(last is not None and np.array_equal(last.X, X) for last in lasts):
-        lasts = None
-    elif all(t in last.served for last in lasts):
-        return [last.served[t] for last in lasts]
+    steps = {}
+    for t in times:
+        if t < 0 or t > cfg.T + 1e-12:
+            raise ValueError(f"t={t} outside [0, {cfg.T}]")
+        steps[t] = cfg.n_steps(t)
+    lasts = [s._served for s in solutions]
+    if all(last is not None and np.array_equal(last[0], X) and steps.keys() <= last[1].keys() for last in lasts):
+        return [last[1] for last in lasts]
 
+    near = np.sqrt((X ** 2).sum(axis=1)) <= first.support_radius + 1e-12
+    served = [{} for _ in solutions]
+
+    def serve(ts, rows):
+        for d, vals in zip(served, rows):
+            rho = np.zeros(X.shape[0])
+            rho[near] = vals
+            rho.setflags(write=False)
+            d.update(dict.fromkeys(ts, rho))
+
+    Z0 = X[near]
+    starts = [t for t, n in steps.items() if n == 0 or not near.any()]
+    if starts:
+        serve(starts, [np.clip(first.rho0.value(Z0), 0.0, None)] * len(solutions))
+    pending = sorted(steps.keys() - set(starts))
     dt, betas = cfg.dt_ode, [s.reference.beta for s in solutions]
-    if (
-        lasts is not None
-        and lasts[0].k <= n
-        and not fld.time_dependent
-        and all(last.Z is lasts[0].Z for last in lasts)
-    ):
-        k, Z, F = lasts[0].k, lasts[0].Z, lasts[0].F
-        accs, Rs = [last.acc for last in lasts], [last.R for last in lasts]
-    else:
-        k, Z = 0, X[near]
+    for group in [[t] for t in pending] if fld.time_dependent else [pending] if pending else []:
+        t, Z = group[-1], Z0
         F, gs = fields_mod.dstar_rows(fld, betas, t, Z)
         Rs = [0.5 * g for g in gs]
-    for j in range(k + 1, n + 1):
-        Z = _step(fld, t - (j - 1) * dt, Z, -dt, F)
-        F, gs = fields_mod.dstar_rows(fld, betas, max(t - j * dt, 0.0), Z)
-        accs = [R + 0.5 * g for R, g in zip(Rs, gs)]
-        Rs = [R + g for R, g in zip(Rs, gs)]
+        for j in range(1, steps[t] + 1):
+            Z = _step(fld, t - (j - 1) * dt, Z, -dt, F)
+            F, gs = fields_mod.dstar_rows(fld, betas, max(t - j * dt, 0.0), Z)
+            at = [u for u in group if steps[u] == j]
+            if at:
+                serve(at, _weighted(first.rho0, Z, [R + 0.5 * g for R, g in zip(Rs, gs)], dt, at[0], Z0))
+            Rs = [R + g for R, g in zip(Rs, gs)]
+    X = X.copy()
+    for s, d in zip(solutions, served):
+        s._served = (X, d)
+    return served
 
-    rho0v = np.clip(first.rho0.value(Z), 0.0, None)
+
+def _weighted(rho0, Z, accs, dt, t, X):
+    """Per trapezoid sum acc of D*F, rho0(Z) exp(dt acc), exactly 0 where rho0(Z) is."""
+    rho0v = np.clip(rho0.value(Z), 0.0, None)
     alive = rho0v > 0
-    rhos = []
+    out = []
     for acc in accs:
         expnt = dt * acc
         if np.any(expnt[alive] > 700.0):
             bad = int(np.argmax(np.where(alive, expnt, -np.inf)))
-            raise RepresentationOverflowError(
-                f"exponent {expnt[bad]:.3g} > 700 at t={t}, x={X[near][bad]}"
-            )
+            raise RepresentationOverflowError(f"exponent {expnt[bad]:.3g} > 700 at t={t}, x={X[bad]}")
         vals = np.zeros(Z.shape[0])
         vals[alive] = rho0v[alive] * np.exp(expnt[alive])
-        rho = out.copy()
-        rho[near] = vals
-        rho.setflags(write=False)
-        rhos.append(rho)
-    X = X.copy()
-    for i, s in enumerate(solutions):
-        served = {**(lasts[i].served if lasts is not None else {}), t: rhos[i]}
-        s._sweep = _Sweep(X, n, Z, F, accs[i], Rs[i], served)
-    return rhos
+        out.append(vals)
+    return out
 
 
 def feynman_kac_many(solution, times, x):
     """Densities at each time on one point set, shape (len(times), npts).
 
-    Times run in increasing order, so for an autonomous field each continues
-    the backward sweep of the one before and the whole set costs one sweep of
-    max(times) steps; a time-dependent field takes one fresh sweep per time.
-    A repeated time is served from the first. Rows follow the order of
-    `times`; each time is checked as in feynman_kac.
+    One request for every time: an autonomous field takes one backward sweep
+    of max(times) steps, a time-dependent one a fresh sweep per time. Rows
+    follow the order of `times`; a repeated time is computed once, and every
+    time is checked as in feynman_kac before any sweep.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     times = [float(t) for t in times]
+    _sweep_to((solution,), times, X)
     out = np.empty((len(times), X.shape[0]))
-    for i in sorted(range(len(times)), key=times.__getitem__):
-        out[i] = feynman_kac(solution, times[i], X)
+    for i, t in enumerate(times):
+        out[i] = feynman_kac(solution, t, X)
     return out
 
 
@@ -284,32 +257,30 @@ def feynman_kac_shared(solutions, times, x):
 
     The solutions must share rho0, field and config, as solutions of one
     problem under different reference measures do: the characteristics then
-    coincide and only the log-gradient in D*F differs. The sweep walks the
-    times in increasing order for all solutions together, leaving each
-    density in its solution's last sweep; feynman_kac_many then serves them.
-    Raises ValueError for solutions that do not share the three.
+    coincide and only the log-gradient in D*F differs. The one request leaves
+    each solution's densities served; feynman_kac_many then reads them. Raises
+    ValueError for solutions that do not share the three.
     """
     first = solutions[0]
     for s in solutions[1:]:
         if s.rho0 is not first.rho0 or s.field is not first.field or s.config != first.config:
             raise ValueError("solutions share a backward sweep only with the same rho0, field and config")
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    for t in sorted({float(t) for t in times}):
-        _sweep_to(solutions, t, X)
+    _sweep_to(solutions, [float(t) for t in times], X)
     return np.stack([feynman_kac_many(s, times, X) for s in solutions])
 
 
-def solve(rho0, field, reference, config, N=None):
-    """The TransportSolution of a problem, on the reference's N unless given."""
-    return TransportSolution(rho0, field, reference, config, reference.N if N is None else N)
+def solve(rho0, field, reference, config):
+    """The TransportSolution of a problem, on the reference's N."""
+    return TransportSolution(rho0, field, reference, config)
 
 
 def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
     """Central-difference residual of the pointwise equation at (t, x).
 
     D_t rho + <F, D_x rho> - (D*F) rho; h_t defaults to one ODE step and must
-    be a multiple of it so shifted times stay on the flow grid. Times run
-    t - h_t, t, t + h_t at x, so an autonomous field sweeps back once.
+    be a multiple of it so shifted times stay on the flow grid. t - h_t, t and
+    t + h_t at x are one request, so an autonomous field sweeps back once.
     """
     cfg = solution.config
     h_t = cfg.dt_ode if h_t is None else h_t
@@ -317,9 +288,8 @@ def pde_residual(solution, t, x, h_t=None, h_x=1e-4):
     if t - h_t < 0 or t + h_t > cfg.T:
         raise ValueError(f"need [t-h_t, t+h_t] inside [0,T], got t={t}, h_t={h_t}")
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    rho_minus = feynman_kac(solution, t - h_t, X)
-    rho = feynman_kac(solution, t, X)
-    dt_rho = (feynman_kac(solution, t + h_t, X) - rho_minus) / (2.0 * h_t)
+    rho_minus, rho, rho_plus = feynman_kac_many(solution, [t - h_t, t, t + h_t], X)
+    dt_rho = (rho_plus - rho_minus) / (2.0 * h_t)
     grad = np.zeros_like(X)
     for i in range(X.shape[1]):
         Xp = X.copy()

@@ -1,11 +1,13 @@
 """Verification functionals for transport solutions.
 
-Weak-formulation residual, mass conservation, entropy and its exponential
-Gronwall-type bound, approximation of initial densities by smooth cylinders,
-and a uniqueness probe comparing refinements of the same problem. Everything
-here consumes a TransportSolution (or raw densities) and produces small
-reports; the entropy bound is the one theorem-level inequality, and violating
-it raises instead of returning a failed report.
+Weak-formulation residual, mass conservation, entropy against its
+exponential Gronwall-type bound, approximation of initial densities by
+smooth cylinders, and a uniqueness probe comparing refinements of the same
+problem. Everything here consumes a TransportSolution (or raw densities) and
+produces small reports. A check at several times takes them all in one call:
+it reads the densities from one transport request and returns one report per
+time. The entropy bound is the one theorem-level inequality, and violating it
+raises instead of returning a failed report.
 """
 
 import math
@@ -92,6 +94,13 @@ def simpson_step(config, n_time):
     return n_time, config.T / n_time
 
 
+def _support_grid(solution, n_per_axis):
+    """(X, w, Psi^2, rho0): the Gauss-Legendre grid of n_per_axis nodes per axis
+    over the solution's support box, and the reference and initial densities on it."""
+    X, w = measures.tensor_grid(solution.N, solution.support_radius, n_per_axis)
+    return X, w, solution.reference.value(X), solution.rho0.value(X)
+
+
 def weak_residual(solution, u, n_time=20, n_per_axis=128):
     """Quadrature residual of the weak formulation against u(t,x)=g(t)f(x).
 
@@ -101,8 +110,7 @@ def weak_residual(solution, u, n_time=20, n_per_axis=128):
     """
     cfg = solution.config
     n_time, h_t = simpson_step(cfg, n_time)
-    X, w = measures.tensor_grid(solution.N, solution.support_radius, n_per_axis)
-    psi = solution.reference.value(X)
+    X, w, psi, rho0 = _support_grid(solution, n_per_axis)
     f_vals = u.f.value(X)
     # <grad f, F> pairs the coordinates that both f and F have
     fgrad = u.f.grad(X)
@@ -119,7 +127,6 @@ def weak_residual(solution, u, n_time=20, n_per_axis=128):
     vals = np.array([space_integral(t, rho) for t, rho in zip(t_nodes, rhos)])
     time_integral = (h_t / 3.0) * float(simpson_weights(n_time) @ vals)
 
-    rho0 = solution.rho0.value(X)
     initial = u.g(0.0) * float(w @ (f_vals * rho0 * psi))
     res = time_integral + initial
     return VerificationReport(
@@ -131,20 +138,17 @@ def weak_residual(solution, u, n_time=20, n_per_axis=128):
     )
 
 
-def mass_conservation(solution, t, n_per_axis=128):
-    """Relative drift of int rho(t) Psi^2 dx against its t=0 value."""
-    X, w = measures.tensor_grid(solution.N, solution.support_radius, n_per_axis)
-    psi = solution.reference.value(X)
-    m0 = float(w @ (solution.rho0.value(X) * psi))
-    mt = float(w @ (transport.feynman_kac(solution, t, X) * psi))
-    rel = (mt - m0) / m0 if m0 != 0 else math.inf
-    return VerificationReport(
-        name=f"mass[t={t:g}]",
-        residual=rel,
-        error=abs(rel),
-        tolerance=1e-6,
-        metadata={"mass_0": m0, "mass_t": mt, "n_per_axis": n_per_axis},
-    )
+def mass_conservation(solution, times, n_per_axis=128):
+    """Per time, the relative drift of int rho(t) Psi^2 dx against its t=0 value."""
+    X, w, psi, rho0 = _support_grid(solution, n_per_axis)
+    m0 = float(w @ (rho0 * psi))
+    reports = []
+    for t, rho in zip(times, transport.feynman_kac_many(solution, times, X)):
+        mt = float(w @ (rho * psi))
+        rel = (mt - m0) / m0 if m0 != 0 else math.inf
+        meta = {"mass_0": m0, "mass_t": mt, "n_per_axis": n_per_axis}
+        reports.append(VerificationReport(f"mass[t={t:g}]", rel, abs(rel), 1e-6, meta))
+    return reports
 
 
 def _entropy_terms(rho, g):
@@ -153,36 +157,27 @@ def _entropy_terms(rho, g):
         return np.where(rho > 0, rho * g(np.log(np.where(rho > 0, rho, 1.0))), 0.0)
 
 
-def entropy(solution, t, n_per_axis=128):
-    """int rho (ln rho - 1) Psi^2 dx with the integrand 0 where rho = 0."""
-    X, w = measures.tensor_grid(solution.N, solution.support_radius, n_per_axis)
-    psi = solution.reference.value(X)
-    rho = solution.rho0.value(X) if t == 0 else transport.feynman_kac(solution, t, X)
-    return float(w @ (_entropy_terms(rho, lambda L: L - 1.0) * psi))
-
-
 def ball_volume(N, R):
     return math.pi ** (N / 2.0) * R ** N / math.gamma(N / 2.0 + 1.0)
 
 
-def entropy_bound_check(solution, t, delta, cf_value, n_per_axis=128):
-    """Exponential entropy bound at time t; violation is a hard error.
+def entropy_bound_check(solution, times, delta, cf_value, n_per_axis=128):
+    """Exponential entropy bound at each time t; a violation is a hard error.
 
-    Right side: e^{t/delta} [ int rho0 |ln rho0 - 1| Psi^2 dx + C_F(delta,y)
-    + (t/delta)|ln delta| int rho0 Psi^2 dx + (t/M)|K_{R+1}| + t int Psi^2 dx ],
-    the last integral over the whole space without clipping. The sharper
-    support-ball variant of that term is recorded as informational metadata.
+    Left side: the entropy int rho(t) (ln rho(t) - 1) Psi^2 dx, the integrand
+    0 where rho = 0. Right side: e^{t/delta} [ int rho0 |ln rho0 - 1| Psi^2 dx
+    + C_F(delta,y) + (t/delta)|ln delta| int rho0 Psi^2 dx + (t/M)|K_{R+1}|
+    + t int Psi^2 dx ], the last integral over the whole space without
+    clipping. The sharper support-ball variant of that term is recorded as
+    informational metadata. Returns one report per time.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    X, w = measures.tensor_grid(solution.N, solution.support_radius, n_per_axis)
+    X, w, psi, rho0 = _support_grid(solution, n_per_axis)
     ref = solution.reference
-    psi = ref.value(X)
-    rho0 = solution.rho0.value(X)
     s0 = float(w @ (_entropy_terms(rho0, lambda L: np.abs(L - 1.0)) * psi))
     mass0 = float(w @ (rho0 * psi))
     R = solution.support_radius
-    vol_term = (t / ref.M) * ball_volume(solution.N, R + 1.0) if math.isfinite(ref.M) else 0.0
 
     # unclipped full-space integral of Psi^2_N: Gaussian-type decay, so a wide
     # box is exact to quadrature precision
@@ -192,34 +187,36 @@ def entropy_bound_check(solution, t, delta, cf_value, n_per_axis=128):
     psi_total = float(ww @ source.value(Xw))
     psi_ball = float(w @ source.value(X))
 
-    left = entropy(solution, t, n_per_axis=n_per_axis)
-    bracket = s0 + cf_value + (t / delta) * abs(math.log(delta)) * mass0 + vol_term + t * psi_total
-    right = math.exp(t / delta) * bracket
-    sharper = math.exp(t / delta) * (s0 + cf_value + (t / delta) * abs(math.log(delta)) * mass0 + vol_term + t * psi_ball)
-    slack = 1e-10 * max(abs(left), abs(right), 1.0)
-    if left > right + slack:
-        raise TheoremViolationError(
-            f"entropy bound violated at t={t}: left={left:.6e} > right={right:.6e}"
-        )
-    return VerificationReport(
-        name=f"entropy-bound[t={t:g}]",
-        residual=left - right,  # nonpositive slack
-        error=0.0,
-        tolerance=slack,
-        one_sided=True,
-        metadata={
-            "left": left,
-            "right": right,
-            "slack_factor": right / left if left > 0 else math.inf,
-            "initial_term": s0,
-            "cf_term": cf_value,
-            "log_delta_term": (t / delta) * abs(math.log(delta)) * mass0,
-            "clip_volume_term": vol_term,
-            "psi_total_term": t * psi_total,
-            "sharper_right_informational": sharper,
-            "delta": delta,
-        },
-    )
+    reports = []
+    for t, rho in zip(times, transport.feynman_kac_many(solution, times, X)):
+        vol_term = (t / ref.M) * ball_volume(solution.N, R + 1.0) if math.isfinite(ref.M) else 0.0
+        left = float(w @ (_entropy_terms(rho, lambda L: L - 1.0) * psi))
+        log_term = (t / delta) * abs(math.log(delta)) * mass0
+        right = math.exp(t / delta) * (s0 + cf_value + log_term + vol_term + t * psi_total)
+        sharper = math.exp(t / delta) * (s0 + cf_value + log_term + vol_term + t * psi_ball)
+        slack = 1e-10 * max(abs(left), abs(right), 1.0)
+        if left > right + slack:
+            raise TheoremViolationError(f"entropy bound violated at t={t}: left={left:.6e} > right={right:.6e}")
+        reports.append(VerificationReport(
+            name=f"entropy-bound[t={t:g}]",
+            residual=left - right,  # nonpositive slack
+            error=0.0,
+            tolerance=slack,
+            one_sided=True,
+            metadata={
+                "left": left,
+                "right": right,
+                "slack_factor": right / left if left > 0 else math.inf,
+                "initial_term": s0,
+                "cf_term": cf_value,
+                "log_delta_term": log_term,
+                "clip_volume_term": vol_term,
+                "psi_total_term": t * psi_total,
+                "sharper_right_informational": sharper,
+                "delta": delta,
+            },
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_c02_transport_oracle():
     c = Criterion(2)
     spec = catalog.default_problems("1d")[0]
     _, ref, field, rho0, config, _ = catalog.build_problem(spec)
-    sol = transport.solve(rho0, field, ref, config, N=1)
+    sol = transport.solve(rho0, field, ref, config)
     lam = 2.0 * np.pi ** 2
     drift = 0.1
     xs = np.linspace(-0.8, 0.8, 41)[:, None]
@@ -86,9 +86,9 @@ def test_c03_mass_conservation():
     for which in ("1d", "2d"):
         for spec in catalog.default_problems(which):
             _, ref, field, rho0, config, _ = catalog.build_problem(spec)
-            sol = transport.solve(rho0, field, ref, config, N=int(spec["N"]))
-            for t in spec["times"]:
-                rep = verify.mass_conservation(sol, float(t), n_per_axis=128 if sol.N == 1 else 96)
+            sol = transport.solve(rho0, field, ref, config)
+            times = [float(t) for t in spec["times"]]
+            for t, rep in zip(times, verify.mass_conservation(sol, times, n_per_axis=128 if sol.N == 1 else 96)):
                 worst = max(worst, rep.error)
                 if not rep.passed:
                     c.check(False, f"{spec['id']} t={t} err={rep.error:.2e}")
@@ -103,15 +103,15 @@ def test_c04_entropy_bound():
         for spec in catalog.default_problems(which):
             m, ref, field, rho0, config, _ = catalog.build_problem(spec)
             N = int(spec["N"])
-            sol = transport.solve(rho0, field, ref, config, N=N)
+            sol = transport.solve(rho0, field, ref, config)
             delta = fields.delta_recipe(field, m)
             dis = measures.psi_squared(m, N)
             kw = {} if N == 1 else {"ladder_kwargs": {"n_quad": 13}, "n_per_axis": 48}
             cf = fields.cf_delta(field, dis, delta, config.T, seed=202608,
                                  domain_radius=sol.support_radius + 1.0, **kw)
-            for t in spec["times"]:
-                rep = verify.entropy_bound_check(sol, float(t), delta, cf.estimate,
-                                                 n_per_axis=128 if N == 1 else 64)
+            times = [float(t) for t in spec["times"]]
+            reps = verify.entropy_bound_check(sol, times, delta, cf.estimate, n_per_axis=128 if N == 1 else 64)
+            for t, rep in zip(times, reps):
                 slack = rep.metadata["right"] - rep.metadata["left"]
                 min_slack = min(min_slack, slack)
                 if not rep.passed:
@@ -146,7 +146,7 @@ def test_c06_weak_formulation():
     for which in ("1d", "2d"):
         for spec in catalog.default_problems(which):
             _, ref, field, rho0, config, u = catalog.build_problem(spec)
-            sol = transport.solve(rho0, field, ref, config, N=int(spec["N"]))
+            sol = transport.solve(rho0, field, ref, config)
             if sol.N == 1:
                 n_time, npa, levels = 20, 128, [(4, 12), (20, 40), (100, 128)]
             else:

@@ -1,6 +1,7 @@
 """Runs reproduce the golden reports of tests/golden: every reported number
 within the rounding tolerance of scripts/compare_reports.py, the same
-verdicts and exit code, and byte-identical CSVs. scripts/golden_reports.py
+verdicts and exit code, byte-identical CSVs, and as many RK4 steps in the
+transport sweeps. scripts/golden_reports.py
 regenerates the golden files."""
 
 import importlib.util
@@ -9,6 +10,8 @@ import pathlib
 import shutil
 
 import pytest
+
+from refflow import transport
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -32,7 +35,9 @@ def test_every_case_has_a_golden_report():
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_run_reproduces_golden_report(case, tmp_path):
+def test_run_reproduces_golden_report(case, tmp_path, monkeypatch):
+    step, calls = transport._step, []
+    monkeypatch.setattr(transport, "_step", lambda *args: calls.append(1) or step(*args))
     code = golden_reports.run(CASES[case], tmp_path / "run")
     out = tmp_path / "run" / "out"
     fresh = tmp_path / "report"
@@ -41,3 +46,4 @@ def test_run_reproduces_golden_report(case, tmp_path):
     assert compare_reports.compare(golden_reports.GOLDEN / case, fresh) == []
     assert code == INDEX[case]["exit_code"]
     assert golden_reports.csv_digests(out) == INDEX[case]["csv"]
+    assert len(calls) == INDEX[case]["rk4_steps"]

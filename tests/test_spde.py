@@ -240,6 +240,35 @@ def test_commutator_identity_probe_checks_the_simpson_interval_before_any_path(m
             commutator_identity_probe(ou_config(), x1_observable(), np.array([1.0]), 0.1, 40, 200, n_simpson, seed=2)
 
 
+def test_commutator_identity_probe_checks_the_direction_before_any_path(monkeypatch):
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(spde, "commutator", no_path)
+    monkeypatch.setattr(spde, "simulate", no_path)
+    cfg = SpdeConfig(3, 2e-3, p_coeffs=CUBIC)
+    with pytest.raises(ValueError, match=r"h has 2 entries, not one per mode of n_modes=3"):
+        commutator_identity_probe(cfg, x1_observable(), np.array([1.0, 0.5]), 0.08, 20, 30, 3, seed=3)
+
+
+def test_commutator_identity_probe_on_a_cubic_reaction():
+    cfg = SpdeConfig(3, 2e-3, p_coeffs=CUBIC)
+    got = commutator_identity_probe(cfg, x1_observable(), np.array([1.0, 0.5, 0.2]), 0.08, 20, 30, 4, seed=3)
+    # the values while the probe wrote its linearization Dp(z) h out itself
+    assert got == pytest.approx((-0.552907033502716, -0.5694753105492286, 0.0268098541146103), rel=1e-12)
+
+
+def test_linearized_reaction_is_the_written_out_product():
+    cfg = SpdeConfig(3, 2e-3, p_coeffs=CUBIC)
+    X, eta = as_rng(4, "linearized").normal(size=(2, 5, 3))
+    reaction = spde._Reaction(cfg, 5)
+    reaction.load(X)
+    E = basis_matrix(3, cfg.grid)
+    U = X @ E
+    dp = spde._horner(spde._poly_pair(CUBIC)[1], U, np.empty(U.shape))
+    assert np.array_equal(reaction.linearized(eta), ((eta @ E) * dp) @ cfg.projection)
+
+
 def test_decay_curve_on_cubic_reaction():
     cfg = SpdeConfig(n_modes=4, dt=2e-3, p_coeffs=CUBIC)
     u = catalog.build_cylinder("mode1_soft")

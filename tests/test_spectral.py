@@ -103,6 +103,20 @@ def test_basis_matrix_batched_synthesis():
     assert np.allclose(vals[4], one, rtol=1e-13, atol=1e-15)
 
 
+def test_basis_matrix_is_the_basis_of_the_grid_it_is_given():
+    # a grid with the rule tag and node count of one built before it
+    first = Grid.gauss_legendre(2)
+    basis_matrix(1, first)
+    grid = Grid(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+    assert grid.rule == first.rule and grid.n_nodes == first.n_nodes
+    E = basis_matrix(1, grid)
+    assert np.array_equal(E, np.sqrt(2.0) * np.sin(np.outer([1], np.pi * grid.nodes)))
+    assert np.allclose(E, [[1.0, 1.0]], rtol=1e-15, atol=0.0)
+    assert np.allclose(synthesize(np.array([1.0]), grid), [1.0, 1.0], rtol=1e-15, atol=0.0)
+    # kept with the grid, read-only
+    assert basis_matrix(1, grid) is E and not E.flags.writeable
+
+
 def test_simpson_weights_integrate_cubics_exactly():
     n = 6
     x = np.linspace(0.0, 1.5, n + 1)

@@ -107,7 +107,6 @@ def test_density_matches_constant_field_closed_form():
         field=fields.constant_field([c]),
         reference=slc,
         config=FlowConfig(dt_ode=1e-3, T=0.5),
-        N=1,
     )
     xs = np.linspace(-0.6, 0.7, 27)[:, None]
     for t in (0.1, 0.5):
@@ -121,7 +120,7 @@ def test_density_at_time_zero_is_initial_density():
     rho0 = bump_density([0.0], [0.5])
     sol = TransportSolution(
         rho0=rho0, field=fields.constant_field([0.1]), reference=slc,
-        config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     xs = np.linspace(-1.0, 1.0, 11)[:, None]
     assert np.all(feynman_kac(sol, 0.0, xs) == rho0.value(xs))
@@ -131,7 +130,7 @@ def test_density_vanishes_outside_transport_ball():
     m, slc = slice_for(1)
     rho0 = bump_density([0.0], [0.5])
     f = fields.constant_field([0.1])
-    sol = TransportSolution(rho0=rho0, field=f, reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1)
+    sol = TransportSolution(rho0=rho0, field=f, reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5))
     assert sol.support_radius == pytest.approx(0.5 + 0.5 * 0.1)
     far = np.array([sol.support_radius + 0.01])
     assert feynman_kac(sol, 0.5, far) == 0.0
@@ -142,7 +141,7 @@ def test_density_time_domain_checked():
     m, slc = slice_for(1)
     sol = TransportSolution(
         rho0=bump_density([0.0], [0.5]), field=fields.constant_field([0.1]),
-        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     with pytest.raises(ValueError):
         feynman_kac(sol, 0.6, np.array([0.0]))
@@ -154,7 +153,7 @@ def test_exponent_overflow_is_reported():
     m, slc = slice_for(1, lam=np.array([3000.0]))
     sol = TransportSolution(
         rho0=bump_density([0.0], [5.0]), field=fields.constant_field([1.0]),
-        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     with pytest.raises(RepresentationOverflowError):
         feynman_kac(sol, 0.5, np.array([1.0]))
@@ -164,7 +163,7 @@ def test_pointwise_equation_residual_small():
     m, slc = slice_for(1)
     sol = TransportSolution(
         rho0=bump_density([0.0], [0.5]), field=fields.constant_field([0.1]),
-        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     res = pde_residual(sol, 0.25, np.array([[0.1], [0.3], [-0.2]]))
     assert np.max(np.abs(res)) < 1e-6
@@ -173,7 +172,7 @@ def test_pointwise_equation_residual_small():
     m2, slc2 = slice_for(2)
     sol2 = TransportSolution(
         rho0=bump_density([0.1, 0.0], [0.4, 0.4]), field=sw, reference=slc2,
-        config=FlowConfig(dt_ode=1e-3, T=0.25), N=2,
+        config=FlowConfig(dt_ode=1e-3, T=0.25),
     )
     res2 = pde_residual(sol2, 0.125, np.array([[0.15, 0.05], [0.0, 0.1]]))
     assert np.max(np.abs(res2)) < 1e-6
@@ -183,7 +182,7 @@ def test_pde_residual_validates_time_step():
     m, slc = slice_for(1)
     sol = TransportSolution(
         rho0=bump_density([0.0], [0.5]), field=fields.constant_field([0.1]),
-        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     with pytest.raises(StepMismatchError):
         pde_residual(sol, 0.25, np.array([0.1]), h_t=0.0015)
@@ -196,11 +195,11 @@ def test_ladder_reference_uses_its_log_gradient():
     lad = measures.ladder(slc, M=8, l=16)
     sol = TransportSolution(
         rho0=bump_density([0.0], [0.5]), field=fields.constant_field([0.1]),
-        reference=lad, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=lad, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     exact = TransportSolution(
         rho0=bump_density([0.0], [0.5]), field=fields.constant_field([0.1]),
-        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     xs = np.linspace(-0.4, 0.4, 9)[:, None]
     a = feynman_kac(sol, 0.25, xs)
@@ -224,7 +223,7 @@ def test_slices_and_ladders_read_alike(kind):
     rho0, fld, cfg = bump_density([0.0, 0.0], [0.5, 0.5]), fields.constant_field([0.1, -0.1]), FlowConfig(1e-2, 0.2)
     sol = solve(rho0, fld, ref, cfg)
     assert sol.N == 2
-    assert np.array_equal(feynman_kac_many(sol, [0.1], X)[0], feynman_kac(TransportSolution(rho0, fld, ref, cfg, 2), 0.1, X))
+    assert np.array_equal(feynman_kac_many(sol, [0.1], X)[0], feynman_kac(TransportSolution(rho0, fld, ref, cfg), 0.1, X))
 
 
 def _feynman_kac_reference(solution, t, X):
@@ -262,7 +261,7 @@ def _catalog_solution(pid, ladder=False, field=None):
         reference = measures.ladder(reference, 8, 16)
     # a short horizon keeps the reference sweeps cheap; dt stays the catalog's
     config = FlowConfig(dt_ode=config.dt_ode, T=0.04)
-    return TransportSolution(rho0=rho0, field=field or fld, reference=reference, config=config, N=spec["N"])
+    return TransportSolution(rho0=rho0, field=field or fld, reference=reference, config=config)
 
 
 def _points(sol):
@@ -284,8 +283,8 @@ def test_sweep_matches_per_time_integration(pid, ladder):
     want = np.stack([_feynman_kac_reference(sol, t, X) for t in SWEEP_TIMES])
     assert np.any(want[0] > 0)
     assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
-    # single-time calls continue the last sweep or start afresh, going back in
-    # time or switching point sets; the values stay those of a fresh sweep
+    # single-time calls, going back in time or switching point sets, sweep
+    # afresh; the values stay those of a per-time sweep
     fresh = _catalog_solution(pid, ladder=ladder)
     for t, row in zip(SWEEP_TIMES, want):
         assert np.array_equal(feynman_kac(fresh, t, X), row)
@@ -308,6 +307,31 @@ def test_sweep_restarts_for_time_dependent_field():
     assert np.array_equal(feynman_kac_many(sol, SWEEP_TIMES, X), want)
 
 
+def _count_field_evaluations(monkeypatch):
+    """The list that every CylindricalField evaluation, an RK stage or a D*F
+    row, appends to."""
+    calls = []
+    for name in ("value", "value_and_divergence"):
+        method = getattr(fields.CylindricalField, name)
+        monkeypatch.setattr(fields.CylindricalField, name, lambda *a, m=method: calls.append(1) or m(*a))
+    return calls
+
+
+@pytest.mark.parametrize("field", [None, GROWING])
+def test_one_request_costs_one_sweep_per_field_kind(field, monkeypatch):
+    sol = _catalog_solution("g2_swirl" if field is None else "g1_const", field=field)
+    X = _points(sol)
+    calls = _count_field_evaluations(monkeypatch)
+    feynman_kac_many(sol, SWEEP_TIMES, X)
+    # an RK4 sweep of n steps evaluates F 1 + 4n times: one sweep of the most
+    # steps for an autonomous field, one per distinct time t > 0 otherwise
+    steps = [sol.config.n_steps(t) for t in SWEEP_TIMES]
+    if field is None:
+        assert len(calls) == 1 + 4 * max(steps)
+    else:
+        assert len(calls) == sum(1 + 4 * n for n in set(steps) if n > 0)
+
+
 def test_sweep_checks_every_time():
     sol = _catalog_solution("g1_const")
     X = _points(sol)
@@ -318,7 +342,7 @@ def test_sweep_checks_every_time():
     m, slc = slice_for(1, lam=np.array([3000.0]))
     hot = TransportSolution(
         rho0=bump_density([0.0], [5.0]), field=fields.constant_field([1.0]),
-        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        reference=slc, config=FlowConfig(dt_ode=1e-3, T=0.5),
     )
     # exponent 3000 (t - t^2/2) at x = 1: 285 at t = 0.1, past 700 at t = 0.5
     assert feynman_kac_many(hot, [0.1], np.array([[1.0]]))[0, 0] > 0
@@ -362,17 +386,15 @@ def test_pde_residual_continues_the_sweep(pid, ladder, monkeypatch):
     # every field evaluation goes through CylindricalField.value (the RK
     # stages) or CylindricalField.value_and_divergence (D*F), not dstar
     assert isinstance(sol.field, fields.CylindricalField)
-    calls = []
-    for name in ("value", "value_and_divergence"):
-        method = getattr(fields.CylindricalField, name)
-        monkeypatch.setattr(fields.CylindricalField, name, lambda *a, m=method: calls.append(1) or m(*a))
+    calls = _count_field_evaluations(monkeypatch)
     want = _pde_residual_old_order(sol, 0.02, X, h, 1e-4)
     old_calls = len(calls)
     calls.clear()
     assert np.array_equal(pde_residual(sol, 0.02, X, h_t=h, h_x=1e-4), want)
-    # t - h_t, t and t + h_t share one sweep instead of taking three. A fresh
-    # RK4 sweep of n steps evaluates F 1 + 4n times and a continuation of n
-    # steps 4n times; pde_residual evaluates F and D*F once, together.
+    # t - h_t, t and t + h_t are one request, one sweep instead of three. An
+    # RK4 sweep of n steps evaluates F 1 + 4n times, so the sweep to t + h_t
+    # costs the sweep to t - h_t and 4 per step of the 2 h_t beyond it;
+    # pde_residual evaluates F and D*F once, together.
     fresh = lambda t: 1 + 4 * sol.config.n_steps(t)
     per_axis = 2 * fresh(0.02)
     assert len(calls) == fresh(0.02 - h) + 2 * 4 * sol.config.n_steps(h) + X.shape[1] * per_axis + 1
@@ -385,7 +407,7 @@ def _slice_and_ladder(pid, field=None):
     ladder Psi^2_{8,16} of that slice."""
     exact = _catalog_solution(pid, field=field)
     ladder = measures.ladder(exact.reference, 8, 16)
-    return [exact, TransportSolution(rho0=exact.rho0, field=exact.field, reference=ladder, config=exact.config, N=exact.N)]
+    return [exact, TransportSolution(rho0=exact.rho0, field=exact.field, reference=ladder, config=exact.config)]
 
 
 @pytest.mark.parametrize("pid,field", [("g1_const", None), ("gibbs1_arctan", None), ("g2_swirl", None), ("g1_const", GROWING)])
@@ -416,7 +438,7 @@ def test_shared_sweep_needs_one_rho0_field_and_config():
     sols = _slice_and_ladder("g1_const")
     X = _points(sols[0])
     exact = sols[0]
-    base = dict(rho0=exact.rho0, field=exact.field, reference=sols[1].reference, config=exact.config, N=1)
+    base = dict(rho0=exact.rho0, field=exact.field, reference=sols[1].reference, config=exact.config)
     for change in (
         {"rho0": bump_density([0.0], [0.5])},
         {"field": fields.constant_field([0.1])},

@@ -11,7 +11,6 @@ from refflow.verify import (
     VerificationReport,
     approximate_initial_density,
     ball_volume,
-    entropy,
     entropy_bound_check,
     mass_conservation,
     uniqueness_probe,
@@ -57,8 +56,7 @@ def test_weak_residual_small_for_constant_field(const_problem):
 
 def test_mass_conserved_along_the_flow(const_problem):
     m, ref, f, rho0, cfg, u, sol = const_problem
-    for t in (0.25, 0.5):
-        rep = mass_conservation(sol, t)
+    for rep in mass_conservation(sol, [0.25, 0.5]):
         assert rep.passed
         assert abs(rep.residual) < 1e-8
         assert rep.metadata["mass_0"] > 0
@@ -73,9 +71,10 @@ def test_entropy_of_constant_density_matches_closed_form():
     rho = transport.InitialDensity(value_fn=lambda X: np.full(X.shape[0], c), support_radius=0.3)
     sol = transport.TransportSolution(
         rho0=rho, field=fields.constant_field([0.0]), reference=slc,
-        config=transport.FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        config=transport.FlowConfig(dt_ode=1e-3, T=0.5),
     )
-    assert abs(entropy(sol, 0.0) - (-0.79840247070156033)) < 1e-13
+    (rep,) = entropy_bound_check(sol, [0.0], delta=1.0, cf_value=0.0)
+    assert abs(rep.metadata["left"] - (-0.79840247070156033)) < 1e-13
 
 
 def test_entropy_zero_density_contributes_nothing():
@@ -84,15 +83,16 @@ def test_entropy_zero_density_contributes_nothing():
     rho = transport.InitialDensity(value_fn=lambda X: np.zeros(X.shape[0]), support_radius=0.3)
     sol = transport.TransportSolution(
         rho0=rho, field=fields.constant_field([0.0]), reference=slc,
-        config=transport.FlowConfig(dt_ode=1e-3, T=0.5), N=1,
+        config=transport.FlowConfig(dt_ode=1e-3, T=0.5),
     )
-    assert entropy(sol, 0.0) == 0.0
+    (rep,) = entropy_bound_check(sol, [0.0], delta=1.0, cf_value=0.0)
+    assert rep.metadata["left"] == 0.0
 
 
 def test_entropy_bound_holds_with_analytic_cost(const_problem):
     m, ref, f, rho0, cfg, u, sol = const_problem
     # [DERIVED] mpmath closed form for the constant-field exponential cost
-    rep = entropy_bound_check(sol, 0.25, delta=0.05, cf_value=0.0089871124597119349)
+    (rep,) = entropy_bound_check(sol, [0.25], delta=0.05, cf_value=0.0089871124597119349)
     assert rep.passed
     assert rep.one_sided
     assert rep.residual < 0
@@ -104,9 +104,25 @@ def test_entropy_bound_holds_with_analytic_cost(const_problem):
 def test_entropy_bound_violation_raises(const_problem):
     m, ref, f, rho0, cfg, u, sol = const_problem
     with pytest.raises(TheoremViolationError):
-        entropy_bound_check(sol, 0.25, delta=0.05, cf_value=-1e6)
+        entropy_bound_check(sol, [0.25], delta=0.05, cf_value=-1e6)
     with pytest.raises(ValueError):
-        entropy_bound_check(sol, 0.25, delta=0.0, cf_value=0.0)
+        entropy_bound_check(sol, [0.25], delta=0.0, cf_value=0.0)
+
+
+@pytest.mark.parametrize("check", ["mass", "entropy"])
+def test_checks_over_two_times_are_the_one_time_checks(check):
+    spec = {p["id"]: p for p in catalog.default_problems("1d")}["gibbs1_arctan"]
+    _, ref, f, rho0, cfg, _ = catalog.build_problem(spec)
+
+    def reports(times):
+        sol = transport.solve(rho0, f, ref, cfg)
+        if check == "mass":
+            return mass_conservation(sol, times, n_per_axis=64)
+        return entropy_bound_check(sol, times, delta=0.05, cf_value=0.01, n_per_axis=64)
+
+    # one grid, one Psi^2 and one request for both times; the same bits
+    both = [r.to_dict() for r in reports([0.25, 0.5])]
+    assert both == [reports([0.25])[0].to_dict(), reports([0.5])[0].to_dict()]
 
 
 def test_theorem_violation_is_an_assertion():
@@ -117,7 +133,7 @@ def test_ladder_reference_adds_clip_volume_term(const_problem):
     m, ref, f, rho0, cfg, u, sol = const_problem
     lad = measures.ladder(ref, M=4, l=8)
     sol_l = transport.solve(rho0, f, lad, cfg)
-    rep = entropy_bound_check(sol_l, 0.25, delta=0.05, cf_value=0.0089871124597119349)
+    (rep,) = entropy_bound_check(sol_l, [0.25], delta=0.05, cf_value=0.0089871124597119349)
     assert rep.passed
     want = (0.25 / 4.0) * ball_volume(1, sol_l.support_radius + 1.0)
     assert rep.metadata["clip_volume_term"] == pytest.approx(want, rel=1e-12)
