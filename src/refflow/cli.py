@@ -34,7 +34,6 @@ from .catalog import (
     _numbers, _steps, read,
 )
 from .rng import map_units, stream
-from .verify import _jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +174,19 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+def _jsonable(v):
+    """v with numpy scalars and arrays, tuples (an rng.Estimate too) and dict keys as JSON takes them."""
+    if isinstance(v, (np.floating, np.integer)):
+        return v.item()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return v
+
+
 def _write_csv(outdir, name, header, rows):
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -205,11 +217,12 @@ def run_ibp_check(params, seed, workers, outdir):
 
     results = map_units(one, list(enumerate(params["pairs"])), workers)
     verdicts, details, rows = {}, {}, []
-    for uname, h, rep in results:
+    for uname, h, e in results:
         key = f"ibp[{uname}]"
-        verdicts[key] = "pass" if rep.passed else "fail"
-        details[key] = {"residual": rep.residual, "stderr": rep.stderr, "count": rep.count, "h": h}
-        rows.append([uname, json.dumps(h), _fmt(rep.residual), _fmt(rep.stderr), str(rep.passed)])
+        passed = abs(e.estimate) <= 4.0 * e.stderr
+        verdicts[key] = "pass" if passed else "fail"
+        details[key] = {"residual": e.estimate, "stderr": e.stderr, "count": e.n, "h": h}
+        rows.append([uname, json.dumps(h), _fmt(e.estimate), _fmt(e.stderr), str(passed)])
     out = _write_csv(outdir, "ibp_residuals.csv", ["u", "h", "residual", "stderr", "passed"], rows)
     return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
 
@@ -308,15 +321,15 @@ def run_spde_invariant(params, seed, workers, outdir):
     out = _write_csv(outdir, "samples.csv", header, [[_fmt(v) for v in row] for row in samples])
     verdicts = {"stationary": "pass" if rep.stationary else "fail"}
     details = {
-        "l2_moment": rep.l2_moment, "l2_stderr": rep.l2_stderr,
-        "l4_moment": rep.l4_moment, "l4_stderr": rep.l4_stderr,
-        "first_half_l2": rep.first_half_l2, "second_half_l2": rep.second_half_l2,
-        "count": rep.count,
+        "l2_moment": rep.l2.estimate, "l2_stderr": rep.l2.stderr,
+        "l4_moment": rep.l4.estimate, "l4_stderr": rep.l4.stderr,
+        "first_half_l2": rep.first_half.estimate, "second_half_l2": rep.second_half.estimate,
+        "count": rep.l2.n,
     }
     if not config.has_reaction:
         expected = float((config.b_array ** 2 / (2.0 * config.rates)).sum())
         details["l2_expected_ou"] = expected
-        ok = abs(rep.l2_moment - expected) <= 4.0 * rep.l2_stderr
+        ok = abs(rep.l2.estimate - expected) <= 4.0 * rep.l2.stderr
         verdicts["ou-second-moment"] = "pass" if ok else "fail"
     return {"verdicts": verdicts, "warnings": [], "details": details, "outputs": [out]}
 
@@ -344,7 +357,7 @@ def run_commutator_curve(params, seed, workers, outdir):
         "estimates": [
             {"eps": eps, "value": e.estimate, "stderr": e.stderr, "n_samples": n_samples} for eps, e in rep.estimates
         ],
-        "drop": rep.drop, "drop_stderr": rep.drop_stderr,
+        "drop": rep.drop.estimate, "drop_stderr": rep.drop.stderr,
         "trend_established": rep.trend_established,
     }
     return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}
@@ -353,29 +366,30 @@ def run_commutator_curve(params, seed, workers, outdir):
 def run_bdg_check(params, seed, workers, outdir):
     p, phi, t, n_mc, n_steps = (params[k] for k in ("p", "phi", "t", "n_mc", "n_steps"))
     runs = [n_mc, 2 * n_mc] if params["doubling"] else [n_mc]
-    reps = [(n, spde.bdg_check(p, phi, t, n, stream(seed, "bdg-check", "mc", k), n_steps)) for k, n in enumerate(runs, 1)]
+    reps = [spde.bdg_check(p, phi, t, n, stream(seed, "bdg-check", "mc", k), n_steps) for k, n in enumerate(runs, 1)]
     rows = [
-        [str(n), _fmt(r.ratio), _fmt(r.bound), _fmt(r.numerator), _fmt(r.numerator_stderr), _fmt(r.denominator)]
-        for n, r in reps
+        [str(r.numerator.n), _fmt(r.ratio), _fmt(r.bound), _fmt(r.numerator.estimate), _fmt(r.numerator.stderr),
+         _fmt(r.denominator)]
+        for r in reps
     ]
     out = _write_csv(outdir, "bdg.csv", ["n_mc", "ratio", "bound", "numerator", "numerator_stderr", "denominator"], rows)
     verdicts, warnings = {}, []
-    degenerate = any(r.degenerate for _, r in reps)
+    degenerate = any(r.degenerate for r in reps)
     if degenerate:
         verdicts["bdg-bound"] = "warn"
         warnings.append("integrand is identically zero; ratio undefined (degenerate case)")
     else:
-        verdicts["bdg-bound"] = "pass" if all(r.ratio <= r.bound for _, r in reps) else "fail"
+        verdicts["bdg-bound"] = "pass" if all(r.ratio <= r.bound for r in reps) else "fail"
         if len(reps) == 2:
-            r1, r2 = reps[0][1].ratio, reps[1][1].ratio
+            r1, r2 = reps[0].ratio, reps[1].ratio
             verdicts["bdg-stable"] = "pass" if abs(r1 - r2) <= 0.5 * max(r1, r2) else "fail"
     details = {
         "p": p,
         "runs": [
-            {"n_mc": n, "ratio": r.ratio, "bound": r.bound, "margin": r.margin,
-             "numerator": r.numerator, "numerator_stderr": r.numerator_stderr,
+            {"n_mc": r.numerator.n, "ratio": r.ratio, "bound": r.bound, "margin": r.margin,
+             "numerator": r.numerator.estimate, "numerator_stderr": r.numerator.stderr,
              "denominator": r.denominator, "degenerate": r.degenerate}
-            for n, r in reps
+            for r in reps
         ],
     }
     return {"verdicts": verdicts, "warnings": warnings, "details": details, "outputs": [out]}

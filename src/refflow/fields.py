@@ -241,8 +241,6 @@ class ClaimsReport:
     c_beta: float
     c_div_half: float
     c_beta_half: float
-    eps: float
-    count: int
 
     @property
     def stable(self):
@@ -280,8 +278,6 @@ def claims_probe(nem, measure, eps, count, seed):
         c_beta=smallest_c(beta_part, penalty),
         c_div_half=smallest_c(div_part[:half], penalty[:half]),
         c_beta_half=smallest_c(beta_part[:half], penalty[:half]),
-        eps=float(eps),
-        count=count,
     )
 
 

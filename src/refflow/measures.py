@@ -304,7 +304,7 @@ class SliceDensity:
     measure: GibbsMeasure
     N: int
     log_pref: float  # log normalization: sum log sqrt(lam/2pi) - log Z
-    z_stderr: float
+    Z: Estimate
     y_values: np.ndarray  # tail synthesized on the measure's grid, (n_nodes,); None at tail 0
 
     M = math.inf
@@ -355,15 +355,15 @@ def psi_squared(measure, N):
 
     Explicit formula: prod_{i<=N} sqrt(lam_i/2pi) e^{-lam_i x_i^2/2} times
     exp(-(alpha/p) |x+y|_p^p) / Z; for alpha = 0 this is exactly the product
-    of mode Gaussians. Z is estimated once (importance sampling) and its
-    stderr is carried as z_stderr.
+    of mode Gaussians. Z is estimated once (importance sampling) and held as
+    its Estimate.
     """
     if N > measure.n_modes:
         raise ValueError(f"N={N} exceeds n_modes={measure.n_modes}")
     Z = normalizing_constant(measure)
     lam = measure.lam[:N]
     log_pref = float(0.5 * np.log(lam / (2.0 * np.pi)).sum() - math.log(Z.estimate))
-    return SliceDensity(measure, N, log_pref, Z.stderr, None)
+    return SliceDensity(measure, N, log_pref, Z, None)
 
 
 def mollifier_profile(v_sq):
@@ -372,7 +372,9 @@ def mollifier_profile(v_sq):
 
 
 def _mollifier_offsets(N, l, n_quad, mc_draws, seed):
-    """Offsets u_k in the ball of radius 1/l and weights summing exactly to 1."""
+    """Offsets u_k in the ball of radius 1/l and weights summing to 1 to
+    rounding: for N <= 3 the bump's weights on a tensor grid, else mc_draws
+    seeded draws of the bump's law with equal weights."""
     if N <= 3:
         offsets, w = tensor_grid(N, 1.0 / l, n_quad)
         w = w * mollifier_profile((offsets * l) ** 2 @ np.ones(N))
@@ -454,36 +456,21 @@ def ladder(source, M, l, n_quad=33, mc_draws=10000, seed=0):
 # integration-by-parts and integrability diagnostics
 
 
-@dataclass(frozen=True)
-class IbpReport:
-    residual: float
-    stderr: float
-    count: int
-
-    @property
-    def passed(self):
-        return abs(self.residual) <= 4.0 * self.stderr
-
-
 def ibp_residual(measure, u, h, count, seed):
     """Monte-Carlo residual of int d_h u dgamma + int u beta_h dgamma.
 
     u is a Cylinder (value + gradient); h a coefficient vector. Returns the
-    Monte-Carlo mean with its standard error; the contract is
-    |residual| <= 4 stderr.
+    Estimate of the residual; the contract is |residual| <= 4 stderr.
     """
     X = sample_gibbs(measure, count, seed)
-    est = estimate(u.directional(h, X) + u.value(X) * beta(measure, h, X))
-    return IbpReport(residual=est.estimate, stderr=est.stderr, count=count)
+    return estimate(u.directional(h, X) + u.value(X) * beta(measure, h, X))
 
 
 @dataclass(frozen=True)
 class ExpIntegrabilityReport:
-    estimate: float
-    stderr: float
+    mean: Estimate
     half_estimate: float
     diverged: bool
-    c: float
 
 
 def exp_integrability(measure, h, c, count, seed):
@@ -494,15 +481,13 @@ def exp_integrability(measure, h, c, count, seed):
         raise ValueError(f"exponential-integrability constant must be positive, got {c}")
     X = sample_gibbs(measure, count, seed)
     v = np.exp(c * np.abs(beta(measure, h, X)))
-    est = estimate(v)
+    mean = estimate(v)
     half = float(v[: count // 2].mean())
-    ratio = est.estimate / half if half > 0 else np.inf
+    ratio = mean.estimate / half if half > 0 else np.inf
     return ExpIntegrabilityReport(
-        estimate=est.estimate,
-        stderr=est.stderr,
+        mean=mean,
         half_estimate=half,
         diverged=bool(ratio > 2.0 or ratio < 0.5),
-        c=float(c),
     )
 
 

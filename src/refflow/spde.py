@@ -21,11 +21,13 @@ which the stepper does not use), derivative flows along frozen paths,
 semigroup and gradient estimators (the probabilistic integration-by-parts
 weight), the smoothing commutator and its decay curve, the V-norm quadratic
 form, and the martingale-moment ratio check. Each Monte-Carlo mean is an
-rng.Estimate (mean, stderr, n). Two functions check claims of the paper
-directly: `commutator_identity_probe` the commutator formula for
-D_x P_t - P_t D_x, and `v_norm` the Dirichlet form of the invariant measure;
-`simulate`, `semigroup`, `bel_gradient`, `derivative_flow` and
-`yosida_drift` are checked against closed forms by acceptance criterion 8.
+rng.Estimate (mean, stderr, n), in the reports too; those of
+sample_invariant carry a batch-means stderr (`_batch_estimate`). Two
+functions check claims of the paper directly: `commutator_identity_probe`
+the commutator formula for D_x P_t - P_t D_x, and `v_norm` the Dirichlet
+form of the invariant measure; `simulate`, `semigroup`, `bel_gradient`,
+`derivative_flow` and `yosida_drift` are checked against closed forms by
+acceptance criterion 8.
 """
 
 import math
@@ -380,26 +382,25 @@ def simulate(config, x0, times, seed, n_paths=1, disable_noise=False):
     return states
 
 
-def _batch_stderr(series, n_batches=32):
-    """The stderr of the mean of series from n_batches batch means, or from
+N_BATCHES = 32
+
+
+def _batch_estimate(series):
+    """The mean of series, with the stderr of N_BATCHES batch means, or of
     the series itself when a batch would be empty."""
     series = np.asarray(series, dtype=float)
-    n = len(series) // n_batches
-    if n < 1:
-        return estimate(series).stderr
-    return estimate(series[: n * n_batches].reshape(n_batches, n).mean(axis=1)).stderr
+    n = len(series) // N_BATCHES
+    batches = series[: n * N_BATCHES].reshape(N_BATCHES, n).mean(axis=1) if n else series
+    return Estimate(float(series.mean()), estimate(batches).stderr, len(series))
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    l2_moment: float
-    l2_stderr: float
-    l4_moment: float
-    l4_stderr: float
-    first_half_l2: float
-    second_half_l2: float
+    l2: Estimate  # of |x|_H^2
+    l4: Estimate  # of |x|_L4^4
+    first_half: Estimate  # of |x|_H^2 over each half of the chain
+    second_half: Estimate
     stationary: bool
-    count: int
 
 
 def sample_invariant(config, burn_in, count, thinning, seed):
@@ -431,18 +432,14 @@ def sample_invariant(config, burn_in, count, thinning, seed):
     U = samples @ basis_matrix(config.n_modes, config.grid)
     l4 = (U ** 4) @ config.grid.weights
     half = count // 2
-    m1, m2 = float(l2[:half].mean()), float(l2[half:].mean())
-    se1, se2 = _batch_stderr(l2[:half]), _batch_stderr(l2[half:])
-    stationary = abs(m1 - m2) <= 3.0 * math.sqrt(se1 ** 2 + se2 ** 2)
+    first, second = _batch_estimate(l2[:half]), _batch_estimate(l2[half:])
+    stationary = abs(first.estimate - second.estimate) <= 3.0 * math.sqrt(first.stderr ** 2 + second.stderr ** 2)
     return samples, MomentReport(
-        l2_moment=float(l2.mean()),
-        l2_stderr=_batch_stderr(l2),
-        l4_moment=float(l4.mean()),
-        l4_stderr=_batch_stderr(l4),
-        first_half_l2=m1,
-        second_half_l2=m2,
+        l2=_batch_estimate(l2),
+        l4=_batch_estimate(l4),
+        first_half=first,
+        second_half=second,
         stationary=bool(stationary),
-        count=count,
     )
 
 
@@ -558,8 +555,7 @@ def commutator(config, u, F, eps, x, n_mc, seed):
 class DecayCurveReport:
     estimates: tuple  # (eps, Estimate over the base points), decreasing eps
     trend_established: bool
-    drop: float
-    drop_stderr: float
+    drop: Estimate  # largest eps minus smallest, over the n_x_samples base points
     stationary: bool  # the base points' chain passed sample_invariant's check
 
 
@@ -588,13 +584,11 @@ def commutator_decay_curve(config, u, F, eps_grid, n_mc_per_eps, n_x_samples, se
     ests = [estimate(row) for row in np.stack(cols, axis=1)]
     first = ests[-1]  # largest eps
     last = ests[0]  # smallest eps
-    drop = first.estimate - last.estimate
-    dse = math.sqrt(first.stderr ** 2 + last.stderr ** 2)
+    drop = Estimate(first.estimate - last.estimate, math.sqrt(first.stderr ** 2 + last.stderr ** 2), n_x_samples)
     return DecayCurveReport(
         estimates=tuple(zip(eps_grid, ests))[::-1],
-        trend_established=bool(drop > 2.0 * dse),
-        drop=float(drop),
-        drop_stderr=float(dse),
+        trend_established=bool(drop.estimate > 2.0 * drop.stderr),
+        drop=drop,
         stationary=chain.stationary,
     )
 
@@ -607,7 +601,7 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
     B_eps(u,h) = int_0^eps P_{eps-s}[ <A h + Dp(.) h, D P_s u> ](x) ds
     (OU check: u = x_1, h = e_1 gives both sides e^{-a_1 eps} - 1). Both sides
     are estimated by nested Monte Carlo at the origin; returns
-    (lhs, rhs, lhs stderr). h needs one entry per mode, and eps / n_simpson
+    (lhs Estimate, rhs). h needs one entry per mode, and eps / n_simpson
     (an odd n_simpson is raised by one) a whole number of dt steps; both are
     checked before any path is simulated.
     """
@@ -664,7 +658,7 @@ def commutator_identity_probe(config, u, h, eps, n_outer, n_inner, n_simpson, se
             z = np.atleast_2d(x0)
         rhs_terms.append(float(np.mean(q_of(z, s, as_rng(seed, "spde", "ident-inner", j)))))
     rhs = float(simpson_w @ np.array(rhs_terms))
-    return lhs.estimate, rhs, lhs.stderr
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +693,9 @@ def v_norm(config, phi, eps_grid, n_mc, seed, burn_in=None, thinning=None):
 class BdgReport:
     ratio: float
     bound: float
-    numerator: float
-    numerator_stderr: float
+    numerator: Estimate  # of sup |int Phi dW|^p over n_mc paths
     denominator: float
     degenerate: bool
-    p: float
-    n_mc: int
 
     @property
     def margin(self):
@@ -731,7 +722,7 @@ def bdg_check(p, phi_values, t, n_mc, seed, n_steps=512):
     denom = float((phi_values ** 2).sum() * dt) ** (p / 2.0)
     bound = 12.0 ** p * p ** p
     if denom == 0.0:
-        return BdgReport(ratio=0.0, bound=bound, numerator=0.0, numerator_stderr=0.0, denominator=0.0, degenerate=True, p=p, n_mc=n_mc)
+        return BdgReport(ratio=0.0, bound=bound, numerator=Estimate(0.0, 0.0, n_mc), denominator=0.0, degenerate=True)
     rng = as_rng(seed, "spde", "bdg")
     sup_p = np.empty(n_mc)
     chunk = max(1, 4_000_000 // n_steps)
@@ -745,10 +736,7 @@ def bdg_check(p, phi_values, t, n_mc, seed, n_steps=512):
     return BdgReport(
         ratio=num.estimate / denom,
         bound=bound,
-        numerator=num.estimate,
-        numerator_stderr=num.stderr,
+        numerator=num,
         denominator=denom,
         degenerate=False,
-        p=float(p),
-        n_mc=n_mc,
     )

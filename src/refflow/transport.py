@@ -198,7 +198,7 @@ def _sweep_to(solutions, times, X):
     Z0 = X[near]
     starts = [t for t, n in steps.items() if n == 0 or not near.any()]
     if starts:
-        serve(starts, [np.clip(first.rho0.value(Z0), 0.0, None)] * len(solutions))
+        serve(starts, [first.rho0.value(Z0)] * len(solutions))
     pending = sorted(steps.keys() - set(starts))
     dt, betas = cfg.dt_ode, [s.reference.beta for s in solutions]
     for group in [[t] for t in pending] if fld.time_dependent else [pending] if pending else []:
@@ -220,7 +220,7 @@ def _sweep_to(solutions, times, X):
 
 def _weighted(rho0, Z, accs, dt, t, X):
     """Per trapezoid sum acc of D*F, rho0(Z) exp(dt acc), exactly 0 where rho0(Z) is."""
-    rho0v = np.clip(rho0.value(Z), 0.0, None)
+    rho0v = rho0.value(Z)
     alive = rho0v > 0
     out = []
     for acc in accs:

@@ -70,20 +70,8 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "passed": bool(self.passed),
             "one_sided": self.one_sided,
-            "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
+            "metadata": self.metadata,
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def simpson_step(config, n_time):
@@ -228,10 +216,6 @@ class ApproximationReport:
     l1_distance: float
     entropy_input: float
     entropy_approx: float
-    N: int
-    M_clip: float
-    l_smooth: int
-    count: int
 
 
 def approximate_initial_density(rho, measure, N, M_clip, l_smooth, count=20000, seed=0):
@@ -283,10 +267,6 @@ def approximate_initial_density(rho, measure, N, M_clip, l_smooth, count=20000, 
         l1_distance=l1,
         entropy_input=ent_full,
         entropy_approx=ent_a,
-        N=N,
-        M_clip=float(M_clip),
-        l_smooth=int(l_smooth),
-        count=count,
     )
     return approximant, report
 

@@ -335,7 +335,6 @@ def test_claims_probe_bounded_and_stable():
     assert 0.0 <= rep.c_div <= 0.1443
     # r arctan(r) >= 0 makes the beta part nonnegative here
     assert rep.c_beta == 0.0
-    assert rep.count == 4000
 
 
 def test_claims_probe_rejects_nonpositive_eps():

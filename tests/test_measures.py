@@ -23,12 +23,13 @@ from refflow.measures import (
     ladder,
     lag1_autocorrelation,
     natural_precisions,
+    normalizing_constant,
     psi_squared,
     sample_gaussian,
     sample_gibbs,
     tensor_grid,
 )
-from refflow.rng import Estimate, as_rng, stream
+from refflow.rng import Estimate, as_rng, estimate, stream
 from refflow.spectral import Grid, basis_matrix
 
 
@@ -240,7 +241,7 @@ def test_exp_integrability_oracle():
     m = GibbsMeasure(1)
     rep = exp_integrability(m, [1.0], 0.01, 200000, 11)
     assert not rep.diverged
-    assert rep.estimate == pytest.approx(1.0364598584324792, abs=4 * rep.stderr)
+    assert rep.mean.estimate == pytest.approx(1.0364598584324792, abs=4 * rep.mean.stderr)
     with pytest.raises(ValueError):
         exp_integrability(m, [1.0], -1.0, 100, 0)
 
@@ -264,9 +265,11 @@ def test_ibp_residual_gaussian():
         name="cos",
     )
     rep = ibp_residual(m, u, np.eye(4)[0], 50000, 3)
-    assert rep.passed
+    assert abs(rep.estimate) <= 4.0 * rep.stderr
+    X = sample_gibbs(m, 50000, 3)
+    assert rep == estimate(u.directional(np.eye(4)[0], X) + u.value(X) * beta(m, np.eye(4)[0], X))
     rep_vec = ibp_residual(m, u, np.array([1.0, 0.5]), 50000, 4)
-    assert rep_vec.passed
+    assert abs(rep_vec.estimate) <= 4.0 * rep_vec.stderr
 
 
 def test_psi_squared_gaussian_formula():
@@ -278,6 +281,14 @@ def test_psi_squared_gaussian_formula():
     assert np.allclose(slc.value(x), expected, rtol=1e-12)
     pts, w = tensor_grid(1, 1.5, 256)
     assert float(w @ slc.value(pts)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_slice_holds_the_estimate_of_z():
+    m = GibbsMeasure(2, alpha=1.0, p=4.0)
+    slc = psi_squared(m, 1)
+    assert slc.Z == normalizing_constant(m)
+    assert slc.bind(np.array([0.3])).Z == slc.Z
+    assert psi_squared(GibbsMeasure(1), 1).Z == normalizing_constant(GibbsMeasure(1))
 
 
 def test_slice_beta_matches_log_gradient():
@@ -433,16 +444,18 @@ def test_ladder_validation_and_first_branch():
 
 
 def test_ladder_respects_clip_bounds():
-    m = GibbsMeasure(1)
-    slc = psi_squared(m, 1)
+    """N <= 3 mollifies on a tensor grid, N >= 4 over seeded Monte-Carlo offsets."""
     M = 2.0
-    lad = ladder(slc, M, 4)
-    pts, _ = tensor_grid(1, 3.0, 200)
-    vals = lad.value(pts)
-    assert np.all(vals >= 1.0 / M - 1e-12)
-    assert np.all(vals <= M + 1e-12)
-    assert abs(lad.conv_weights.sum() - 1.0) < 1e-14
-    assert np.all(np.sqrt((lad.offsets ** 2).sum(axis=1)) <= 1.0 / lad.l + 1e-12)
+    for N in (1, 4, 5):
+        slc = psi_squared(GibbsMeasure(N), N)
+        lad = ladder(slc, M, 4)
+        pts = tensor_grid(1, 3.0, 200)[0] if N == 1 else np.linspace(-1.5, 1.5, 41)[:, None] * np.ones(N)
+        vals = lad.value(pts)
+        assert np.all(vals >= 1.0 / M - 1e-12)
+        assert np.all(vals <= M + 1e-12)
+        assert abs(lad.conv_weights.sum() - 1.0) <= 4 * np.finfo(float).eps
+        assert np.all(np.sqrt((lad.offsets ** 2).sum(axis=1)) <= 1.0 / lad.l + 1e-12)
+        assert np.array_equal(ladder(slc, M, 4).offsets, lad.offsets)
 
 
 def test_ladder_log_gradient_consistency():

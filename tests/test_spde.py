@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from refflow import catalog, spde
 from refflow.cylinders import Cylinder
 from refflow.fields import constant_field
-from refflow.rng import as_rng
+from refflow.rng import Estimate, as_rng, estimate
 from refflow.spectral import Grid, basis_matrix
 from refflow.spde import (
     BlowUpError,
@@ -219,13 +219,13 @@ def test_commutator_ou_closed_form():
 
 def test_commutator_identity_probe_ou():
     cfg = ou_config()
-    lhs, rhs, se = commutator_identity_probe(
+    lhs, rhs = commutator_identity_probe(
         cfg, x1_observable(), np.array([1.0]), 0.1, n_outer=40, n_inner=200, n_simpson=4, seed=2
     )
-    assert abs(lhs - rhs) < 4.0 * se + 0.01
-    assert abs(lhs - (EXP_01 - 1.0)) < 5.0 * se + 0.01
+    assert abs(lhs.estimate - rhs) < 4.0 * lhs.stderr + 0.01
+    assert abs(lhs.estimate - (EXP_01 - 1.0)) < 5.0 * lhs.stderr + 0.01
     # the values before the Simpson interval was checked up front
-    assert (lhs, rhs, se) == pytest.approx((-0.6405503885869108, -0.6381686487674214, 0.006243924843151056), rel=1e-12)
+    assert (lhs.estimate, rhs, lhs.stderr) == pytest.approx((-0.6405503885869108, -0.6381686487674214, 0.006243924843151056), rel=1e-12)
 
 
 def test_commutator_identity_probe_checks_the_simpson_interval_before_any_path(monkeypatch):
@@ -253,9 +253,9 @@ def test_commutator_identity_probe_checks_the_direction_before_any_path(monkeypa
 
 def test_commutator_identity_probe_on_a_cubic_reaction():
     cfg = SpdeConfig(3, 2e-3, p_coeffs=CUBIC)
-    got = commutator_identity_probe(cfg, x1_observable(), np.array([1.0, 0.5, 0.2]), 0.08, 20, 30, 4, seed=3)
+    lhs, rhs = commutator_identity_probe(cfg, x1_observable(), np.array([1.0, 0.5, 0.2]), 0.08, 20, 30, 4, seed=3)
     # the values while the probe wrote its linearization Dp(z) h out itself
-    assert got == pytest.approx((-0.552907033502716, -0.5694753105492286, 0.0268098541146103), rel=1e-12)
+    assert (lhs.estimate, rhs, lhs.stderr) == pytest.approx((-0.552907033502716, -0.5694753105492286, 0.0268098541146103), rel=1e-12)
 
 
 def test_linearized_reaction_is_the_written_out_product():
@@ -277,7 +277,7 @@ def test_decay_curve_on_cubic_reaction():
     assert eps_order == [0.5, 0.2, 0.1, 0.05, 0.02]
     assert all(est.n == 10 for _, est in rep.estimates)
     assert rep.trend_established
-    assert rep.drop > 0
+    assert rep.drop.estimate > 0
     assert rep.estimates[0][1].estimate > rep.estimates[-1][1].estimate
 
 
@@ -308,7 +308,22 @@ def test_invariant_sampler_matches_ou_moment():
     samples, rep = sample_invariant(cfg, burn, 1500, 51, seed=4)
     assert samples.shape == (1500, 4)
     assert rep.stationary
-    assert abs(rep.l2_moment - OU4_L2) < 4.0 * rep.l2_stderr
+    assert_stationary_is_the_halves_rule(rep, 1500)
+    assert abs(rep.l2.estimate - OU4_L2) < 4.0 * rep.l2.stderr
+
+
+def assert_stationary_is_the_halves_rule(rep, count):
+    """stationary is the 3-sigma rule on the halves' Estimates, which split the count."""
+    a, b = rep.first_half, rep.second_half
+    assert rep.stationary == (abs(a.estimate - b.estimate) <= 3.0 * math.sqrt(a.stderr ** 2 + b.stderr ** 2))
+    assert rep.l2.n == rep.l4.n == a.n + b.n == count
+
+
+def test_batch_estimate_takes_batch_means_or_the_series():
+    series = as_rng(3, "batches").normal(size=100)
+    batches = series[:96].reshape(spde.N_BATCHES, 3).mean(axis=1)
+    assert spde._batch_estimate(series) == Estimate(float(series.mean()), estimate(batches).stderr, 100)
+    assert spde._batch_estimate(series[:20]) == estimate(series[:20])
 
 
 def test_invariant_sampler_requires_long_burn_in():
@@ -331,8 +346,8 @@ def test_bdg_ratio_below_constant():
     assert rep.bound == pytest.approx(12.0 ** 4 * 4 ** 4)
     assert rep.denominator == pytest.approx(1.0)
     # [DERIVED] mpmath: E sup |W|^4 = 5.9336673...; the discrete sup sits below it
-    assert rep.numerator < 5.933667310446632 + 4.0 * rep.numerator_stderr
-    assert rep.numerator > 5.0
+    assert rep.numerator.estimate < 5.933667310446632 + 4.0 * rep.numerator.stderr
+    assert rep.numerator.estimate > 5.0
     assert rep.ratio < rep.bound
     assert rep.margin > 1e5
 
@@ -455,7 +470,7 @@ def test_sample_invariant_matches_reference_loop(name):
     states, _ = ref_path(cfg, np.zeros((1, 3)), burn + count * thin, as_rng(5, "spde", "invariant"))
     want = np.array([states[burn + (i + 1) * thin - 1][0] for i in range(count)])
     assert_matches(cfg, samples, want)
-    assert_matches(cfg, rep.l2_moment, float((want ** 2).sum(axis=1).mean()))
+    assert_matches(cfg, rep.l2.estimate, float((want ** 2).sum(axis=1).mean()))
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
@@ -706,4 +721,5 @@ def test_invariant_sampler_reports_a_nonstationary_chain():
     samples, rep = sample_invariant(cfg, 304, 20, 51, as_rng(73, "spde", "curve-outer"))
     assert samples.shape == (20, 4) and np.all(np.isfinite(samples))
     assert not rep.stationary
-    assert rep.first_half_l2 != rep.second_half_l2
+    assert_stationary_is_the_halves_rule(rep, 20)
+    assert rep.first_half.estimate != rep.second_half.estimate
